@@ -68,10 +68,9 @@ def _sha256(path) -> str:
 class RunManifest:
     """Run description embedded in every output file.
 
-    The wall-clock fields are logged to standard error only; serialized
-    manifests carry just the deterministic part (and omit the thread
-    count), so reruns of a command with the same seed produce
-    byte-identical files.
+    It holds only deterministic fields (no timestamps, no thread count),
+    so reruns of a command with the same seed produce byte-identical
+    files; ``main`` logs start and finish times to standard error.
     """
 
     subcommand: str
@@ -79,8 +78,6 @@ class RunManifest:
     seed: int
     version: str
     input_hashes: dict
-    started_at: float | None = None
-    finished_at: float | None = None
 
     def to_json(self) -> dict:
         return {"subcommand": self.subcommand, "params": self.params,
@@ -102,7 +99,6 @@ def _manifest(args: argparse.Namespace, inputs) -> RunManifest:
         seed=getattr(args, "seed", 0),
         version=__version__,
         input_hashes={str(p): _sha256(p) for p in inputs},
-        started_at=getattr(args, "_started_at", None),
     )
 
 
@@ -318,8 +314,8 @@ def _cmd_shift_cover(args) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for chunked loops; never changes "
-                         "numeric output")
+                    help="accepted for compatibility; every loop runs in "
+                         "one thread and output never depends on it")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", type=Path, default=None,
                     help="output file (default: stdout)")

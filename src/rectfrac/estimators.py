@@ -22,7 +22,6 @@ reductions, so histories are reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -32,10 +31,10 @@ import numpy as np
 from .conditions import carleson_testing_constant, fp_constant
 from .grids import rect_from_json
 from .operators import (ExponentConfig, ExponentError, RectKernel,
-                        _check_same_grid, _family_bounds, _scatter_slices,
-                        _take_diff, _upsample, check_mlinear_exponents,
-                        kernel_matrix, level_combos)
-from .weights import GridFunction, Weight, build_mass_tree, build_prefix
+                        _check_same_grid, _neg_power, _upsample,
+                        check_mlinear_exponents, kernel_matrix, level_combos,
+                        perez_maps, shifted_sum_map)
+from .weights import GridFunction, Weight, build_mass_tree
 
 OPERATOR_FORMS = ("dyadic", "perez", "kernel", "shifted-sum")
 
@@ -104,7 +103,7 @@ def _ascend_multilinear(kernel: RectKernel, sigmas, ps, init, tol,
                 for k, t in enumerate(trees):
                     if k != j:
                         arr *= t[lv]
-                grad += _upsample(cfg, lv, arr)
+                grad += _upsample(cfg, arr)
             f = _normalized(cms[j], grad ** (conj[j] - 1.0), ps[j])
             if f is None:
                 return fs, history or [0.0], sweeps, True
@@ -195,69 +194,6 @@ def _ascend_bilinear(mu: Weight, p: float, q: float, forward, adjoint,
     return f, g, history, sweeps, converged
 
 
-def _perez_maps(mu: Weight, alpha: float):
-    cfg = mu.config
-    K, C = cfg.depth, cfg.axis_cells
-    combos = list(level_combos(cfg))
-    hls = RectKernel.hls(mu, alpha).tables
-    bounds3 = {}
-    for lv in combos:
-        los, his = [], []
-        for i, k in enumerate(lv):
-            for _ in cfg.factor_axes(i):
-                m = np.arange(1 << k)
-                side = 3 * (1 << (K - k))
-                los.append(np.clip((m - 1) * side, 0, C))
-                his.append(np.clip((m + 2) * side, 0, C))
-        bounds3[lv] = (los, his)
-    cm = mu.cell_masses
-
-    def forward(fv):
-        pf = build_prefix(cm * fv)
-        out = np.zeros_like(fv)
-        for lv in combos:
-            integ3 = _take_diff(pf, *bounds3[lv])
-            out += _upsample(cfg, lv, hls[lv] * integ3)
-        return out
-
-    def adjoint(gv):
-        tree = build_mass_tree(cfg, cm * gv)
-        out = np.zeros_like(gv)
-        for lv in combos:
-            los, his = bounds3[lv]
-            _scatter_slices(out, los, his, hls[lv] * tree[lv])
-        return out
-
-    return forward, adjoint
-
-
-def _shifted_sum_map(mu: Weight, alpha: float):
-    cfg = mu.config
-    N = cfg.total_dim
-    expo = alpha / N - 1.0
-    combos = list(level_combos(cfg))
-    taus = list(itertools.product((-1, 0, 1), repeat=N))
-    cm = mu.cell_masses
-    plan = []
-    for tau in taus:
-        for lv in combos:
-            los, his = _family_bounds(cfg, lv, tau)
-            m_arr = _take_diff(mu.prefix, los, his)
-            pos = m_arr > 0
-            coeff = np.where(pos, np.where(pos, m_arr, 1.0) ** expo, 0.0)
-            plan.append((los, his, coeff))
-
-    def both(fv):
-        pf = build_prefix(cm * fv)
-        out = np.zeros_like(fv)
-        for los, his, coeff in plan:
-            integ = _take_diff(pf, los, his)
-            _scatter_slices(out, los, his, coeff * integ)
-        return out
-
-    return both, both
-
-
 def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
                         form: str = "dyadic", *, tol: float = 1e-9,
                         max_sweeps: int = 200, seed: int = 0,
@@ -290,9 +226,9 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
 
         adjoint = forward  # the pair kernel is symmetric
     elif key == "perez":
-        forward, adjoint = _perez_maps(mu, ec.alpha)
+        forward, adjoint = perez_maps(mu, ec.alpha)
     else:
-        forward, adjoint = _shifted_sum_map(mu, ec.alpha)
+        forward = adjoint = shifted_sum_map(mu, ec.alpha)
 
     if warm_start is not None:
         f0 = warm_start[0].values.copy()
@@ -340,11 +276,8 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
     combos = list(level_combos(cfg))
     cm = sigma.cell_masses
     p_conj = p / (p - 1.0)
-    a_tables = {}
-    for lv in combos:
-        m = sigma.mass_tree[lv]
-        pos = m > 0
-        a_tables[lv] = np.where(pos, np.where(pos, m, 1.0) ** (q / p - q), 0.0)
+    a_tables = {lv: _neg_power(sigma.mass_tree[lv], q / p - q)
+                for lv in combos}
 
     def run(f0):
         f = _normalized(cm, f0, p)
@@ -360,7 +293,7 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
             for lv in combos:
                 integ = tree[lv]
                 phi += float((a_tables[lv] * integ ** q).sum())
-                grad += _upsample(cfg, lv, a_tables[lv] * integ ** (q - 1.0))
+                grad += _upsample(cfg, a_tables[lv] * integ ** (q - 1.0))
             history.append(phi)
             if len(history) >= 2 and \
                     history[-1] - history[-2] <= tol * abs(history[-1]):

@@ -12,9 +12,23 @@ exponent 0 < alpha < N are provided on the truncated families:
   shift_bound_ratio) used by the equivalence studies.
 
 Kernels on the standard family are tabulated per level combination
-(``RectKernel``), which keeps the multilinear form and the positive
-operator fully vectorized.  Everything is a pure function of immutable
-inputs; outputs are reproducible bit for bit for a fixed input.
+(``RectKernel``) on the mass tree, which keeps the multilinear form and
+the positive operator fully vectorized.  The shifted and tripled
+families share one primitive: width-3 window sums (``_windows``) over
+the standard cubes or over the third-cube pyramid.  A level-k cube with
+shift s and index m is the run of three third-cubes starting at 3m + s,
+so along each axis
+
+* the family with shift s is every third window, from (s + 2) % 3 on;
+* the triple 3R of a standard cube is a width-3 window of standard cubes;
+* the 3**N shifted families together are all windows, one pass per
+  level combination.
+
+Scattering back onto cells is the transposed window followed by
+``np.repeat``.  Masses and integrals are formed by additions only, so a
+mass raised to the negative power alpha/N - 1 keeps its relative
+accuracy.  Everything is a pure function of immutable inputs; outputs
+are reproducible bit for bit for a fixed input.
 """
 
 from __future__ import annotations
@@ -26,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (DegeneratePairError, GridConfig, ProductRect,
-                    axis_index_range, min_rect, standard_rect)
-from .weights import GridFunction, Weight, build_mass_tree, build_prefix
+from .grids import (DegeneratePairError, GridConfig, ProductRect, min_rect,
+                    standard_rect)
+from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 
 EXPONENT_TOL = 1e-12
 
@@ -120,15 +134,11 @@ def level_combos(config: GridConfig):
                              repeat=config.n_factors)
 
 
-def _upsample(config: GridConfig, levels: tuple[int, ...],
-              arr: np.ndarray) -> np.ndarray:
-    """Spread per-rectangle values onto the cells each rectangle covers."""
-    out = arr
-    for i, k in enumerate(levels):
-        rep = 3 * (1 << (config.depth - k))
-        for ax in config.factor_axes(i):
-            out = np.repeat(out, rep, axis=ax)
-    return out
+def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
+    """Spread per-block values (cubes or third-cubes) onto their cells."""
+    for ax in range(arr.ndim):
+        arr = np.repeat(arr, config.axis_cells // arr.shape[ax], axis=ax)
+    return arr
 
 
 def _axis_levels(config: GridConfig, levels: tuple[int, ...]) -> list[int]:
@@ -138,39 +148,58 @@ def _axis_levels(config: GridConfig, levels: tuple[int, ...]) -> list[int]:
     return flat
 
 
-def _family_bounds(config: GridConfig, levels: tuple[int, ...], tau):
-    """Per-axis clipped cell bounds of one shifted level combination."""
-    K, C = config.depth, config.axis_cells
-    los, his = [], []
-    for k, s in zip(_axis_levels(config, levels), tau):
-        m = np.arange(axis_index_range(k, s).start,
-                      axis_index_range(k, s).stop)
-        scale = 1 << (K - k)
-        los.append(np.clip((3 * m + s) * scale, 0, C))
-        his.append(np.clip((3 * m + s + 3) * scale, 0, C))
-    return los, his
+def _neg_power(masses: np.ndarray, expo: float) -> np.ndarray:
+    """masses**expo where the mass is positive, 0 where it vanishes."""
+    pos = masses > 0
+    return np.where(pos, np.where(pos, masses, 1.0) ** expo, 0.0)
 
 
-def _take_diff(prefix: np.ndarray, los, his) -> np.ndarray:
-    """Vectorized inclusion-exclusion over a grid of index boxes.
+def _windows(arr: np.ndarray, pad: int) -> np.ndarray:
+    """Width-3 window sums along every axis of ``arr`` zero-padded by ``pad``.
 
-    Prefix differences of nonnegative data can round to tiny negatives;
-    those are floored at zero.
+    Over third-cubes, ``pad=2`` yields every cube of every shift that
+    meets the domain -- window ``j`` on an axis is the cube with
+    ``3*m + s = j - 2`` -- and ``pad=0`` is the transpose, collecting
+    onto each third-cube the windows that cover it.  Over standard
+    cubes, ``pad=1`` sums each cube with its neighbours, i.e. over its
+    triple 3R clipped to the domain; that map is its own transpose.
+    Only additions are used, so no digits cancel.
     """
-    arr = prefix
-    for ax, (lo, hi) in enumerate(zip(los, his)):
-        arr = np.take(arr, hi, axis=ax) - np.take(arr, lo, axis=ax)
-    return np.maximum(arr, 0.0)
+    out = np.pad(arr, pad)
+    for ax in range(out.ndim):
+        n = out.shape[ax] - 2
+        sl = [(slice(None),) * ax + (slice(a, a + n),) for a in range(3)]
+        out = out[sl[0]] + out[sl[1]] + out[sl[2]]
+    return out
 
 
-def _scatter_slices(out: np.ndarray, los, his, coeff: np.ndarray) -> None:
-    """Add each rectangle's coefficient on its (clipped) cell block."""
-    for idx in np.ndindex(coeff.shape):
-        c = coeff[idx]
-        if c == 0.0:
-            continue
-        out[tuple(slice(int(lo[i]), int(hi[i]))
-                  for lo, hi, i in zip(los, his, idx))] += c
+def _window_coeffs(mu: Weight, alpha: float, family) -> tuple[dict, int]:
+    """Per level combination, mu(R)**(alpha/N - 1) on the windows of a family.
+
+    ``family`` slices the padded windows of each axis; windows outside
+    it get coefficient 0.  Also returns the number of zero-mass cubes
+    in the family.
+    """
+    N = mu.config.total_dim
+    expo = _check_alpha(alpha, N) / N - 1.0
+    coeffs, skipped = {}, 0
+    for lv, third in build_pyramid(mu.config, mu.cell_masses).items():
+        windows = _windows(third, 2)
+        masses = windows[family]
+        coeffs[lv] = np.zeros_like(windows)
+        coeffs[lv][family] = _neg_power(masses, expo)
+        skipped += int((masses <= 0).sum())
+    return coeffs, skipped
+
+
+def _window_apply(mu: Weight, coeffs: dict, fv: np.ndarray) -> np.ndarray:
+    """sum_R coeff(R) 1_R int_R f dmu over the windows carrying coefficients."""
+    cfg = mu.config
+    pyr = build_pyramid(cfg, mu.cell_masses * fv)
+    out = np.zeros_like(fv)
+    for lv in level_combos(cfg):
+        out += _upsample(cfg, _windows(coeffs[lv] * _windows(pyr[lv], 2), 0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,11 +246,8 @@ class RectKernel:
         """mu(R)**(alpha/N - 1); zero-mass rectangles get value 0."""
         N = mu.config.total_dim
         expo = _check_alpha(alpha, N) / N - 1.0
-        tables = {}
-        for levels, arr in mu.mass_tree.items():
-            pos = arr > 0
-            tables[levels] = np.where(pos, np.where(pos, arr, 1.0) ** expo, 0.0)
-        return cls(mu.config, tables)
+        return cls(mu.config, {levels: _neg_power(arr, expo)
+                               for levels, arr in mu.mass_tree.items()})
 
     @classmethod
     def indicator(cls, config: GridConfig, rect: ProductRect) -> "RectKernel":
@@ -279,7 +305,7 @@ def apply_positive(kernel, sigma: Weight, f: GridFunction) -> GridFunction:
     tree = build_mass_tree(cfg, sigma.cell_masses * f.values)
     out = np.zeros_like(f.values)
     for levels in level_combos(cfg):
-        out += _upsample(cfg, levels, kernel.tables[levels] * tree[levels])
+        out += _upsample(cfg, kernel.tables[levels] * tree[levels])
     return GridFunction(cfg, out)
 
 
@@ -298,61 +324,69 @@ def apply_frac_dyadic(mu: Weight, alpha: float, f: GridFunction, tau=None,
     """
     cfg = _check_same_grid(mu, f)
     N = cfg.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
     if tau is None:
         tau = (0,) * N
     else:
         tau = tuple(int(t) for t in tau)
         if len(tau) != N or any(t not in (-1, 0, 1) for t in tau):
             raise ValueError("tau must assign -1, 0 or +1 per axis")
+    # family s on an axis is every third window, starting at (s + 2) % 3
+    coeffs, skipped = _window_coeffs(
+        mu, alpha, tuple(slice((s + 2) % 3, None, 3) for s in tau))
     diag = _empty_diagnostics(cfg)
-    out = np.zeros_like(f.values)
-    if all(t == 0 for t in tau):
-        tree_f = build_mass_tree(cfg, mu.cell_masses * f.values)
-        for levels in level_combos(cfg):
-            m_arr = mu.mass_tree[levels]
-            pos = m_arr > 0
-            diag["skipped_terms"] += int(m_arr.size - pos.sum())
-            coeff = np.where(pos, np.where(pos, m_arr, 1.0) ** expo, 0.0)
-            out += _upsample(cfg, levels, coeff * tree_f[levels])
-    else:
-        pf = build_prefix(mu.cell_masses * f.values)
-        for levels in level_combos(cfg):
-            los, his = _family_bounds(cfg, levels, tau)
-            m_arr = _take_diff(mu.prefix, los, his)
-            i_arr = _take_diff(pf, los, his)
-            pos = m_arr > 0
-            diag["skipped_terms"] += int(m_arr.size - pos.sum())
-            coeff = np.where(pos, np.where(pos, m_arr, 1.0) ** expo, 0.0) * i_arr
-            _scatter_slices(out, los, his, coeff)
-    gf = GridFunction(cfg, out)
+    diag["skipped_terms"] = skipped
+    gf = GridFunction(cfg, _window_apply(mu, coeffs, f.values))
     return (gf, diag) if return_diagnostics else gf
+
+
+def shifted_sum_map(mu: Weight, alpha: float):
+    """The sum of the dyadic forms over all 3**N shifted families.
+
+    Every padded window is a cube of exactly one family, so one pass
+    over all windows of each level combination covers every family.
+    The returned map acts on cell arrays and is self-adjoint in L^2(mu).
+    """
+    coeffs, _ = _window_coeffs(mu, alpha,
+                               (slice(None),) * mu.config.total_dim)
+    return lambda fv: _window_apply(mu, coeffs, fv)
+
+
+def perez_maps(mu: Weight, alpha: float):
+    """Forward and adjoint of the enlarged-region form on cell arrays.
+
+    Coefficients are ``RectKernel.hls``.  The forward map integrates f
+    over 3R as the width-3 window over the standard cubes; the adjoint
+    spreads each cube's term over its triple by the same window.
+    """
+    cfg, cm = mu.config, mu.cell_masses
+    hls = RectKernel.hls(mu, alpha).tables
+
+    def forward(fv):
+        tree = build_mass_tree(cfg, cm * fv)
+        out = np.zeros_like(fv)
+        for lv in level_combos(cfg):
+            out += _upsample(cfg, hls[lv] * _windows(tree[lv], 1))
+        return out
+
+    def adjoint(gv):
+        tree = build_mass_tree(cfg, cm * gv)
+        out = np.zeros_like(gv)
+        for lv in level_combos(cfg):
+            out += _upsample(cfg, _windows(hls[lv] * tree[lv], 1))
+        return out
+
+    return forward, adjoint
 
 
 def apply_perez(mu: Weight, alpha: float, f: GridFunction,
                 return_diagnostics: bool = False):
     """Fractional sum over standard rectangles with integration over 3R."""
     cfg = _check_same_grid(mu, f)
-    N = cfg.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
-    K, C = cfg.depth, cfg.axis_cells
+    forward, _ = perez_maps(mu, alpha)
     diag = _empty_diagnostics(cfg)
-    pf = build_prefix(mu.cell_masses * f.values)
-    out = np.zeros_like(f.values)
-    for levels in level_combos(cfg):
-        m_arr = mu.mass_tree[levels]
-        los, his = [], []
-        for k in _axis_levels(cfg, levels):
-            m = np.arange(1 << k)
-            side = 3 * (1 << (K - k))
-            los.append(np.clip((m - 1) * side, 0, C))
-            his.append(np.clip((m + 2) * side, 0, C))
-        i3_arr = _take_diff(pf, los, his)
-        pos = m_arr > 0
-        diag["skipped_terms"] += int(m_arr.size - pos.sum())
-        coeff = np.where(pos, np.where(pos, m_arr, 1.0) ** expo, 0.0) * i3_arr
-        out += _upsample(cfg, levels, coeff)
-    gf = GridFunction(cfg, out)
+    diag["skipped_terms"] = sum(int((m <= 0).sum())
+                                for m in mu.mass_tree.values())
+    gf = GridFunction(cfg, forward(f.values))
     return (gf, diag) if return_diagnostics else gf
 
 
@@ -488,11 +522,9 @@ def shift_bound_ratio(mu: Weight, alpha: float, f: GridFunction) -> float:
     the numerator is positive where the denominator vanishes; cells
     where both vanish are skipped; 0 if every cell is skipped).
     """
-    cfg = _check_same_grid(mu, f)
+    _check_same_grid(mu, f)
     num = apply_perez(mu, alpha, f).values
-    den = np.zeros_like(num)
-    for tau in itertools.product((-1, 0, 1), repeat=cfg.total_dim):
-        den = den + apply_frac_dyadic(mu, alpha, f, tau).values
+    den = shifted_sum_map(mu, alpha)(f.values)
     live = ~((num == 0) & (den == 0))
     if not live.any():
         return 0.0

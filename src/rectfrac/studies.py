@@ -2,16 +2,16 @@
 
 Pair sampling, the kernel-equivalence ratio study, and the exhaustive
 shift-cover verification.  All randomness flows from one seed through
-numpy's default PCG64 generator; chunked execution across threads
-reassembles results in index order, so thread counts never change the
-numbers.
+numpy's default PCG64 generator.  Loops run in one thread: the per-pair
+work is pure Python and holds the GIL, so a thread pool only slowed it
+down.  The ``threads`` arguments are accepted for compatibility and
+never change the results.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,6 +51,7 @@ def kernel_equiv_study(mu: Weight, alpha: float, pairs,
 
     For each pair also compares the mass of the product of factor-wise
     minimal cubes with the mass of the minimal rectangle itself.
+    ``threads`` is accepted and ignored; the result never depends on it.
     """
     def one(pair):
         x, y = pair
@@ -60,11 +61,7 @@ def kernel_equiv_study(mu: Weight, alpha: float, pairs,
         rm = mu.mass(min_rect(x, y))
         return summed / closed, r0 / rm if rm > 0 else math.inf
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
+    results = [one(p) for p in pairs]
     kernel_ratios = [r for r, _ in results]
     mass_ratios = [r for _, r in results]
     r_min, r_max = min(kernel_ratios), max(kernel_ratios)
@@ -110,22 +107,12 @@ def verify_shift_cover(cube: DyadicCube, config: GridConfig | None = None) -> bo
 
 
 def shift_cover_report(dim: int, max_level: int, threads: int = 1) -> dict:
-    """Exhaustive shift-cover verification over the boundary cube family."""
+    """Exhaustive shift-cover verification over the boundary cube family.
+
+    ``threads`` is accepted and ignored; the result never depends on it.
+    """
     cubes = boundary_cover_cubes(dim, max_level)
-
-    def run(chunk):
-        fails = []
-        for cube in chunk:
-            if not verify_shift_cover(cube):
-                fails.append({"level": cube.level, "index": list(cube.index)})
-        return fails
-
-    if threads > 1:
-        size = max(1, len(cubes) // threads)
-        chunks = [cubes[i:i + size] for i in range(0, len(cubes), size)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            failures = [f for part in ex.map(run, chunks) for f in part]
-    else:
-        failures = run(cubes)
+    failures = [{"level": cube.level, "index": list(cube.index)}
+                for cube in cubes if not verify_shift_cover(cube)]
     return {"dim": dim, "max_level": max_level,
             "cubes_checked": len(cubes), "failures": failures}

@@ -1,12 +1,15 @@
 """Rectangular weights and grid functions on the finest lattice.
 
 A weight is a nonnegative density, piecewise constant on the lattice of
-``3 * 2**K`` cells per unit axis.  Masses of standard product dyadic
-rectangles come out of a per-level aggregation tree built bottom-up by
-pure additions (no cancellation, O(1) lookup); every other region --
-shifted cubes, tripled boxes, minimal rectangles between lattice points
--- goes through an inclusion-exclusion prefix table, with exact
-fractional weights for end cells that a corner splits.
+``3 * 2**K`` cells per unit axis.  Lattice families are aggregated
+bottom-up by pure additions, so no digits cancel: the mass tree holds
+every standard product dyadic rectangle (O(1) lookup), and the
+third-cube pyramid holds the blocks that one-third shifted cubes and
+tripled cubes are runs of (``operators`` sums the runs).  Single box
+queries the tree cannot answer -- a shifted or tripled box passed to
+``Weight.mass``, minimal rectangles between lattice points -- go through
+an inclusion-exclusion prefix table, with exact fractional weights for
+end cells that a corner splits.
 
 Weights and grid functions are immutable after construction (the
 backing arrays are marked read-only), so they can be shared freely
@@ -48,30 +51,48 @@ def _sum_blocks(arr: np.ndarray, axis: int, block: int) -> np.ndarray:
     return arr.reshape(ns).sum(axis=axis + 1)
 
 
-def build_mass_tree(config: GridConfig, cell_masses: np.ndarray) -> dict:
-    """Aggregate cell masses into every standard level combination.
+def _level_tree(config: GridConfig, base: np.ndarray) -> dict:
+    """Halve ``base`` factor by factor into every level combination.
 
-    Keys are per-factor level tuples; values are arrays indexed by the
-    per-axis cube indices at those levels.  Each array is derived from
-    the one with the first-lowerable factor one level deeper, so the
-    summation order is fixed for every build.
+    ``base`` holds the finest level on every factor; each coarser array
+    is derived from the one with the first-lowerable factor one level
+    deeper, so the summation order is fixed for every build.
     """
     K, n = config.depth, config.n_factors
-    base = cell_masses
-    for ax in range(config.total_dim):
-        base = _sum_blocks(base, ax, 3)
     tree: dict[tuple[int, ...], np.ndarray] = {}
     for levels in itertools.product(range(K, -1, -1), repeat=n):
         if all(k == K for k in levels):
             tree[levels] = base
             continue
         i = next(j for j in range(n) if levels[j] < K)
-        src = tree[levels[:i] + (levels[i] + 1,) + levels[i + 1:]]
-        arr = src
+        arr = tree[levels[:i] + (levels[i] + 1,) + levels[i + 1:]]
         for ax in config.factor_axes(i):
             arr = _sum_blocks(arr, ax, 2)
         tree[levels] = arr
     return tree
+
+
+def build_mass_tree(config: GridConfig, cell_masses: np.ndarray) -> dict:
+    """Aggregate cell masses into every standard level combination.
+
+    Keys are per-factor level tuples; values are arrays indexed by the
+    per-axis cube indices at those levels.
+    """
+    base = cell_masses
+    for ax in range(config.total_dim):
+        base = _sum_blocks(base, ax, 3)
+    return _level_tree(config, base)
+
+
+def build_pyramid(config: GridConfig, cell_masses: np.ndarray) -> dict:
+    """Aggregate cell masses into third-cubes at every level combination.
+
+    A third-cube at level k is a block of ``2**(K-k)`` cells per axis,
+    one third of a level-k cube's side, so the value at levels ``lv``
+    has ``3 * 2**k`` entries per axis.  Every level-k cube, standard or
+    one-third shifted, is a run of three consecutive third-cubes.
+    """
+    return _level_tree(config, cell_masses)
 
 
 def build_prefix(cell_masses: np.ndarray) -> np.ndarray:

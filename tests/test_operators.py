@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from rectfrac import (DegeneratePairError, DyadicCube, ExponentConfig,
                       ExponentError, GridConfig, GridFunction, ProductRect,
                       RectKernel, apply_frac_dyadic, apply_frac_kernel,
-                      apply_perez, apply_positive, gen_cascade, gen_uniform,
-                      integrate, kernel_sum, mass, min_rect,
+                      apply_perez, apply_positive, gen_cascade, gen_power,
+                      gen_uniform, integrate, kernel_sum, mass, min_rect,
                       mlinear_form, pair_kernel, shift_bound_ratio)
 from rectfrac.bruteforce import (frac_dyadic_direct, mlinear_direct,
                                  perez_direct, positive_direct)
+from rectfrac.operators import perez_maps, shifted_sum_map
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 
@@ -128,7 +130,8 @@ class TestFracDyadic:
         two = apply_frac_dyadic(cascade_square, 0.5, f.scaled(2.0))
         np.testing.assert_allclose(two.values, 2 * one.values, rtol=1e-14)
 
-    @pytest.mark.parametrize("tau", [None, (1, 0), (-1, 1)])
+    @pytest.mark.parametrize("tau", [None, (1, 0), (-1, 1), (-1, -1), (-1, 0),
+                                     (0, -1), (0, 1), (1, -1), (1, 1)])
     def test_matches_direct_oracle(self, cascade_square, tau):
         f = random_function(cascade_square.config, np.random.default_rng(12))
         fast = apply_frac_dyadic(cascade_square, 0.75, f, tau)
@@ -175,6 +178,63 @@ class TestPerez:
                 expect[m * side:(m + 1) * side] += \
                     2.0 ** (k / 2) * (hi - lo) / cells
         np.testing.assert_allclose(out.values, expect, rtol=1e-13)
+
+
+class TestPowerWeightPrecision:
+    """Masses near the zero of |t - 1/2|**6 are raised to a negative power."""
+
+    @staticmethod
+    def weight(depth):
+        return gen_power(GridConfig((1,), depth), (6,), centers=(0.5,))
+
+    @pytest.mark.parametrize("tau", [(-1,), (0,), (1,)])
+    def test_no_zero_mass_terms(self, tau):
+        w = self.weight(12)
+        _, diag = apply_frac_dyadic(w, 0.5, GridFunction.ones(w.config), tau,
+                                    return_diagnostics=True)
+        assert diag["skipped_terms"] == 0
+
+    def test_matches_direct_cell_sums(self):
+        # a level-k interval I contributes mu(I)**(-1/2) * int_E f dmu on
+        # I, with E = 3I (enlarged form) or E = I (shift +1/3 family)
+        w = self.weight(10)
+        cfg = w.config
+        f = random_function(cfg, np.random.default_rng(21))
+        cm, fm, cells = w.cell_masses, w.cell_masses * f.values, cfg.axis_cells
+        perez, shifted = np.zeros(cells), np.zeros(cells)
+        for k in range(cfg.depth + 1):
+            third = 2 ** (cfg.depth - k)
+            for m in range(2 ** k):
+                lo, hi = 3 * m * third, 3 * (m + 1) * third
+                perez[lo:hi] += cm[lo:hi].sum() ** -0.5 * \
+                    fm[max(lo - 3 * third, 0):hi + 3 * third].sum()
+            for m in range(-1, 2 ** k):
+                lo = max((3 * m + 1) * third, 0)
+                hi = min((3 * m + 4) * third, cells)
+                shifted[lo:hi] += cm[lo:hi].sum() ** -0.5 * fm[lo:hi].sum()
+        np.testing.assert_allclose(apply_perez(w, 0.5, f).values, perez,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(apply_frac_dyadic(w, 0.5, f, (1,)).values,
+                                   shifted, rtol=1e-12)
+
+
+class TestAscentMaps:
+    @pytest.mark.parametrize("dims,depth", [((1, 1), 3), ((1, 1, 1), 2)])
+    def test_perez_adjoint_and_shifted_sum(self, dims, depth):
+        cfg = GridConfig(dims, depth)
+        mu = gen_cascade(cfg, 2.0, 9)
+        rng = np.random.default_rng(22)
+        f, g = random_function(cfg, rng), random_function(cfg, rng)
+        cm = mu.cell_masses
+        _, adjoint = perez_maps(mu, 0.5)
+        lhs = np.sum(apply_perez(mu, 0.5, f).values * g.values * cm)
+        rhs = np.sum(f.values * adjoint(g.values) * cm)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+        direct = sum(frac_dyadic_direct(mu, 0.5, f, tau).values
+                     for tau in itertools.product((-1, 0, 1),
+                                                  repeat=cfg.total_dim))
+        np.testing.assert_allclose(shifted_sum_map(mu, 0.5)(f.values), direct,
+                                   rtol=1e-12)
 
 
 class TestKernelForm:
