@@ -1,11 +1,10 @@
 """Slow, obvious reference computations.
 
-These are the independent cross-checks used by the test suite and by
-the example-derivation scripts: plain loops over cells, literal
-transcriptions of the defining sums, and exhaustive searches.  They
-deliberately share no enumeration, tree or prefix-table code with the
-production paths, and they are gated to small depths where their cost
-is quadratic or worse.
+These are the independent cross-checks used by the test suite: plain
+loops over cells, literal transcriptions of the defining sums, and
+exhaustive searches.  They deliberately share no enumeration or tree
+code with the production paths, and they are gated to small depths
+where their cost is quadratic or worse.
 """
 
 from __future__ import annotations

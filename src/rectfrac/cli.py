@@ -4,9 +4,9 @@ Subcommands generate weights, audit their structural constants, run
 norm-estimation depth sweeps, and verify the grid-covering and
 kernel-equivalence claims.  Everything is seeded and reproducible:
 output files never embed wall-clock data (timings go to standard
-error), and the thread flag only chunks embarrassingly parallel loops
-whose results are reassembled in order, so files are byte-identical
-across thread counts.
+error), and every loop runs in one thread: the thread flag is accepted
+for compatibility and never changes output, so files are
+byte-identical across thread counts.
 
 Each JSON output embeds a manifest (subcommand, parameters, seed, tool
 version, input file hashes); CSV outputs get the same manifest as a

@@ -25,7 +25,10 @@ so along each axis
   level combination.
 
 Scattering back onto cells is the transposed window followed by
-``np.repeat``.  Masses and integrals are formed by additions only, so a
+``np.repeat``.  The kernel form takes its minimal-rectangle masses one
+anchor cell at a time (``_kernel_rows``): along each axis, cumulative
+sums of half-pair cell sums running outward from the anchor.  Masses
+and integrals are formed by additions only, so a
 mass raised to the negative power alpha/N - 1 keeps its relative
 accuracy.  Everything is a pure function of immutable inputs; outputs
 are reproducible bit for bit for a fixed input.
@@ -390,34 +393,39 @@ def apply_perez(mu: Weight, alpha: float, f: GridFunction,
     return (gf, diag) if return_diagnostics else gf
 
 
-def _pair_mass_grid(prefix: np.ndarray, x_idx: tuple[int, ...]) -> np.ndarray:
-    """Masses of the minimal boxes from cell-center x to every cell center.
+def _outward_cumsum(h: np.ndarray, ax: int, xi: int) -> np.ndarray:
+    """Cumulative sums of ``h`` along ``ax`` running outward from ``xi``.
 
-    A center-to-center interval covers the end cells by exactly one
-    half, so the mass is the average of the 2**N whole-cell queries
-    shifted by 0/1 per axis.
+    The result has one more entry on ``ax`` than ``h``: entry ``xi`` is
+    0, entry ``xi + j`` sums ``h[xi:xi + j]`` and entry ``xi - j`` sums
+    ``h[xi - j:xi]``.
     """
-    N = prefix.ndim
-    C = prefix.shape[0] - 1
-    ar = np.arange(C)
-    acc = np.zeros((C,) * N)
-    for offs in itertools.product((0, 1), repeat=N):
-        arr = prefix
-        for ax in range(N):
-            lo = np.minimum(ar, x_idx[ax]) + offs[ax]
-            hi = np.maximum(ar, x_idx[ax]) + offs[ax]
-            arr = np.take(arr, hi, axis=ax) - np.take(arr, lo, axis=ax)
-        acc += arr
-    return np.maximum(acc, 0.0) / (1 << N)
+    shape = list(h.shape)
+    shape[ax] += 1
+    out = np.zeros(shape)
+    o, g = np.moveaxis(out, ax, 0), np.moveaxis(h, ax, 0)
+    np.cumsum(g[xi:], axis=0, out=o[xi + 1:])
+    o[:xi] = np.cumsum(g[:xi][::-1], axis=0)[::-1]
+    return out
 
 
-def _shared_coordinate_mask(shape, x_idx) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for ax, xi in enumerate(x_idx):
-        sl = [slice(None)] * len(shape)
-        sl[ax] = xi
-        mask[tuple(sl)] = True
-    return mask
+def _kernel_rows(mu: Weight):
+    """Yield each anchor cell x with mu(R(x, y)) for every cell centre y.
+
+    A centre-to-centre interval covers its end cells by one half, so
+    along each axis the mass grows, outward from x, by the half-pair
+    sums (m[i] + m[i+1]) / 2.  Only additions are used, and entries
+    sharing a coordinate with x come out exactly 0.
+    """
+    h = mu.cell_masses
+    for ax in range(h.ndim):
+        n = h.shape[ax] - 1
+        h = (h.take(range(n), axis=ax) + h.take(range(1, n + 1), axis=ax)) / 2
+    for x in np.ndindex(mu.cell_masses.shape):
+        row = h
+        for ax, xi in enumerate(x):
+            row = _outward_cumsum(row, ax, xi)
+        yield x, row
 
 
 def apply_frac_kernel(mu: Weight, alpha: float, f: GridFunction,
@@ -430,37 +438,29 @@ def apply_frac_kernel(mu: Weight, alpha: float, f: GridFunction,
     there) and counted.
     """
     cfg = _check_same_grid(mu, f)
-    N = cfg.total_dim
+    N, C = cfg.total_dim, cfg.axis_cells
     expo = _check_alpha(alpha, N) / N - 1.0
-    diag = _empty_diagnostics(cfg)
     fw = f.values * mu.cell_masses
     out = np.empty_like(f.values)
-    prefix = mu.prefix
-    for x in np.ndindex(f.values.shape):
-        grid = _pair_mass_grid(prefix, x)
-        shared = _shared_coordinate_mask(grid.shape, x)
-        pos = (grid > 0) & ~shared
-        diag["excluded_pairs"] += int(shared.sum())
-        diag["skipped_terms"] += int((~shared & ~pos).sum())
-        vals = np.where(pos, np.where(pos, grid, 1.0) ** expo, 0.0) * fw
-        out[x] = float(vals.sum())
+    zeros = 0
+    for x, masses in _kernel_rows(mu):
+        out[x] = float(np.vdot(_neg_power(masses, expo), fw))
+        zeros += int((masses <= 0).sum())
+    diag = _empty_diagnostics(cfg)
+    diag["excluded_pairs"] = C ** N * (C ** N - (C - 1) ** N)
+    diag["skipped_terms"] = zeros - diag["excluded_pairs"]
     gf = GridFunction(cfg, out)
     return (gf, diag) if return_diagnostics else gf
 
 
 def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
     """Dense cell-center kernel matrix (excluded pairs set to zero)."""
-    cfg = mu.config
-    N = cfg.total_dim
+    N = mu.config.total_dim
     expo = _check_alpha(alpha, N) / N - 1.0
-    shape = (cfg.axis_cells,) * N
-    count = cfg.axis_cells ** N
+    count = mu.config.axis_cells ** N
     A = np.empty((count, count))
-    prefix = mu.prefix
-    for row, x in enumerate(np.ndindex(shape)):
-        grid = _pair_mass_grid(prefix, x)
-        pos = (grid > 0) & ~_shared_coordinate_mask(shape, x)
-        A[row] = np.where(pos, np.where(pos, grid, 1.0) ** expo, 0.0).ravel()
+    for row, (_, masses) in enumerate(_kernel_rows(mu)):
+        A[row] = _neg_power(masses, expo).ravel()
     return A
 
 

@@ -7,9 +7,10 @@ every standard product dyadic rectangle (O(1) lookup), and the
 third-cube pyramid holds the blocks that one-third shifted cubes and
 tripled cubes are runs of (``operators`` sums the runs).  Single box
 queries the tree cannot answer -- a shifted or tripled box passed to
-``Weight.mass``, minimal rectangles between lattice points -- go through
-an inclusion-exclusion prefix table, with exact fractional weights for
-end cells that a corner splits.
+``Weight.mass``, minimal rectangles between lattice points, every
+``integrate`` target -- are direct sums over the cells the box meets
+(``box_sum``), with exact fractional weights for end cells that a
+corner splits.
 
 Weights and grid functions are immutable after construction (the
 backing arrays are marked read-only), so they can be shared freely
@@ -105,67 +106,46 @@ def build_prefix(cell_masses: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prefix_block(prefix: np.ndarray, lo: tuple[int, ...],
-                  hi: tuple[int, ...]) -> float:
-    """Inclusion-exclusion sum of cells in the index box [lo, hi)."""
-    total = 0.0
-    ndim = prefix.ndim
-    for corner in itertools.product((0, 1), repeat=ndim):
-        idx = tuple(h if bit else l for bit, l, h in zip(corner, lo, hi))
-        sign = -1 if (ndim - sum(corner)) % 2 else 1
-        total += sign * float(prefix[idx])
-    return total
+def _axis_weights(lo, hi, cells: int) -> tuple[int, np.ndarray] | None:
+    """First cell and per-cell overlap fractions of [lo, hi) on one axis.
 
-
-def _axis_pieces(lo, hi, cells: int) -> list[tuple[int, int, float]]:
-    """Decompose a unit interval [lo, hi) into weighted cell ranges.
-
-    Cells are 2 units wide; a corner inside a cell contributes the end
-    cell with the exact overlap fraction.  Accepts int or Fraction
-    endpoints; floats are rejected (they cannot express the lattice
-    exactly).
+    Cells are 2 units wide; an end cell that a corner splits gets its
+    exact overlap fraction.  Accepts int or Fraction endpoints; floats
+    are rejected (they cannot express the lattice exactly).
     """
     for c in (lo, hi):
         if not isinstance(c, (int, np.integer, Fraction)):
             raise AlignmentError(
                 f"box corner {c!r} is not an exact lattice coordinate")
-    a = Fraction(max(lo, 0), 2)
-    b = Fraction(min(hi, 2 * cells), 2)
+    a, b = max(lo, 0), min(hi, 2 * cells)
     if b <= a:
-        return []
-    ca = a.numerator // a.denominator
-    cb = b.numerator // b.denominator
-    if ca == cb:
-        return [(ca, ca + 1, float(b - a))]
-    pieces: list[tuple[int, int, float]] = []
-    full_lo = ca
-    if a > ca:
-        pieces.append((ca, ca + 1, float(ca + 1 - a)))
-        full_lo = ca + 1
-    if full_lo < cb:
-        pieces.append((full_lo, cb, 1.0))
-    if b > cb:
-        pieces.append((cb, cb + 1, float(b - cb)))
-    return pieces
+        return None
+    first, last = a // 2, -(-b // 2)
+    weights = np.ones(last - first)
+    weights[0] = (min(b, 2 * first + 2) - a) / 2
+    weights[-1] = (b - max(a, 2 * last - 2)) / 2
+    return first, weights
 
 
-def prefix_box_mass(prefix: np.ndarray, config: GridConfig, box: Box) -> float:
-    """Integral of the tabulated cell masses over a box in global units."""
-    if box.dim != config.total_dim:
+def box_sum(arr: np.ndarray, box: Box) -> float:
+    """Integral of per-cell values over a box in global units, clipped.
+
+    Slices the cells the box meets and contracts each axis with its
+    overlap fractions, so the result is a sum of nonnegative terms for
+    nonnegative cells: no digits cancel, however small the mass.  The
+    relative error is about ``n_1 + ... + n_N`` unit roundoffs, with
+    ``n_a`` the cells the box meets on axis a.
+    """
+    if box.dim != arr.ndim:
         raise ValueError("box dimension does not match the configuration")
-    per_axis = [_axis_pieces(lo, hi, config.axis_cells)
-                for lo, hi in zip(box.lo, box.hi)]
-    if any(not p for p in per_axis):
+    per_axis = [_axis_weights(lo, hi, n)
+                for lo, hi, n in zip(box.lo, box.hi, arr.shape)]
+    if any(p is None for p in per_axis):
         return 0.0
-    total = 0.0
-    for combo in itertools.product(*per_axis):
-        w = 1.0
-        for _, _, pw in combo:
-            w *= pw
-        total += w * _prefix_block(prefix,
-                                   tuple(p[0] for p in combo),
-                                   tuple(p[1] for p in combo))
-    return total
+    out = arr[tuple(slice(first, first + len(w)) for first, w in per_axis)]
+    for _, w in reversed(per_axis):
+        out = out @ w
+    return float(out)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -218,16 +198,20 @@ class GridFunction:
         return GridFunction(self.config, self.values * c)
 
 
+def _as_box(config: GridConfig, target, verb: str) -> Box:
+    """The box in global units of a rectangle, cube or box."""
+    if isinstance(target, ProductRect):
+        return rect_box(config, target)
+    if isinstance(target, DyadicCube):
+        return cube_box(config, target)
+    if isinstance(target, Box):
+        return target
+    raise TypeError(f"cannot {verb} {type(target).__name__}")
+
+
 def cell_slices(config: GridConfig, target) -> tuple[slice, ...]:
     """Cell index slices of a cell-aligned region (rect or box), clipped."""
-    if isinstance(target, ProductRect):
-        box = rect_box(config, target)
-    elif isinstance(target, DyadicCube):
-        box = cube_box(config, target)
-    elif isinstance(target, Box):
-        box = target
-    else:
-        raise TypeError(f"cannot take cells of {type(target).__name__}")
+    box = _as_box(config, target, "take cells of")
     slices = []
     for lo, hi in zip(box.lo, box.hi):
         if lo % 2 or hi % 2:
@@ -240,9 +224,10 @@ def cell_slices(config: GridConfig, target) -> tuple[slice, ...]:
 class Weight:
     """Nonnegative density with exact hierarchical mass machinery.
 
-    ``density`` holds per-cell values; ``mass_tree`` the aggregated
-    masses of all standard product cubes; ``prefix`` (built lazily) the
-    summed-area table answering arbitrary lattice boxes.
+    ``density`` holds per-cell values and ``mass_tree`` the aggregated
+    masses of all standard product cubes; any other lattice box is
+    summed directly over its cells.  ``prefix`` (built lazily) is a
+    summed-area table of the cell masses that no mass query reads.
     """
 
     def __init__(self, config: GridConfig, density, meta: dict | None = None):
@@ -293,14 +278,8 @@ class Weight:
             hit = self._tree_lookup(target)
             if hit is not None:
                 return hit
-            box = rect_box(self.config, target)
-        elif isinstance(target, DyadicCube):
-            box = cube_box(self.config, target)
-        elif isinstance(target, Box):
-            box = target
-        else:
-            raise TypeError(f"cannot measure {type(target).__name__}")
-        return prefix_box_mass(self.prefix, self.config, box)
+        return box_sum(self.cell_masses,
+                       _as_box(self.config, target, "measure"))
 
     def coarsen(self, depth: int) -> "Weight":
         """The same measure represented on a coarser lattice."""
@@ -327,20 +306,8 @@ def integrate(w: Weight, f: GridFunction, target) -> float:
     """Integral of f against the weight over a rectangle or box."""
     if f.config != w.config:
         raise ValueError("weight and function live on different grids")
-    arr = w.cell_masses * f.values
-    if isinstance(target, ProductRect) and target.is_standard:
-        try:
-            return float(arr[cell_slices(w.config, target)].sum())
-        except AlignmentError:  # pragma: no cover - standard rects align
-            pass
-    if isinstance(target, (ProductRect, DyadicCube)):
-        box = (rect_box(w.config, target) if isinstance(target, ProductRect)
-               else cube_box(w.config, target))
-    elif isinstance(target, Box):
-        box = target
-    else:
-        raise TypeError(f"cannot integrate over {type(target).__name__}")
-    return prefix_box_mass(build_prefix(arr), w.config, box)
+    return box_sum(w.cell_masses * f.values,
+                   _as_box(w.config, target, "integrate over"))
 
 
 def lp_norm(w: Weight, f: GridFunction, p: float) -> float:

@@ -10,8 +10,9 @@ from rectfrac import (DegeneratePairError, DyadicCube, ExponentConfig,
                       apply_perez, apply_positive, gen_cascade, gen_power,
                       gen_uniform, integrate, kernel_sum, mass, min_rect,
                       mlinear_form, pair_kernel, shift_bound_ratio)
-from rectfrac.bruteforce import (frac_dyadic_direct, mlinear_direct,
-                                 perez_direct, positive_direct)
+from rectfrac.bruteforce import (frac_dyadic_direct, mass_direct,
+                                 mlinear_direct, perez_direct,
+                                 positive_direct)
 from rectfrac.operators import perez_maps, shifted_sum_map
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
@@ -216,6 +217,18 @@ class TestPowerWeightPrecision:
                                    rtol=1e-12)
         np.testing.assert_allclose(apply_frac_dyadic(w, 0.5, f, (1,)).values,
                                    shifted, rtol=1e-12)
+
+    def test_kernel_form_has_no_zero_mass_terms(self):
+        w = self.weight(10)
+        _, diag = apply_frac_kernel(w, 0.5, GridFunction.ones(w.config),
+                                    return_diagnostics=True)
+        assert diag["skipped_terms"] == 0
+
+    def test_pair_kernel_near_the_zero(self):
+        w = self.weight(10)
+        x, y = (3071,), (3075,)
+        assert pair_kernel(w, 0.5, x, y) == pytest.approx(
+            mass_direct(w, min_rect(x, y)) ** -0.5, rel=1e-12)
 
 
 class TestAscentMaps:

@@ -63,6 +63,17 @@ class TestMass:
         assert uniform_line.mass(b) == pytest.approx(
             2 / uniform_line.config.axis_units, rel=1e-12)
 
+    @pytest.mark.parametrize("exponents,depth,box", [
+        ((6,), 12, Box((12285,), (12289,))),
+        ((2, 2), 6, Box((189, 191), (193, 197))),
+    ])
+    def test_small_box_mass_near_power_zero(self, exponents, depth, box):
+        dims = (1,) * len(exponents)
+        w = gen_power(GridConfig(dims, depth), exponents,
+                      centers=(0.5,) * len(exponents))
+        assert w.mass(box) == pytest.approx(mass_direct(w, box), rel=1e-12,
+                                            abs=0)
+
     def test_float_corner_rejected(self, uniform_line):
         with pytest.raises(AlignmentError):
             uniform_line.mass(Box((0.5,), (3.0,)))
