@@ -229,7 +229,8 @@ def _sweep_checks(rows, require_ratio: bool) -> list[dict]:
 
 def _rows_json(rows) -> list[dict]:
     return [{"K": r.depth, "c2": r.c2, "c1_hat": r.c1_hat, "ratio": r.ratio,
-             "seconds": r.seconds} for r in rows]
+             "seconds": r.seconds, "sweeps": r.sweeps,
+             "converged": r.converged} for r in rows]
 
 
 def _cmd_embed_norm(args) -> int:

@@ -1,20 +1,26 @@
 """Lower-bound estimation of embedding and operator norms.
 
-The workhorse is cyclic coordinate ascent (multilinear power iteration):
-with every function but one frozen, the objective is a nonnegative
-linear functional of the remaining one, whose exact maximizer on the
-unit ball of L^p is a power of the functional's density.  Each step
-therefore increases the objective, histories are non-decreasing, and
-the reported value is a certified lower bound on the supremum -- never
-a claim of the supremum itself.
+Every norm bounded here is the supremum of a form that is linear in
+each of its arguments: the multilinear rectangle sum of the embedding
+theorem, or ``<Tf, g>`` for an operator form.  One loop, ``_ascend``,
+serves all of them by cyclic exact coordinate ascent (the nonlinear
+power iteration).  With every argument but one frozen, the form is
+``int f_j d dsigma_j`` for a nonnegative density d, whose maximizer on
+the unit ball of L^p is ``d**(p'-1) / nrm``.  By the equality case of
+Hölder's inequality the form then equals ``nrm**(p-1)``, so each sweep
+reads its value from the normalization and evaluates nothing else.
+Each step increases the form, histories are non-decreasing, and the
+reported value is a certified lower bound on the supremum -- never a
+claim of the supremum itself.
 
 Every run also scans indicator test functions of single rectangles,
 which realize the single-rectangle testing value exactly; when that
-beats the ascent, the ascent is restarted from the extremal indicator,
-so reported values never fall below the testing constant.  (The
-cell-quadrature kernel form excludes same-coordinate pairs, so the
+beats the ascent, ``_restart`` re-runs the ascent from the extremal
+indicator, so reported values never fall below the testing constant.
+(The cell-quadrature kernel form excludes same-coordinate pairs, so the
 indicator identity does not transfer to it; that form runs without the
-restart.)
+restart.)  The Carleson functional is convex rather than linear in f;
+it keeps its own linearized step and shares the restart.
 
 Determinism: for fixed inputs all computations are fixed-order numpy
 reductions, so histories are reproducible bit for bit.
@@ -68,56 +74,72 @@ def _normalized(cell_masses, values, p):
     return values / nrm
 
 
-def _ascend_multilinear(kernel: RectKernel, sigmas, ps, init, tol,
-                        max_sweeps):
-    """Cyclic exact coordinate maximization of the multilinear ratio."""
+def _ascend(steps, fs, tol, max_sweeps):
+    """Cyclic exact coordinate maximization of a form linear in each argument.
+
+    ``steps`` lists ``(j, density, cell_masses, power, p)`` in update
+    order; ``density(fs)`` is the form's density in argument j, and
+    ``power`` is ``p' - 1``.  Returns ``(fs, history, sweeps, converged)``.
+    """
+    fs = list(fs)
+    for j, _, cm, _, p in steps:
+        f = _normalized(cm, fs[j], p)
+        if f is None:
+            return [np.zeros_like(f0) for f0 in fs], [0.0], 0, True
+        fs[j] = f
+    history: list[float] = []
+    while True:
+        for j, density, cm, power, p in steps:
+            d = density(fs)  # a fresh array: raised and scaled in place
+            d **= power
+            nrm = _lp(cm, d, p)
+            if nrm == 0.0:
+                return fs, history or [0.0], len(history), True
+            d /= nrm
+            fs[j] = d
+        # Hölder equality: the form at the last step's maximizer
+        history.append(nrm ** (p - 1.0))
+        if len(history) >= 2 and \
+                history[-1] - history[-2] <= tol * abs(history[-1]):
+            return fs, history, len(history), True
+        if len(history) >= max_sweeps:
+            return fs, history, len(history), False
+
+
+def _restart(run, first, c2, config):
+    """Re-run the ascent from the testing witness when it beats ``first``.
+
+    ``run`` maps initial arrays to an ``(fs, history, sweeps, converged)``
+    result; the restarted run is kept when it ends no lower, and its
+    history and sweeps are appended to the first run's.
+    """
+    fs, history, sweeps, converged = first
+    if c2.value > history[-1] and c2.witness is not None:
+        rect = rect_from_json(c2.witness["rect"])
+        ind = GridFunction.indicator(config, rect).values
+        fs2, h2, s2, conv2 = run([ind] * len(fs))
+        if h2[-1] >= history[-1]:
+            return fs2, history + h2, sweeps + s2, conv2
+    return first
+
+
+def _mlinear_density(kernel: RectKernel, sigmas, j: int):
+    """The multilinear form's density in argument j, as a map of all fs."""
     cfg = sigmas[0].config
     combos = list(level_combos(cfg))
-    cms = [w.cell_masses for w in sigmas]
-    conj = [p / (p - 1.0) for p in ps]
-    fs = []
-    for f0, cm, p in zip(init, cms, ps):
-        f = _normalized(cm, f0, p)
-        if f is None:
-            return [np.zeros_like(f0) for f0 in init], [0.0], 0, True
-        fs.append(f)
-    trees = [build_mass_tree(cfg, cm * f) for cm, f in zip(cms, fs)]
 
-    def objective():
-        tot = 0.0
+    def density(fs):
+        trees = [build_mass_tree(cfg, w.cell_masses * f)
+                 for k, (w, f) in enumerate(zip(sigmas, fs)) if k != j]
+        out = np.zeros_like(fs[j])
         for lv in combos:
             arr = kernel.tables[lv].copy()
             for t in trees:
                 arr *= t[lv]
-            tot += float(arr.sum())
-        return tot
+            out += _upsample(cfg, arr)
+        return out
 
-    history: list[float] = []
-    sweeps = 0
-    converged = False
-    while True:
-        for j in range(len(fs)):
-            grad = np.zeros_like(fs[j])
-            for lv in combos:
-                arr = kernel.tables[lv].copy()
-                for k, t in enumerate(trees):
-                    if k != j:
-                        arr *= t[lv]
-                grad += _upsample(cfg, arr)
-            f = _normalized(cms[j], grad ** (conj[j] - 1.0), ps[j])
-            if f is None:
-                return fs, history or [0.0], sweeps, True
-            fs[j] = f
-            trees[j] = build_mass_tree(cfg, cms[j] * f)
-        sweeps += 1
-        history.append(objective())
-        if len(history) >= 2 and \
-                history[-1] - history[-2] <= tol * abs(history[-1]):
-            converged = True
-            break
-        if sweeps >= max_sweeps:
-            break
-    return fs, history, sweeps, converged
+    return density
 
 
 def embed_norm_lower(kernel, sigmas, exponents, *, tol: float = 1e-9,
@@ -137,85 +159,53 @@ def embed_norm_lower(kernel, sigmas, exponents, *, tol: float = 1e-9,
     ps = check_mlinear_exponents(exponents)
     if len(ps) != len(sigmas):
         raise ValueError("need one exponent per weight")
+    steps = [(j, _mlinear_density(kernel, sigmas, j), w.cell_masses,
+              p / (p - 1.0) - 1.0, p)
+             for j, (w, p) in enumerate(zip(sigmas, ps))]
+
+    def run(init):
+        return _ascend(steps, init, tol, max_sweeps)
+
     if warm_start is not None:
         init = [gf.values for gf in warm_start]
     else:
         init = [np.ones_like(w.density) for w in sigmas]
-    fs, history, sweeps, converged = _ascend_multilinear(
-        kernel, sigmas, ps, init, tol, max_sweeps)
-    value = history[-1] if history else 0.0
     c2 = fp_constant(kernel, sigmas, ps)
-    if c2.value > value and c2.value > 0 and c2.witness is not None:
-        rect = rect_from_json(c2.witness["rect"])
-        ind = GridFunction.indicator(cfg, rect).values
-        fs2, h2, s2, conv2 = _ascend_multilinear(
-            kernel, sigmas, ps, [ind.copy() for _ in sigmas], tol, max_sweeps)
-        if h2 and h2[-1] >= value:
-            fs, sweeps, converged = fs2, sweeps + s2, conv2
-            history = history + h2
-            value = h2[-1]
-    maximizers = tuple(GridFunction(cfg, f) for f in fs)
+    fs, history, sweeps, converged = _restart(run, run(init), c2, cfg)
     params = {"exponents": [float(p) for p in ps], "depth": cfg.depth,
               "c2": c2.value, "tol": tol, "max_sweeps": max_sweeps}
-    return NormEstimate(value, maximizers, sweeps, converged, history,
-                        seed, params)
-
-
-def _ascend_bilinear(mu: Weight, p: float, q: float, forward, adjoint,
-                     f0, g0, tol, max_sweeps):
-    """Alternating exact maximization of <Tf, g> on unit p / q' balls."""
-    cm = mu.cell_masses
-    p_conj = p / (p - 1.0)
-    q_conj = q / (q - 1.0)
-    f = _normalized(cm, f0, p)
-    g = _normalized(cm, g0, q_conj)
-    if f is None or g is None:
-        return f0, g0, [0.0], 0, True
-    history: list[float] = []
-    sweeps = 0
-    converged = False
-    while True:
-        g_new = _normalized(cm, forward(f) ** (q - 1.0), q_conj)
-        if g_new is None:
-            return f, g, history or [0.0], sweeps, True
-        g = g_new
-        f_new = _normalized(cm, adjoint(g) ** (p_conj - 1.0), p)
-        if f_new is None:
-            return f, g, history or [0.0], sweeps, True
-        f = f_new
-        sweeps += 1
-        history.append(float(np.sum(forward(f) * g * cm)))
-        if len(history) >= 2 and \
-                history[-1] - history[-2] <= tol * abs(history[-1]):
-            converged = True
-            break
-        if sweeps >= max_sweeps:
-            break
-    return f, g, history, sweeps, converged
+    return NormEstimate(history[-1], tuple(GridFunction(cfg, f) for f in fs),
+                        sweeps, converged, history, seed, params)
 
 
 def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
                         form: str = "dyadic", *, tol: float = 1e-9,
                         max_sweeps: int = 200, seed: int = 0,
                         warm_start=None) -> NormEstimate:
-    """Lower bound on the L^p(mu) -> L^q(mu) norm of one operator form."""
+    """Lower bound on the L^p(mu) -> L^q(mu) norm of one operator form.
+
+    The dyadic form is the bilinear embedding of ``embed_norm_lower``
+    with the HLS kernel.  The others ascend ``<Tf, g>`` by taking g
+    from ``forward(f)`` and then f from ``adjoint(g)``.
+    """
     ec = ExponentConfig(float(alpha), float(p), float(q),
                         mu.config.total_dim)
     key = form.replace("_", "-")
     if key not in OPERATOR_FORMS:
         raise ValueError(f"unknown operator form {form!r}; "
                          f"choose from {OPERATOR_FORMS}")
-    base_params = {"form": key, "alpha": ec.alpha, "p": ec.p, "q": ec.q,
-                   "depth": mu.config.depth}
+    cfg = mu.config
+    params = {"form": key, "alpha": ec.alpha, "p": ec.p, "q": ec.q,
+              "depth": cfg.depth, "c2": None, "tol": tol,
+              "max_sweeps": max_sweeps}
     if key == "dyadic":
         est = embed_norm_lower(RectKernel.hls(mu, ec.alpha), (mu, mu),
                                (ec.p, ec.q_conj), tol=tol,
                                max_sweeps=max_sweeps, seed=seed,
                                warm_start=warm_start)
-        est.params.update(base_params)
+        est.params = {**params, "c2": est.params["c2"]}
         return est
 
-    cfg = mu.config
     if key == "kernel":
         A = kernel_matrix(mu, ec.alpha)
         shape = mu.density.shape
@@ -229,35 +219,25 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
         forward, adjoint = perez_maps(mu, ec.alpha)
     else:
         forward = adjoint = shifted_sum_map(mu, ec.alpha)
+    cm = mu.cell_masses
+    steps = [(1, lambda fs: forward(fs[0]), cm, ec.q - 1.0, ec.q_conj),
+             (0, lambda fs: adjoint(fs[1]), cm, ec.p_conj - 1.0, ec.p)]
+
+    def run(init):
+        return _ascend(steps, init, tol, max_sweeps)
 
     if warm_start is not None:
-        f0 = warm_start[0].values.copy()
-        g0 = warm_start[1].values.copy() if len(warm_start) > 1 else f0.copy()
+        result = run([warm_start[0].values, warm_start[-1].values])
     else:
-        f0 = np.ones_like(mu.density)
-        g0 = np.ones_like(mu.density)
-    f, g, history, sweeps, converged = _ascend_bilinear(
-        mu, ec.p, ec.q, forward, adjoint, f0, g0, tol, max_sweeps)
-    value = history[-1] if history else 0.0
-
+        result = run([np.ones_like(mu.density)] * 2)
     if key != "kernel":
         c2 = fp_constant(RectKernel.hls(mu, ec.alpha), (mu, mu),
                          (ec.p, ec.q_conj))
-        if c2.value > value and c2.witness is not None:
-            rect = rect_from_json(c2.witness["rect"])
-            ind = GridFunction.indicator(cfg, rect).values
-            f2, g2, h2, s2, conv2 = _ascend_bilinear(
-                mu, ec.p, ec.q, forward, adjoint, ind.copy(), ind.copy(),
-                tol, max_sweeps)
-            if h2 and h2[-1] >= value:
-                f, g, converged = f2, g2, conv2
-                history = history + h2
-                sweeps += s2
-                value = h2[-1]
-
-    maximizers = (GridFunction(cfg, f), GridFunction(cfg, g))
-    return NormEstimate(value, maximizers, sweeps, converged, history,
-                        seed, base_params)
+        params["c2"] = c2.value
+        result = _restart(run, result, c2, cfg)
+    fs, history, sweeps, converged = result
+    return NormEstimate(history[-1], tuple(GridFunction(cfg, f) for f in fs),
+                        sweeps, converged, history, seed, params)
 
 
 def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
@@ -279,10 +259,10 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
     a_tables = {lv: _neg_power(sigma.mass_tree[lv], q / p - q)
                 for lv in combos}
 
-    def run(f0):
-        f = _normalized(cm, f0, p)
+    def run(init):
+        f = _normalized(cm, init[0], p)
         if f is None:
-            return f0, [0.0], 0, True
+            return init, [0.0], 0, True
         history: list[float] = []
         sweeps = 0
         converged = False
@@ -306,24 +286,15 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
                 break
             f = f_new
             sweeps += 1
-        return f, history, sweeps, converged
+        return [f], history, sweeps, converged
 
-    f0 = warm_start[0].values.copy() if warm_start else np.ones_like(sigma.density)
-    f, history, sweeps, converged = run(f0)
-    value = history[-1] if history else 0.0
+    f0 = warm_start[0].values if warm_start else np.ones_like(sigma.density)
     c2 = carleson_testing_constant(sigma, p, q)
-    if c2.value > value and c2.witness is not None:
-        rect = rect_from_json(c2.witness["rect"])
-        f2, h2, s2, conv2 = run(GridFunction.indicator(cfg, rect).values.copy())
-        if h2 and h2[-1] >= value:
-            f, converged = f2, conv2
-            history = history + h2
-            sweeps += s2
-            value = h2[-1]
+    fs, history, sweeps, converged = _restart(run, run([f0]), c2, cfg)
     params = {"p": p, "q": q, "depth": cfg.depth, "c2": c2.value,
               "tol": tol, "max_sweeps": max_sweeps}
-    return NormEstimate(value, (GridFunction(cfg, f),), sweeps, converged,
-                        history, seed, params)
+    return NormEstimate(history[-1], (GridFunction(cfg, fs[0]),), sweeps,
+                        converged, history, seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +308,8 @@ class SweepRow:
     c1_hat: float
     ratio: float
     seconds: float
+    sweeps: int
+    converged: bool
 
 
 def rows_to_csv(rows) -> str:
@@ -412,5 +385,6 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
         else:
             ratio = 0.0 if est.value == 0 else math.inf
         rows.append(SweepRow(K, c2, est.value, ratio,
-                             dt if timing else 0.0))
+                             dt if timing else 0.0, est.sweeps,
+                             est.converged))
     return rows

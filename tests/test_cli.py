@@ -113,6 +113,11 @@ class TestSweeps:
                     "--out", rep]) == 0
         doc = json.loads(rep.read_text())
         assert all(row["ratio"] >= 1 - 1e-9 for row in doc["sweep"])
+        for row in doc["sweep"]:
+            assert set(row) == {"K", "c2", "c1_hat", "ratio", "seconds",
+                                "sweeps", "converged"}
+            assert isinstance(row["sweeps"], int) and row["sweeps"] >= 1
+            assert isinstance(row["converged"], bool)
 
     def test_hls_csv_format(self, cascade_file, tmp_path):
         out = tmp_path / "hls.csv"

@@ -1,14 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from rectfrac import (DyadicCube, GridConfig, GridFunction, ProductRect,
-                      RectKernel, Weight, carleson_norm_lower,
+                      RectKernel, Weight, apply_frac_dyadic,
+                      apply_frac_kernel, apply_perez, carleson_norm_lower,
                       carleson_testing_constant, depth_sweep,
-                      embed_norm_lower, fp_constant, gen_cascade,
+                      embed_norm_lower, estimators, fp_constant, gen_cascade,
                       gen_uniform, lp_norm, mlinear_form, operator_norm_lower,
                       rows_to_csv)
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
+FORMS = ("dyadic", "perez", "shifted-sum", "kernel")
 
 
 def assert_monotone(history):
@@ -78,6 +82,19 @@ class TestEmbedNormLower:
         up = embed_norm_lower(kern, (scaled, cascade_square), (2.0, 2.0))
         assert up.value == pytest.approx(base.value * lam ** 0.5, rel=1e-9)
 
+    def test_three_linear_ascent(self):
+        cfg = GridConfig((1, 1), 3)
+        ws = tuple(gen_cascade(cfg, 2.0, seed) for seed in (1, 2, 3))
+        kern = RectKernel.random_uniform(cfg, 9)
+        ps = (2.0, 3.0, 3.0)
+        est = embed_norm_lower(kern, ws, ps)
+        assert_monotone(est.history)
+        assert est.value >= fp_constant(kern, ws, ps).value - 1e-9
+        for w, m, p in zip(ws, est.maximizers, ps):
+            assert lp_norm(w, m, p) == pytest.approx(1.0, rel=1e-12)
+        assert est.value == pytest.approx(
+            mlinear_form(kern, ws, est.maximizers), rel=1e-12)
+
     def test_json_fields(self, cascade_square):
         kern = RectKernel.random_uniform(cascade_square.config, 8)
         doc = embed_norm_lower(kern, (cascade_square,) * 2,
@@ -113,6 +130,63 @@ class TestOperatorNormLower:
         est = operator_norm_lower(w, 0.5, 4 / 3, 4.0, "kernel")
         assert est.value > 0
         assert_monotone(est.history)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_value_is_form_at_maximizers(self, cascade_square, form):
+        mu = cascade_square
+        est = operator_norm_lower(mu, 0.5, 4 / 3, 2.0, form)
+        f, g = est.maximizers
+        if form == "dyadic":
+            value = mlinear_form(RectKernel.hls(mu, 0.5), (mu, mu), (f, g))
+        else:
+            if form == "perez":
+                tf = apply_perez(mu, 0.5, f).values
+            elif form == "kernel":
+                tf = apply_frac_kernel(mu, 0.5, f).values
+            else:
+                tf = sum(apply_frac_dyadic(mu, 0.5, f, tau).values
+                         for tau in itertools.product((-1, 0, 1), repeat=2))
+            value = float(np.sum(tf * g.values * mu.cell_masses))
+        assert est.value == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_params_have_one_shape(self, cascade_square, form):
+        est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, form,
+                                  max_sweeps=7)
+        assert set(est.params) == {"form", "alpha", "p", "q", "depth", "c2",
+                                   "tol", "max_sweeps"}
+        assert est.params["form"] == form
+        assert est.params["max_sweeps"] == 7
+        assert (est.params["c2"] is None) == (form == "kernel")
+
+    def test_one_forward_and_one_adjoint_per_sweep(self, cascade_square,
+                                                   monkeypatch):
+        calls = {"forward": 0, "adjoint": 0, "shifted": 0}
+
+        def counted(name, fn):
+            def wrapper(fv):
+                calls[name] += 1
+                return fn(fv)
+            return wrapper
+
+        perez_maps = estimators.perez_maps
+        shifted_sum_map = estimators.shifted_sum_map
+        monkeypatch.setattr(
+            estimators, "perez_maps",
+            lambda mu, alpha: tuple(map(counted, ("forward", "adjoint"),
+                                        perez_maps(mu, alpha))))
+        monkeypatch.setattr(
+            estimators, "shifted_sum_map",
+            lambda mu, alpha: counted("shifted", shifted_sum_map(mu, alpha)))
+        # the cascade's ascent beats its testing value 1: no restart runs
+        est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, "perez",
+                                  max_sweeps=5)
+        assert est.sweeps == 5
+        assert calls["forward"] == calls["adjoint"] == est.sweeps
+        est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0,
+                                  "shifted-sum", max_sweeps=5)
+        assert est.sweeps == 5
+        assert calls["shifted"] == 2 * est.sweeps  # forward and adjoint
 
     def test_unknown_form_rejected(self, cascade_square):
         with pytest.raises(ValueError, match="form"):
