@@ -365,19 +365,21 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
             est = operator_norm_lower(ws[0], ec.alpha, ec.p, ec.q, form,
                                       tol=tol, max_sweeps=max_sweeps,
                                       seed=seed, warm_start=warm)
-            c2 = fp_constant(RectKernel.hls(ws[0], ec.alpha), (ws[0], ws[0]),
-                             (ec.p, ec.q_conj)).value
         elif task == "embed":
             kern = RectKernel.random_uniform(ws[0].config, kernel_seed)
             est = embed_norm_lower(kern, ws, exponents, tol=tol,
                                    max_sweeps=max_sweeps, seed=seed,
                                    warm_start=warm)
-            c2 = fp_constant(kern, ws, exponents).value
         else:
             est = carleson_norm_lower(ws[0], p, q, tol=tol,
                                       max_sweeps=max_sweeps, seed=seed,
                                       warm_start=warm)
-            c2 = carleson_testing_constant(ws[0], p, q).value
+        # the estimator scanned the testing constant for its restart,
+        # except the kernel form, which runs none
+        c2 = est.params["c2"]
+        if c2 is None:
+            c2 = fp_constant(RectKernel.hls(ws[0], ec.alpha), (ws[0], ws[0]),
+                             (ec.p, ec.q_conj)).value
         dt = time.perf_counter() - t0
         warm = est.maximizers
         if c2 > 0:

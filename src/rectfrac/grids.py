@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
+import numpy as np
+
 
 class DepthExceededError(ValueError):
     """Subdivision or enumeration beyond the configured depth."""
@@ -303,6 +305,40 @@ def minimal_cube(config: GridConfig, u: tuple[int, ...],
             return cube_from_c(level, cvec)
         level, cvec = nlevel, tuple(nxt)
     raise AssertionError("minimal cube descent failed to terminate")
+
+
+def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
+    """Per pair and factor, minimal_cube's level, capped at depth + 1.
+
+    ``X`` and ``Y`` are ``(P, N)`` integer arrays of points in global
+    units.  Entry ``[p, i]`` is the deepest level k <= depth + 1 (the
+    finest level whose cube corners are whole units) at which the
+    level-k standard cube containing ``X[p]`` in factor i has ``Y[p]``
+    in its triple.  The predicate is monotone along the ancestor chain,
+    so it holds at exactly the levels 0..k: k is the level of
+    ``minimal_cube`` whenever k <= depth.  Raises like ``kernel_sum``:
+    points outside [0,1)^N first, then a pair coinciding in a whole
+    factor.
+    """
+    K, N = config.depth, config.total_dim
+    X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != N or Y.shape != X.shape:
+        raise ValueError(f"points must be (P, {N}) arrays of equal shape")
+    units = config.axis_units
+    if ((X < 0) | (X >= units) | (Y < 0) | (Y >= units)).any():
+        raise ValueError("points must lie inside [0,1)^N")
+    axes = [list(config.factor_axes(i)) for i in range(config.n_factors)]
+    for i, ax in enumerate(axes):
+        if (X[:, ax] == Y[:, ax]).all(axis=1).any():
+            raise DegeneratePairError(f"points coincide in factor {i}")
+    depths = np.full((len(X), len(axes)), -1)
+    for k in range(K + 2):
+        side = 3 << (K + 1 - k)
+        lo = X // side * side
+        inside = (lo - side <= Y) & (Y < lo + 2 * side)
+        for i, ax in enumerate(axes):
+            depths[:, i] += inside[:, ax].all(axis=1)
+    return depths
 
 
 def min_rect(x: tuple[int, ...], y: tuple[int, ...]) -> Box:

@@ -8,8 +8,9 @@ exponent 0 < alpha < N are provided on the truncated families:
 * the enlarged-region form, which integrates f over 3R instead of R;
 * the kernel form, integrating mu(R(x,y))**(alpha/N - 1) f(y) dmu(y) by
   cell-center quadrature over the minimal rectangle of each point pair;
-* pointwise sums and comparisons between them (kernel_sum,
-  shift_bound_ratio) used by the equivalence studies.
+* pointwise sums and comparisons between them (kernel_sums over whole
+  pair arrays, kernel_sum for one pair, shift_bound_ratio) used by the
+  equivalence studies.
 
 Kernels on the standard family are tabulated per level combination
 (``RectKernel``) on the mass tree, which keeps the multilinear form and
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (DegeneratePairError, GridConfig, ProductRect, min_rect,
-                    standard_rect)
+from .grids import (GridConfig, ProductRect, min_rect, standard_rect,
+                    triple_depths)
 from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 
 EXPONENT_TOL = 1e-12
@@ -464,44 +465,35 @@ def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
     return A
 
 
+def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:
+    """``kernel_sum`` of every pair of rows of ``(P, N)`` point arrays.
+
+    ``grids.triple_depths`` gives, per pair and factor, the levels whose
+    cube around x has y in its triple; each level tuple then gathers
+    its live pairs' masses from the tree at once.  Terms are added in
+    ``level_combos`` order and each power is Python's scalar ``pow``,
+    so every sum equals the one-pair loop bit for bit.
+    """
+    N = mu.config.total_dim
+    expo = _check_alpha(alpha, N) / N - 1.0
+    X = np.asarray(X, dtype=np.int64)
+    depths = triple_depths(mu.config, X, Y)
+    totals = np.zeros(len(X))
+    for levels in level_combos(mu.config):
+        live = np.flatnonzero((depths >= levels).all(axis=1))
+        masses = mu.tree_masses(levels, X[live])
+        pos = masses > 0
+        totals[live[pos]] += [m ** expo for m in masses[pos].tolist()]
+    return totals
+
+
 def kernel_sum(mu: Weight, alpha: float, x, y) -> float:
     """Sum of mu(R)**(alpha/N-1) over standard R with x in R and y in 3R.
 
     Truncated at the configured depth from below and at the unit cube
     from above (for in-domain points the unit cube already qualifies).
     """
-    cfg = mu.config
-    N, K, n = cfg.total_dim, cfg.depth, cfg.n_factors
-    expo = _check_alpha(alpha, N) / N - 1.0
-    units = cfg.axis_units
-    x, y = tuple(x), tuple(y)
-    if not all(0 <= c < units for c in x) or not all(0 <= c < units for c in y):
-        raise ValueError("points must lie inside [0,1)^N")
-    xs, ys = cfg.split_axes(x), cfg.split_axes(y)
-    ok: list[list[bool]] = []
-    idx: list[list[tuple[int, ...]]] = []
-    for i in range(n):
-        if xs[i] == ys[i]:
-            raise DegeneratePairError(f"points coincide in factor {i}")
-        oks, idxs = [], []
-        for k in range(K + 1):
-            side = 3 * (1 << (K + 1 - k))
-            m = tuple(c // side for c in xs[i])
-            lo = tuple(mm * side for mm in m)
-            oks.append(all(l - side <= c < l + 2 * side
-                           for l, c in zip(lo, ys[i])))
-            idxs.append(m)
-        ok.append(oks)
-        idx.append(idxs)
-    total = 0.0
-    for levels in itertools.product(range(K + 1), repeat=n):
-        if not all(ok[i][levels[i]] for i in range(n)):
-            continue
-        flat = tuple(m for i in range(n) for m in idx[i][levels[i]])
-        m_val = float(mu.mass_tree[levels][flat])
-        if m_val > 0:
-            total += m_val ** expo
-    return total
+    return float(kernel_sums(mu, alpha, [tuple(x)], [tuple(y)])[0])
 
 
 def pair_kernel(mu: Weight, alpha: float, x, y) -> float:

@@ -2,10 +2,12 @@
 
 Pair sampling, the kernel-equivalence ratio study, and the exhaustive
 shift-cover verification.  All randomness flows from one seed through
-numpy's default PCG64 generator.  Loops run in one thread: the per-pair
-work is pure Python and holds the GIL, so a thread pool only slowed it
-down.  The ``threads`` arguments are accepted for compatibility and
-never change the results.
+numpy's default PCG64 generator.  The kernel-equivalence study works
+on whole ``(P, N)`` int64 pair arrays: kernel sums and minimal-cube
+masses take one mass-tree gather per level tuple, and only the
+minimal-rectangle masses stay one ``box_sum`` per pair.  Everything
+runs in one thread; the ``threads`` arguments are accepted for
+compatibility and never change the results.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from .bruteforce import shift_cover_exhaustive
 from .grids import (DyadicCube, GridConfig, cube_box, min_rect,
-                    product_minimal, shift_cover, triple)
-from .operators import kernel_sum, pair_kernel
+                    product_minimal, shift_cover, triple, triple_depths)
+from .operators import _check_alpha, kernel_sums, level_combos
 from .weights import Weight
 
 
@@ -45,25 +47,48 @@ def scale_pairs(pairs, factor: int):
             for x, y in pairs]
 
 
+def minimal_cube_masses(mu: Weight, X, Y) -> np.ndarray:
+    """``mu.mass(product_minimal(x, y))`` for every pair of rows of X, Y.
+
+    Where no factor's minimal cube lies below the configured depth, the
+    rectangle is in the mass tree: one gather per level tuple.  The
+    other pairs take the one-pair ``product_minimal`` path.
+    """
+    cfg = mu.config
+    X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+    depths = triple_depths(cfg, X, Y)
+    out = np.empty(len(X))
+    for levels in level_combos(cfg):
+        sel = np.flatnonzero((depths == levels).all(axis=1))
+        out[sel] = mu.tree_masses(levels, X[sel])
+    for i in np.flatnonzero((depths > cfg.depth).any(axis=1)):
+        rect = product_minimal(cfg, tuple(X[i].tolist()), tuple(Y[i].tolist()))
+        out[i] = mu.mass(rect)
+    return out
+
+
 def kernel_equiv_study(mu: Weight, alpha: float, pairs,
                        threads: int = 1) -> dict:
     """Ratio statistics of the rectangle-sum kernel against the closed kernel.
 
     For each pair also compares the mass of the product of factor-wise
-    minimal cubes with the mass of the minimal rectangle itself.
-    ``threads`` is accepted and ignored; the result never depends on it.
+    minimal cubes with the mass of the minimal rectangle itself.  The
+    kernel sums and the minimal-cube masses are gathered from the mass
+    tree over the whole pair array.  The minimal-rectangle mass is one
+    ``box_sum`` per pair and serves both the closed kernel and the mass
+    ratio.  ``threads`` is accepted and ignored; the result never
+    depends on it.
     """
-    def one(pair):
-        x, y = pair
-        closed = pair_kernel(mu, alpha, x, y)
-        summed = kernel_sum(mu, alpha, x, y)
-        r0 = mu.mass(product_minimal(mu.config, x, y))
-        rm = mu.mass(min_rect(x, y))
-        return summed / closed, r0 / rm if rm > 0 else math.inf
-
-    results = [one(p) for p in pairs]
-    kernel_ratios = [r for r, _ in results]
-    mass_ratios = [r for _, r in results]
+    N = mu.config.total_dim
+    expo = _check_alpha(alpha, N) / N - 1.0
+    XY = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, N)
+    X, Y = XY[:, 0], XY[:, 1]
+    rm = [mu.mass(min_rect(x, y)) for x, y in pairs]
+    summed = kernel_sums(mu, alpha, X, Y).tolist()
+    r0 = minimal_cube_masses(mu, X, Y).tolist()
+    kernel_ratios = [s / (m ** expo if m > 0 else math.inf)
+                     for s, m in zip(summed, rm)]
+    mass_ratios = [r / m if m > 0 else math.inf for r, m in zip(r0, rm)]
     r_min, r_max = min(kernel_ratios), max(kernel_ratios)
     return {
         "pairs": len(pairs),

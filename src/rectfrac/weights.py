@@ -272,6 +272,16 @@ class Weight:
                 idx.append(m)
         return float(self.mass_tree[rect.levels][tuple(idx)])
 
+    def tree_masses(self, levels: tuple[int, ...], points) -> np.ndarray:
+        """Masses of the standard rectangles at ``levels`` containing each point.
+
+        ``points`` is a ``(P, N)`` integer array in global units inside
+        the domain; one gather from the mass tree.
+        """
+        cfg = self.config
+        shifts = cfg.depth + 1 - np.repeat(levels, cfg.dims)
+        return self.mass_tree[tuple(levels)][tuple((points // (3 << shifts)).T)]
+
     def mass(self, target) -> float:
         """Mass of a product rectangle or lattice-aligned box, clipped to the domain."""
         if isinstance(target, ProductRect):

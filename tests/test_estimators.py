@@ -252,6 +252,41 @@ class TestDepthSweep:
         assert lines[1].startswith("2,")
         assert lines[1].endswith(",0.0")  # timing suppressed by default
 
+    @pytest.mark.parametrize("task,form", [
+        ("hls", "perez"), ("hls", "kernel"), ("embed", None),
+        ("carleson", None)])
+    def test_one_testing_scan_per_row(self, cascade_square, monkeypatch,
+                                      task, form):
+        scans = []
+
+        def counted(fn):
+            def wrapper(*args):
+                scans.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for name in ("fp_constant", "carleson_testing_constant"):
+            monkeypatch.setattr(estimators, name,
+                                counted(getattr(estimators, name)))
+        w = cascade_square
+        rows = depth_sweep(task, (1, 2, 3), weight=w, weights=(w, w),
+                           alpha=0.5, p=2.0, q=4.0, form=form or "dyadic",
+                           max_sweeps=5)
+        monkeypatch.undo()
+        assert len(scans) == len(rows) == 3
+        for r in rows:
+            wk = w.coarsen(r.depth) if r.depth < w.config.depth else w
+            if task == "hls":
+                c2 = fp_constant(RectKernel.hls(wk, 0.5), (wk, wk),
+                                 (2.0, 4.0 / 3.0))
+            elif task == "embed":
+                c2 = fp_constant(
+                    RectKernel.random_uniform(wk.config, 0), (wk, wk),
+                    (2.0, 2.0))
+            else:
+                c2 = carleson_testing_constant(wk, 2.0, 4.0)
+            assert r.c2 == c2.value
+
     def test_depth_beyond_weight_rejected(self, cascade_square):
         with pytest.raises(ValueError, match="depth"):
             depth_sweep("carleson", (2, 9), weight=cascade_square,
