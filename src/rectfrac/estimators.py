@@ -17,10 +17,17 @@ Every run also scans indicator test functions of single rectangles,
 which realize the single-rectangle testing value exactly; when that
 beats the ascent, ``_restart`` re-runs the ascent from the extremal
 indicator, so reported values never fall below the testing constant.
-(The cell-quadrature kernel form excludes same-coordinate pairs, so the
-indicator identity does not transfer to it; that form runs without the
-restart.)  The Carleson functional is convex rather than linear in f;
-it keeps its own linearized step and shares the restart.
+A multilinear density keeps each argument's mass tree between steps
+and rebuilds it whenever that argument is a new array, so a restarted
+run reads no tree of the run before.  (The cell-quadrature kernel form
+excludes same-coordinate pairs, so the indicator identity does not
+transfer to it; that form runs without the restart.)  The Carleson
+functional is convex rather than linear in f; it keeps its own
+linearized step and shares the restart.
+
+The kernel form's adjoint is its forward map: ``kernel_map`` mirrors
+every kernel matrix it builds from the upper triangle, so the kernel
+is symmetric bit for bit, factored or dense.
 
 Determinism: for fixed inputs all computations are fixed-order numpy
 reductions, so histories are reproducible bit for bit.
@@ -38,7 +45,7 @@ from .conditions import carleson_testing_constant, fp_constant
 from .grids import rect_from_json
 from .operators import (ExponentConfig, ExponentError, RectKernel,
                         _check_same_grid, _neg_power, _upsample,
-                        check_mlinear_exponents, kernel_matrix, level_combos,
+                        check_mlinear_exponents, kernel_map, level_combos,
                         perez_maps, shifted_sum_map)
 from .weights import GridFunction, Weight, build_mass_tree
 
@@ -123,23 +130,38 @@ def _restart(run, first, c2, config):
     return first
 
 
-def _mlinear_density(kernel: RectKernel, sigmas, j: int):
-    """The multilinear form's density in argument j, as a map of all fs."""
+def _mlinear_densities(kernel: RectKernel, sigmas):
+    """The multilinear form's density in each argument, as maps of all fs.
+
+    The maps share the arguments' mass trees: a tree is rebuilt only
+    when its argument is a new array.  The steps run in cyclic order,
+    and step j + 1 replaces its argument without reading that
+    argument's tree, so step j drops it: at M = 2 no tree outlives the
+    step that built it.
+    """
     cfg = sigmas[0].config
     combos = list(level_combos(cfg))
+    cache = {}  # k -> (the f_k the tree was built from, the tree)
 
-    def density(fs):
-        trees = [build_mass_tree(cfg, w.cell_masses * f)
-                 for k, (w, f) in enumerate(zip(sigmas, fs)) if k != j]
-        out = np.zeros_like(fs[j])
-        for lv in combos:
-            arr = kernel.tables[lv].copy()
-            for t in trees:
-                arr *= t[lv]
-            out += _upsample(cfg, arr)
-        return out
+    def tree(k, f):
+        if k not in cache or cache[k][0] is not f:
+            cache[k] = (f, build_mass_tree(cfg, sigmas[k].cell_masses * f))
+        return cache[k][1]
 
-    return density
+    def density_in(j):
+        def density(fs):
+            trees = [tree(k, f) for k, f in enumerate(fs) if k != j]
+            cache.pop((j + 1) % len(fs), None)
+            out = np.zeros_like(fs[j])
+            for lv in combos:
+                arr = kernel.tables[lv].copy()
+                for t in trees:
+                    arr *= t[lv]
+                out += _upsample(cfg, arr)
+            return out
+        return density
+
+    return [density_in(j) for j in range(len(sigmas))]
 
 
 def embed_norm_lower(kernel, sigmas, exponents, *, tol: float = 1e-9,
@@ -159,9 +181,9 @@ def embed_norm_lower(kernel, sigmas, exponents, *, tol: float = 1e-9,
     ps = check_mlinear_exponents(exponents)
     if len(ps) != len(sigmas):
         raise ValueError("need one exponent per weight")
-    steps = [(j, _mlinear_density(kernel, sigmas, j), w.cell_masses,
-              p / (p - 1.0) - 1.0, p)
-             for j, (w, p) in enumerate(zip(sigmas, ps))]
+    steps = [(j, density, w.cell_masses, p / (p - 1.0) - 1.0, p)
+             for j, (density, w, p) in enumerate(
+                 zip(_mlinear_densities(kernel, sigmas), sigmas, ps))]
 
     def run(init):
         return _ascend(steps, init, tol, max_sweeps)
@@ -207,14 +229,7 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
         return est
 
     if key == "kernel":
-        A = kernel_matrix(mu, ec.alpha)
-        shape = mu.density.shape
-        cm_flat = mu.cell_masses.ravel()
-
-        def forward(fv):
-            return (A @ (fv.ravel() * cm_flat)).reshape(shape)
-
-        adjoint = forward  # the pair kernel is symmetric
+        forward = adjoint = kernel_map(mu, ec.alpha)
     elif key == "perez":
         forward, adjoint = perez_maps(mu, ec.alpha)
     else:

@@ -26,13 +26,24 @@ so along each axis
   level combination.
 
 Scattering back onto cells is the transposed window followed by
-``np.repeat``.  The kernel form takes its minimal-rectangle masses one
-anchor cell at a time (``_kernel_rows``): along each axis, cumulative
-sums of half-pair cell sums running outward from the anchor.  Masses
-and integrals are formed by additions only, so a
-mass raised to the negative power alpha/N - 1 keeps its relative
-accuracy.  Everything is a pure function of immutable inputs; outputs
-are reproducible bit for bit for a fixed input.
+``np.repeat``.
+
+The kernel form's minimal-rectangle masses grow, along each axis, by
+cumulative sums of half-pair cell sums running outward from the anchor
+cell.  For a weight with per-axis factors, mu(R(x,y)) is the product
+of per-axis interval masses, so the kernel is the Kronecker product of
+one C x C matrix per axis (``kernel_factor``), and ``kernel_map``
+applies it as one mode product per axis: no C**N x C**N matrix is
+built.  Any other weight falls back to the dense ``kernel_matrix``,
+filled one anchor cell at a time (``_kernel_rows``) and refused before
+it allocates past ``KERNEL_MATRIX_BUDGET`` bytes.  Both are powered on
+their upper triangle and mirrored, so the kernel is exactly symmetric.
+``apply_frac_kernel`` is the row-by-row reference.
+
+Masses and integrals are formed by additions only, so a mass raised
+to the negative power alpha/N - 1 keeps its relative accuracy.
+Everything is a pure function of immutable inputs; outputs are
+reproducible bit for bit for a fixed input.
 """
 
 from __future__ import annotations
@@ -49,10 +60,16 @@ from .grids import (GridConfig, ProductRect, min_rect, standard_rect,
 from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 
 EXPONENT_TOL = 1e-12
+KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a dense kernel matrix may take
+FACTOR_ROWS = 128  # rows of a kernel factor summed and powered at once
 
 
 class ExponentError(ValueError):
     """An exponent configuration outside the admissible range."""
+
+
+class KernelBudgetError(ValueError):
+    """A dense kernel matrix larger than ``KERNEL_MATRIX_BUDGET``."""
 
 
 @dataclass(frozen=True)
@@ -455,14 +472,83 @@ def apply_frac_kernel(mu: Weight, alpha: float, f: GridFunction,
 
 
 def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
-    """Dense cell-center kernel matrix (excluded pairs set to zero)."""
+    """Dense cell-center kernel matrix (excluded pairs set to zero).
+
+    Refuses with ``KernelBudgetError`` before it allocates when the
+    matrix would take more than ``KERNEL_MATRIX_BUDGET`` bytes.  Row r
+    keeps its entries from column r on and mirrors them into column r,
+    so the matrix is exactly symmetric.
+    """
     N = mu.config.total_dim
     expo = _check_alpha(alpha, N) / N - 1.0
     count = mu.config.axis_cells ** N
+    nbytes = 8 * count * count
+    if nbytes > KERNEL_MATRIX_BUDGET:
+        raise KernelBudgetError(
+            f"the dense kernel matrix of {count} cells needs {nbytes} bytes, "
+            f"over the budget of {KERNEL_MATRIX_BUDGET} bytes; only a weight "
+            f"with per-axis factors runs the kernel form at this size")
     A = np.empty((count, count))
-    for row, (_, masses) in enumerate(_kernel_rows(mu)):
-        A[row] = _neg_power(masses, expo).ravel()
+    for r, (_, masses) in enumerate(_kernel_rows(mu)):
+        A[r, r:] = _neg_power(masses.ravel()[r:], expo)
+        A[r + 1:, r] = A[r, r + 1:]
     return A
+
+
+def kernel_factor(masses: np.ndarray, expo: float) -> np.ndarray:
+    """mass(I(x_i, x_j))**expo between the cell centres of one axis.
+
+    ``masses`` are the axis's cell masses.  Row i from column i on is
+    the outward cumulative sum of the half-pair sums, as in
+    ``_kernel_rows``; blocks of ``FACTOR_ROWS`` rows are summed and
+    powered together, then mirrored below the diagonal, so the matrix
+    is exactly symmetric with a zero diagonal.
+    """
+    h = (masses[:-1] + masses[1:]) / 2
+    C = len(masses)
+    F = np.zeros((C, C))
+    for b0 in range(0, C, FACTOR_ROWS):
+        b1 = min(b0 + FACTOR_ROWS, C)
+        # entry (i, k) of the block is F[b0 + i, b0 + 1 + k]
+        blk = F[b0:b1, b0 + 1:]
+        upper = np.arange(C - 1 - b0) >= np.arange(b1 - b0)[:, None]
+        np.copyto(blk, h[b0:], where=upper)
+        np.cumsum(blk, axis=1, out=blk)
+        np.power(blk, expo, out=blk, where=blk > 0)
+        F[b1:, b0:b1] = F[b0:b1, b1:].T
+        diag = F[b0:b1, b0:b1]
+        diag += diag.T  # one of each mirrored pair is still 0
+    return F
+
+
+def kernel_map(mu: Weight, alpha: float):
+    """The kernel form's forward map on cell arrays.
+
+    Maps f to sum_y mu(R(x,y))**(alpha/N-1) f(y) mu(cell_y) at every
+    cell centre x, as ``apply_frac_kernel`` does.  For a weight with
+    per-axis factors the kernel is the Kronecker product of the
+    ``kernel_factor`` matrices, applied as one mode product per axis;
+    any other weight falls back to ``kernel_matrix``.  The kernel is
+    exactly symmetric, so the map is its own adjoint in L^2(mu).
+    """
+    cm = mu.cell_masses
+    if mu.factors is None:
+        A = kernel_matrix(mu, alpha)
+        return lambda fv: (A @ (fv * cm).ravel()).reshape(fv.shape)
+    N = mu.config.total_dim
+    expo = _check_alpha(alpha, N) / N - 1.0
+    # the weight's cell volume per axis, so that at N = 1 the factor's
+    # masses are the weight's cell masses bit for bit
+    step = float(mu.config.axis_cells) ** -1
+    mats = [kernel_factor(a * step, expo) for a in mu.factors]
+
+    def forward(fv):
+        out = fv * cm
+        for ax, F in enumerate(mats):
+            out = np.moveaxis(np.tensordot(F, out, axes=(1, ax)), 0, ax)
+        return out
+
+    return forward
 
 
 def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:

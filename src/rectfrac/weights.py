@@ -20,6 +20,7 @@ across threads.
 from __future__ import annotations
 
 import base64
+import functools
 import itertools
 import json
 import math
@@ -33,6 +34,7 @@ from .grids import (Box, DyadicCube, GridConfig, ProductRect, cube_box,
                     rect_box)
 
 WEIGHT_SCHEMA_VERSION = 1
+FACTOR_RTOL = 1e-12  # per-axis factors against the density, cell by cell
 
 
 class AlignmentError(ValueError):
@@ -154,6 +156,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _outer(factors) -> np.ndarray:
+    return functools.reduce(np.multiply.outer, factors)
+
+
+def _checked_factors(config: GridConfig, density: np.ndarray,
+                     factors) -> tuple[np.ndarray, ...]:
+    """Per-axis densities, frozen, after checking their outer product."""
+    factors = tuple(_freeze(a) for a in factors)
+    if len(factors) != config.total_dim or \
+            any(a.shape != (config.axis_cells,) for a in factors):
+        raise ValueError(f"need {config.total_dim} factors of "
+                         f"{config.axis_cells} values each")
+    if not all(np.all(np.isfinite(a)) and np.all(a >= 0) for a in factors):
+        raise ValueError("factors must be finite and nonnegative")
+    gap = np.abs(_outer(factors) - density)
+    if not np.all(gap <= FACTOR_RTOL * density):
+        raise ValueError("the outer product of the factors does not match "
+                         f"the density to {FACTOR_RTOL:g} relative")
+    return factors
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Nonnegative piecewise-constant function on the finest lattice."""
@@ -228,9 +251,15 @@ class Weight:
     masses of all standard product cubes; any other lattice box is
     summed directly over its cells.  ``prefix`` (built lazily) is a
     summed-area table of the cell masses that no mass query reads.
+
+    ``factors``, when given, are per-axis densities whose outer product
+    is ``density`` to ``FACTOR_RTOL`` in every cell: a tensor weight's
+    record of its product structure, which the kernel form uses.  They
+    are never inferred from a density.
     """
 
-    def __init__(self, config: GridConfig, density, meta: dict | None = None):
+    def __init__(self, config: GridConfig, density, meta: dict | None = None,
+                 factors=None):
         shape = (config.axis_cells,) * config.total_dim
         arr = np.asarray(density, dtype=float)
         if arr.shape != shape:
@@ -241,6 +270,8 @@ class Weight:
             raise ValueError("weight must carry positive total mass")
         self.config = config
         self.density = _freeze(arr)
+        self.factors = None if factors is None else \
+            _checked_factors(config, self.density, factors)
         self.cell_masses = _freeze(self.density * config.cell_volume)
         self.mass_tree = build_mass_tree(config, self.cell_masses)
         self.meta = dict(meta or {})
@@ -301,11 +332,13 @@ class Weight:
         arr = self.density
         for ax in range(self.config.total_dim):
             arr = _sum_blocks(arr, ax, f) / f
+        factors = None if self.factors is None else \
+            [_sum_blocks(a, 0, f) / f for a in self.factors]
         meta = dict(self.meta)
         params = dict(meta.get("params", {}))
         params["coarsened_from"] = self.config.depth
         meta["params"] = params
-        return Weight(GridConfig(self.config.dims, depth), arr, meta)
+        return Weight(GridConfig(self.config.dims, depth), arr, meta, factors)
 
 
 def mass(w: Weight, target) -> float:
@@ -339,8 +372,9 @@ def _gen_meta(kind: str, seed=None, **params) -> dict:
 
 def gen_uniform(config: GridConfig) -> Weight:
     """Lebesgue measure: density one everywhere."""
-    return Weight(config, np.ones((config.axis_cells,) * config.total_dim),
-                  meta=_gen_meta("uniform"))
+    axis_density = [np.ones(config.axis_cells)] * config.total_dim
+    return Weight(config, _outer(axis_density), meta=_gen_meta("uniform"),
+                  factors=axis_density)
 
 
 def gen_power(config: GridConfig, exponents, centers=None) -> Weight:
@@ -368,12 +402,10 @@ def gen_power(config: GridConfig, exponents, centers=None) -> Weight:
         anti = np.sign(s) * np.abs(s) ** (1.0 + a) / (1.0 + a)
         masses = np.diff(anti)
         axis_density.append(masses * cells)
-    density = axis_density[0]
-    for nxt in axis_density[1:]:
-        density = np.multiply.outer(density, nxt)
-    return Weight(config, density,
+    return Weight(config, _outer(axis_density),
                   meta=_gen_meta("power", exponents=list(exps),
-                                 centers=list(centers)))
+                                 centers=list(centers)),
+                  factors=axis_density)
 
 
 def gen_cascade(config: GridConfig, rho: float, seed: int) -> Weight:
@@ -397,21 +429,34 @@ def gen_cascade(config: GridConfig, rho: float, seed: int) -> Weight:
             theta = lo + (hi - lo) * rng.random(m.size)
             m = np.stack([m * theta, m * (1.0 - theta)], axis=1).reshape(-1)
         axis_density.append(np.repeat(m, 3) * (cells / 3.0))
-    density = axis_density[0]
-    for nxt in axis_density[1:]:
-        density = np.multiply.outer(density, nxt)
-    return Weight(config, density,
+    return Weight(config, _outer(axis_density),
                   meta=_gen_meta("cascade", seed=int(seed), rho=rho,
-                                 rng="numpy-default-pcg64"))
+                                 rng="numpy-default-pcg64"),
+                  factors=axis_density)
 
 
 # ---------------------------------------------------------------------------
 # Persistence
 
 
+def _encode(arr: np.ndarray) -> str:
+    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+
+
+def _decode(payload, count: int, what: str) -> np.ndarray:
+    """``count`` little-endian doubles from a base64 payload."""
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise WeightFormatError(f"undecodable {what} payload: {exc}") from exc
+    if len(raw) != 8 * count:
+        raise WeightFormatError(
+            f"{what} payload holds {len(raw) // 8} values, expected {count}")
+    return np.frombuffer(raw, dtype="<f8").astype(float)
+
+
 def _array_doc(config: GridConfig, arr: np.ndarray, kind: str,
                meta: dict) -> dict:
-    payload = base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
     doc_meta = {"kind": kind, "seed": None, "params": {}}
     doc_meta.update(meta)
     return {
@@ -419,7 +464,7 @@ def _array_doc(config: GridConfig, arr: np.ndarray, kind: str,
         "dims": list(config.dims),
         "depth": config.depth,
         "lattice": [config.axis_cells] * config.total_dim,
-        "density": payload,
+        "density": _encode(arr),
         "meta": doc_meta,
     }
 
@@ -436,25 +481,20 @@ def _parse_array_doc(doc: dict) -> tuple[GridConfig, np.ndarray, dict]:
     if lattice != [config.axis_cells] * config.total_dim:
         raise WeightFormatError(
             f"lattice {lattice} inconsistent with depth {config.depth}")
-    try:
-        raw = base64.b64decode(doc["density"], validate=True)
-    except Exception as exc:
-        raise WeightFormatError(f"undecodable density payload: {exc}") from exc
-    count = config.axis_cells ** config.total_dim
-    if len(raw) != 8 * count:
-        raise WeightFormatError(
-            f"density payload holds {len(raw) // 8} values, expected {count}")
-    arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(
-        (config.axis_cells,) * config.total_dim)
+    arr = _decode(doc["density"], config.axis_cells ** config.total_dim,
+                  "density").reshape((config.axis_cells,) * config.total_dim)
     return config, arr, dict(doc.get("meta", {}))
 
 
 def save_weight(w: Weight, path) -> None:
     doc = _array_doc(w.config, w.density, w.meta.get("kind", "custom"), w.meta)
+    if w.factors is not None:
+        doc["factors"] = [_encode(a) for a in w.factors]
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def load_weight(path, expect_config: GridConfig | None = None) -> Weight:
+    """Read a weight file; the optional ``factors`` field must match the density."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -466,7 +506,17 @@ def load_weight(path, expect_config: GridConfig | None = None) -> Weight:
             f"expected dims={expect_config.dims} depth={expect_config.depth}")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise WeightFormatError("density must be finite and nonnegative")
-    return Weight(config, arr, meta)
+    factors = doc.get("factors")
+    if factors is not None:
+        if not isinstance(factors, list) or \
+                len(factors) != config.total_dim:
+            raise WeightFormatError(
+                f"factors must list {config.total_dim} payloads")
+        factors = [_decode(a, config.axis_cells, "factor") for a in factors]
+    try:
+        return Weight(config, arr, meta, factors)
+    except ValueError as exc:
+        raise WeightFormatError(str(exc)) from exc
 
 
 def save_grid_function(f: GridFunction, path) -> None:

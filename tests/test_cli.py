@@ -119,6 +119,27 @@ class TestSweeps:
             assert isinstance(row["sweeps"], int) and row["sweeps"] >= 1
             assert isinstance(row["converged"], bool)
 
+    def test_dense_kernel_budget_is_one_error_line(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from rectfrac import (GridConfig, Weight, gen_cascade, operators,
+                              save_weight)
+
+        def no_rows(mu):
+            raise AssertionError("rows computed past the budget")
+        monkeypatch.setattr(operators, "_kernel_rows", no_rows)
+        cfg = GridConfig((1, 1), 6)
+        wfile = tmp_path / "hand.json"
+        # a hand-made density carries no per-axis factors
+        save_weight(Weight(cfg, gen_cascade(cfg, 2.0, 4).density), wfile)
+        capsys.readouterr()
+        code = run(["hls", "--weight", wfile, "--alpha", "0.5", "--p", "4/3",
+                    "--form", "kernel", "--depths", "6",
+                    "--out", tmp_path / "hls.json"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "10871635968 bytes" in err[0]
+
     def test_hls_csv_format(self, cascade_file, tmp_path):
         out = tmp_path / "hls.csv"
         assert run(["hls", "--weight", cascade_file, "--alpha", "0.5",

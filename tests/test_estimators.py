@@ -1,15 +1,17 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from rectfrac import (DyadicCube, GridConfig, GridFunction, ProductRect,
-                      RectKernel, Weight, apply_frac_dyadic,
+from rectfrac import (ConstantReport, DyadicCube, GridConfig, GridFunction,
+                      ProductRect, RectKernel, Weight, apply_frac_dyadic,
                       apply_frac_kernel, apply_perez, carleson_norm_lower,
                       carleson_testing_constant, depth_sweep,
                       embed_norm_lower, estimators, fp_constant, gen_cascade,
                       gen_uniform, lp_norm, mlinear_form, operator_norm_lower,
                       rows_to_csv)
+from rectfrac.grids import rect_to_json
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 FORMS = ("dyadic", "perez", "shifted-sum", "kernel")
@@ -94,6 +96,43 @@ class TestEmbedNormLower:
             assert lp_norm(w, m, p) == pytest.approx(1.0, rel=1e-12)
         assert est.value == pytest.approx(
             mlinear_form(kern, ws, est.maximizers), rel=1e-12)
+
+    def test_trees_kept_between_steps(self, monkeypatch):
+        built = []
+        build = estimators.build_mass_tree
+
+        def counted(cfg, cell_masses):
+            built.append(1)
+            return build(cfg, cell_masses)
+
+        monkeypatch.setattr(estimators, "build_mass_tree", counted)
+        cfg = GridConfig((1, 1), 5)
+        ws = tuple(gen_cascade(cfg, 2.0, seed) for seed in (1, 2, 3))
+        kern = RectKernel.random_uniform(cfg, 9)
+        est = embed_norm_lower(kern, ws, (2.0, 3.0, 3.0), max_sweeps=8)
+        assert est.sweeps == 8
+        assert len(built) <= 27  # 48 when every step rebuilt both others
+        # recorded when every step rebuilt the other arguments' trees
+        assert est.history == [
+            0.7726099390157225, 0.773971288063709, 0.7740660089054617,
+            0.7740727348034112, 0.7740732203914744, 0.7740732553115763,
+            0.7740732578239216, 0.7740732580046353]
+        built.clear()
+        est = embed_norm_lower(kern, ws[:2], (2.0, 2.0), max_sweeps=8)
+        assert len(built) == 2 * est.sweeps  # one tree per step at M = 2
+
+    def test_restart_rebuilds_stale_trees(self, monkeypatch):
+        cfg = GridConfig((1, 1), 3)
+        ws = tuple(gen_cascade(cfg, 2.0, seed) for seed in (1, 2, 3))
+        kern = RectKernel.random_uniform(cfg, 9)
+        first = embed_norm_lower(kern, ws, (2.0, 3.0, 3.0), max_sweeps=4)
+        # a testing value no ascent reaches, witnessed by the whole
+        # domain, restarts the ascent from constants: the same run again
+        report = ConstantReport("fp", math.inf, {"rect": rect_to_json(TOP2)},
+                                1, cfg.depth)
+        monkeypatch.setattr(estimators, "fp_constant", lambda *a: report)
+        est = embed_norm_lower(kern, ws, (2.0, 3.0, 3.0), max_sweeps=4)
+        assert est.history == first.history * 2
 
     def test_json_fields(self, cascade_square):
         kern = RectKernel.random_uniform(cascade_square.config, 8)

@@ -1,19 +1,23 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rectfrac import (DegeneratePairError, DyadicCube, ExponentConfig,
                       ExponentError, GridConfig, GridFunction, ProductRect,
-                      RectKernel, apply_frac_dyadic, apply_frac_kernel,
-                      apply_perez, apply_positive, gen_cascade, gen_power,
-                      gen_uniform, integrate, kernel_sum, mass, min_rect,
-                      mlinear_form, pair_kernel, shift_bound_ratio)
+                      RectKernel, Weight, apply_frac_dyadic,
+                      apply_frac_kernel, apply_perez, apply_positive,
+                      gen_cascade, gen_power, gen_uniform, integrate,
+                      kernel_sum, mass, min_rect, mlinear_form,
+                      operator_norm_lower, pair_kernel, shift_bound_ratio)
 from rectfrac.bruteforce import (frac_dyadic_direct, mass_direct,
                                  mlinear_direct, perez_direct,
                                  positive_direct)
-from rectfrac.operators import perez_maps, shifted_sum_map
+from rectfrac import operators
+from rectfrac.operators import (KernelBudgetError, kernel_factor, kernel_map,
+                                kernel_matrix, perez_maps, shifted_sum_map)
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 
@@ -298,6 +302,110 @@ class TestKernelForm:
     def test_degenerate_pair_rejected(self, cascade_square):
         with pytest.raises(DegeneratePairError):
             pair_kernel(cascade_square, 0.5, (3, 5), (9, 5))
+
+
+def _unfactored(w):
+    """The same density as a hand-made weight, with no per-axis factors."""
+    return Weight(w.config, w.density)
+
+
+def _no_dense_matrix(monkeypatch):
+    def refuse(mu, alpha):
+        raise AssertionError("the factored path built a dense matrix")
+    monkeypatch.setattr(operators, "kernel_matrix", refuse)
+
+
+FACTORED_CASES = [
+    ("cascade", (1,), 6), ("cascade", (1, 1), 3), ("cascade", (2, 1), 2),
+    ("cascade", (1, 1, 1), 2), ("uniform", (1, 1), 3), ("power", (1,), 10),
+]
+
+
+def _factored_weight(kind, dims, depth):
+    cfg = GridConfig(dims, depth)
+    if kind == "cascade":
+        return gen_cascade(cfg, 2.0, 31)
+    if kind == "uniform":
+        return gen_uniform(cfg)
+    # masses come close to zero next to the centre
+    return gen_power(cfg, (6,), centers=(0.5,))
+
+
+class TestKernelFactors:
+    @pytest.mark.parametrize("kind,dims,depth", FACTORED_CASES)
+    def test_forward_map_against_references(self, kind, dims, depth,
+                                            monkeypatch):
+        w = _factored_weight(kind, dims, depth)
+        assert w.factors is not None
+        _no_dense_matrix(monkeypatch)
+        rng = np.random.default_rng(41)
+        f = random_function(w.config, rng)
+        got = kernel_map(w, 0.5)(f.values)
+        np.testing.assert_allclose(got, apply_frac_kernel(w, 0.5, f).values,
+                                   rtol=1e-12)
+        # the plain pair loop on a few rows, the centre cell included
+        cells = w.config.axis_cells
+        shape = (cells,) * w.config.total_dim
+        rows = {0, got.size - 1,
+                int(np.ravel_multi_index((cells // 2,) * len(shape), shape))}
+        rows |= {int(r) for r in rng.integers(0, got.size, 4)}
+        for r in sorted(rows):
+            i = np.unravel_index(r, shape)
+            x = tuple(2 * int(a) + 1 for a in i)
+            total = 0.0
+            for j in np.ndindex(shape):
+                if any(a == b for a, b in zip(i, j)):
+                    continue
+                y = tuple(2 * b + 1 for b in j)
+                total += pair_kernel(w, 0.5, x, y) * f.values[j] * \
+                    w.cell_masses[j]
+            assert got[i] == pytest.approx(total, rel=1e-12)
+
+    def test_factors_and_dense_matrix_exactly_symmetric(self):
+        power = gen_power(GridConfig((1,), 10), (6,), centers=(0.5,))
+        F = kernel_factor(power.cell_masses, -0.5)
+        assert np.array_equal(F, F.T)
+        assert not F.diagonal().any()
+        for cfg in (GridConfig((1,), 6), GridConfig((1, 1), 3)):
+            A = kernel_matrix(gen_cascade(cfg, 2.0, 5), 0.5)
+            assert np.array_equal(A, A.T)
+
+    def test_factored_bound_matches_dense(self):
+        w = gen_cascade(GridConfig((1, 1), 3), 2.0, 8)
+        a = operator_norm_lower(w, 0.5, 4 / 3, 2.0, "kernel", max_sweeps=10)
+        b = operator_norm_lower(_unfactored(w), 0.5, 4 / 3, 2.0, "kernel",
+                                max_sweeps=10)
+        assert a.value == pytest.approx(b.value, rel=1e-12)
+        assert (a.sweeps, a.converged) == (b.sweeps, b.converged)
+
+    def test_kernel_form_beyond_dense_reach(self, monkeypatch):
+        # 147456 cells: a dense matrix would take 174 GB
+        w = gen_cascade(GridConfig((1, 1), 7), 2.0, 1)
+        _no_dense_matrix(monkeypatch)
+        est = operator_norm_lower(w, 0.5, 4 / 3, 2.0, "kernel", max_sweeps=2)
+        assert est.sweeps == 2 and est.value > 0
+
+
+class TestKernelMatrixBudget:
+    def test_refuses_before_allocating(self, monkeypatch):
+        w = gen_cascade(GridConfig((1, 1), 2), 2.0, 3)  # 144 cells, 165888 B
+        monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(KernelBudgetError, match="165888 bytes"):
+                kernel_matrix(w, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000
+
+    def test_unfactored_depth_six_refused(self, monkeypatch):
+        def no_rows(mu):
+            raise AssertionError("rows computed past the budget")
+        monkeypatch.setattr(operators, "_kernel_rows", no_rows)
+        w = _unfactored(gen_cascade(GridConfig((1, 1), 6), 2.0, 4))
+        with pytest.raises(KernelBudgetError, match="10871635968 bytes"):
+            operator_norm_lower(w, 0.5, 4 / 3, 2.0, "kernel")
 
 
 class TestKernelSum:

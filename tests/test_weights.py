@@ -223,6 +223,73 @@ class TestPersistence:
             0.5736235280664328, rel=1e-14)
 
 
+class TestFactors:
+    @pytest.mark.parametrize("make", [
+        lambda cfg: gen_cascade(cfg, 2.0, 3),
+        lambda cfg: gen_power(cfg, (6, 2), centers=(0.5, 0.25)),
+        gen_uniform])
+    def test_generators_record_factors(self, square_cfg, make):
+        w = make(square_cfg)
+        assert len(w.factors) == 2
+        assert np.array_equal(np.multiply.outer(*w.factors), w.density)
+
+    def test_never_inferred(self, cascade_square):
+        # a product density handed in without factors gets none
+        w = Weight(cascade_square.config, cascade_square.density)
+        assert w.factors is None
+        assert w.coarsen(2).factors is None
+
+    def test_inconsistent_factors_refused(self, cascade_square):
+        cfg, dens = cascade_square.config, cascade_square.density
+        good = list(cascade_square.factors)
+        bad = [good[0].copy(), good[1]]
+        bad[0][5] *= 1 + 1e-9
+        with pytest.raises(ValueError, match="outer product"):
+            Weight(cfg, dens, factors=bad)
+        with pytest.raises(ValueError, match="factors"):
+            Weight(cfg, dens, factors=good[:1])
+        with pytest.raises(ValueError, match="factors"):
+            Weight(cfg, dens, factors=[good[0], -good[1]])
+
+    def test_coarsen_keeps_factors(self, cascade_square):
+        coarse = cascade_square.coarsen(2)
+        for fine, a in zip(cascade_square.factors, coarse.factors):
+            np.testing.assert_allclose(a, fine.reshape(-1, 2).mean(axis=1),
+                                       rtol=1e-15)
+        np.testing.assert_allclose(np.multiply.outer(*coarse.factors),
+                                   coarse.density, rtol=1e-12, atol=0)
+
+    def test_roundtrip_keeps_factors(self, cascade_square, tmp_path):
+        path = tmp_path / "w.json"
+        save_weight(cascade_square, path)
+        back = load_weight(path)
+        for a, b in zip(back.factors, cascade_square.factors):
+            assert np.array_equal(a, b)
+
+    def test_file_with_inconsistent_factors_refused(self, cascade_square,
+                                                    tmp_path):
+        path = tmp_path / "w.json"
+        save_weight(cascade_square, path)
+        doc = json.loads(path.read_text())
+        doc["factors"] = doc["factors"][::-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFormatError, match="outer product"):
+            load_weight(path)
+        doc["factors"] = doc["factors"][:1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFormatError, match="factors"):
+            load_weight(path)
+        doc["factors"] = [doc["factors"][0][:-24]] * 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFormatError, match="factor payload"):
+            load_weight(path)
+
+    def test_golden_file_loads_without_factors(self):
+        assert "factors" not in json.loads(
+            (DATA / "golden_cascade.json").read_text())
+        assert load_weight(DATA / "golden_cascade.json").factors is None
+
+
 class TestResampling:
     def test_coarsen_preserves_masses(self, cascade_square):
         coarse = cascade_square.coarsen(2)
