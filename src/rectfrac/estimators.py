@@ -30,7 +30,9 @@ every kernel matrix it builds from the upper triangle, so the kernel
 is symmetric bit for bit, factored or dense.
 
 Determinism: for fixed inputs all computations are fixed-order numpy
-reductions, so histories are reproducible bit for bit.
+reductions, and the densities and the Carleson gradient are scattered
+onto cells by ``_spread``, which adds the level combinations in
+``level_combos`` order, so histories are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import carleson_testing_constant, fp_constant
-from .grids import rect_from_json
+from .grids import GridConfig, rect_from_json
 from .operators import (ExponentConfig, ExponentError, RectKernel,
-                        _check_same_grid, _neg_power, _upsample,
+                        _check_same_grid, _neg_power, _spread,
                         check_mlinear_exponents, kernel_map, level_combos,
                         perez_maps, shifted_sum_map)
 from .weights import GridFunction, Weight, build_mass_tree
@@ -148,17 +150,17 @@ def _mlinear_densities(kernel: RectKernel, sigmas):
             cache[k] = (f, build_mass_tree(cfg, sigmas[k].cell_masses * f))
         return cache[k][1]
 
+    def term(lv, trees):
+        arr = kernel.tables[lv].copy()
+        for t in trees:
+            arr *= t[lv]
+        return arr
+
     def density_in(j):
         def density(fs):
             trees = [tree(k, f) for k, f in enumerate(fs) if k != j]
             cache.pop((j + 1) % len(fs), None)
-            out = np.zeros_like(fs[j])
-            for lv in combos:
-                arr = kernel.tables[lv].copy()
-                for t in trees:
-                    arr *= t[lv]
-                out += _upsample(cfg, arr)
-            return out
+            return _spread(cfg, (term(lv, trees) for lv in combos))
         return density
 
     return [density_in(j) for j in range(len(sigmas))]
@@ -284,11 +286,8 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
         while True:
             tree = build_mass_tree(cfg, cm * f)
             phi = 0.0
-            grad = np.zeros_like(f)
             for lv in combos:
-                integ = tree[lv]
-                phi += float((a_tables[lv] * integ ** q).sum())
-                grad += _upsample(cfg, a_tables[lv] * integ ** (q - 1.0))
+                phi += float((a_tables[lv] * tree[lv] ** q).sum())
             history.append(phi)
             if len(history) >= 2 and \
                     history[-1] - history[-2] <= tol * abs(history[-1]):
@@ -296,6 +295,8 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
                 break
             if sweeps >= max_sweeps:
                 break
+            grad = _spread(cfg, (a_tables[lv] * tree[lv] ** (q - 1.0)
+                                 for lv in combos))
             f_new = _normalized(cm, grad ** (p_conj - 1.0), p)
             if f_new is None:
                 break
@@ -366,6 +367,10 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
     if depths[-1] > base_depth:
         raise ValueError(
             f"sweep depth {depths[-1]} exceeds the weight depth {base_depth}")
+    if task == "embed":
+        # keyed by rectangle identity: the deepest table serves every row
+        kern = RectKernel.random_uniform(
+            GridConfig(base_weights[0].config.dims, depths[-1]), kernel_seed)
 
     rows: list[SweepRow] = []
     warm = None
@@ -381,10 +386,9 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
                                       tol=tol, max_sweeps=max_sweeps,
                                       seed=seed, warm_start=warm)
         elif task == "embed":
-            kern = RectKernel.random_uniform(ws[0].config, kernel_seed)
-            est = embed_norm_lower(kern, ws, exponents, tol=tol,
-                                   max_sweeps=max_sweeps, seed=seed,
-                                   warm_start=warm)
+            est = embed_norm_lower(kern.restrict(ws[0].config), ws,
+                                   exponents, tol=tol, max_sweeps=max_sweeps,
+                                   seed=seed, warm_start=warm)
         else:
             est = carleson_norm_lower(ws[0], p, q, tol=tol,
                                       max_sweeps=max_sweeps, seed=seed,

@@ -25,8 +25,12 @@ so along each axis
 * the 3**N shifted families together are all windows, one pass per
   level combination.
 
-Scattering back onto cells is the transposed window followed by
-``np.repeat``.
+Every rectangle sum is scattered back onto cells by ``_spread``, the
+one scatter that pairs with the gather ``_level_tree``: it adds the
+terms of all level combinations (after the transposed window, for the
+window families) in ``level_combos`` order, keeping the running sum
+coarse in the first factor, so each cell gets the additions of the
+term-by-term sum in the same order, bit for bit.
 
 The kernel form's minimal-rectangle masses grow, along each axis, by
 cumulative sums of half-pair cell sums running outward from the anchor
@@ -158,8 +162,46 @@ def level_combos(config: GridConfig):
 def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
     """Spread per-block values (cubes or third-cubes) onto their cells."""
     for ax in range(arr.ndim):
-        arr = np.repeat(arr, config.axis_cells // arr.shape[ax], axis=ax)
+        if arr.shape[ax] < config.axis_cells:
+            arr = np.repeat(arr, config.axis_cells // arr.shape[ax], axis=ax)
     return arr
+
+
+def _spread(config: GridConfig, arrs) -> np.ndarray:
+    """The sum of the ``_upsample`` of every block array in ``arrs``.
+
+    ``arrs`` yields one array per level combination in ``level_combos``
+    order, so the first factor's level never falls.  The terms up to
+    one with first-factor level l0 depend on that factor only through
+    its level-l0 ancestor, so the running sum keeps the first factor at
+    the current block count, doubled by ``np.repeat`` as it rises, and
+    every other factor on cells; each term is added in place through a
+    broadcasting view, and one final ``_upsample`` spreads the first
+    factor onto cells.  Every cell gets the same additions, from 0 and
+    in the same order, as the fold ``out += _upsample(arr)``, so the
+    sum is identical bit for bit.
+    """
+    C = config.axis_cells
+    first = config.factor_axes(0)
+    out = None
+    for arr in arrs:
+        if out is None:
+            out = np.zeros([n if ax in first else C
+                            for ax, n in enumerate(arr.shape)])
+        for ax in first:
+            if out.shape[ax] < arr.shape[ax]:
+                out = np.repeat(out, arr.shape[ax] // out.shape[ax], axis=ax)
+        view, term = [], []
+        for ax, n in enumerate(arr.shape):
+            if ax in first:
+                view.append(n)
+                term.append(n)
+            else:
+                view += [n, C // n]
+                term += [n, 1]
+        fine = out.reshape(view)  # a view: out is contiguous
+        fine += arr.reshape(term)
+    return _upsample(config, out)
 
 
 def _axis_levels(config: GridConfig, levels: tuple[int, ...]) -> list[int]:
@@ -197,30 +239,37 @@ def _windows(arr: np.ndarray, pad: int) -> np.ndarray:
 def _window_coeffs(mu: Weight, alpha: float, family) -> tuple[dict, int]:
     """Per level combination, mu(R)**(alpha/N - 1) on the windows of a family.
 
-    ``family`` slices the padded windows of each axis; windows outside
-    it get coefficient 0.  Also returns the number of zero-mass cubes
-    in the family.
+    ``family`` slices the padded windows of each axis, and only those
+    windows get a coefficient.  Also returns the number of zero-mass
+    cubes in the family.
     """
     N = mu.config.total_dim
     expo = _check_alpha(alpha, N) / N - 1.0
     coeffs, skipped = {}, 0
     for lv, third in build_pyramid(mu.config, mu.cell_masses).items():
-        windows = _windows(third, 2)
-        masses = windows[family]
-        coeffs[lv] = np.zeros_like(windows)
-        coeffs[lv][family] = _neg_power(masses, expo)
+        masses = _windows(third, 2)[family]
+        coeffs[lv] = _neg_power(masses, expo)
         skipped += int((masses <= 0).sum())
     return coeffs, skipped
 
 
-def _window_apply(mu: Weight, coeffs: dict, fv: np.ndarray) -> np.ndarray:
-    """sum_R coeff(R) 1_R int_R f dmu over the windows carrying coefficients."""
+def _window_apply(mu: Weight, coeffs: dict, family,
+                  fv: np.ndarray) -> np.ndarray:
+    """sum_R coeff(R) 1_R int_R f dmu over the windows of ``family``.
+
+    The other windows carry no term: they stay 0 in the array that the
+    pad-0 window transposes.
+    """
     cfg = mu.config
     pyr = build_pyramid(cfg, mu.cell_masses * fv)
-    out = np.zeros_like(fv)
-    for lv in level_combos(cfg):
-        out += _upsample(cfg, _windows(coeffs[lv] * _windows(pyr[lv], 2), 0))
-    return out
+
+    def term(lv):
+        windows = _windows(pyr[lv], 2)
+        kept = np.zeros_like(windows)
+        kept[family] = coeffs[lv] * windows[family]
+        return _windows(kept, 0)
+
+    return _spread(cfg, (term(lv) for lv in level_combos(cfg)))
 
 
 @dataclass(frozen=True)
@@ -289,17 +338,31 @@ class RectKernel:
         Hash-based, so a rectangle keeps its value across different
         depths: nested truncated families see consistent kernels.
         """
-        key = int(seed).to_bytes(8, "little", signed=True)
+        keyed = hashlib.blake2b(
+            digest_size=8, key=int(seed).to_bytes(8, "little", signed=True))
         tables = {}
         for levels in level_combos(config):
             shape = tuple(1 << k for k in _axis_levels(config, levels))
-            arr = np.empty(shape)
-            for idx in np.ndindex(shape):
-                token = repr((levels, idx)).encode()
-                h = hashlib.blake2b(token, digest_size=8, key=key).digest()
-                arr[idx] = int.from_bytes(h, "little") / 2.0 ** 64
-            tables[levels] = arr
+            digests = bytearray()
+            for idx in itertools.product(*map(range, shape)):
+                h = keyed.copy()
+                h.update(repr((levels, idx)).encode())
+                digests += h.digest()
+            words = np.frombuffer(digests, "<u8")
+            tables[levels] = (words / 2.0 ** 64).reshape(shape)
         return cls(config, tables)
+
+    def restrict(self, config: GridConfig) -> "RectKernel":
+        """The same kernel on the family of a shallower ``config``.
+
+        Meaningful for kernels keyed by rectangle identity
+        (``random_uniform``, ``indicator``), whose values do not depend
+        on the depth.
+        """
+        if config.dims != self.config.dims or config.depth > self.config.depth:
+            raise ValueError("can only restrict to a shallower family")
+        return RectKernel(config, {lv: self.tables[lv]
+                                   for lv in level_combos(config)})
 
 
 def mlinear_form(kernel, sigmas, fs) -> float:
@@ -324,10 +387,8 @@ def apply_positive(kernel, sigma: Weight, f: GridFunction) -> GridFunction:
     cfg = _check_same_grid(sigma, f)
     kernel = RectKernel.coerce(kernel, cfg)
     tree = build_mass_tree(cfg, sigma.cell_masses * f.values)
-    out = np.zeros_like(f.values)
-    for levels in level_combos(cfg):
-        out += _upsample(cfg, kernel.tables[levels] * tree[levels])
-    return GridFunction(cfg, out)
+    return GridFunction(cfg, _spread(cfg, (kernel.tables[lv] * tree[lv]
+                                           for lv in level_combos(cfg))))
 
 
 def _empty_diagnostics(config: GridConfig) -> dict:
@@ -352,11 +413,11 @@ def apply_frac_dyadic(mu: Weight, alpha: float, f: GridFunction, tau=None,
         if len(tau) != N or any(t not in (-1, 0, 1) for t in tau):
             raise ValueError("tau must assign -1, 0 or +1 per axis")
     # family s on an axis is every third window, starting at (s + 2) % 3
-    coeffs, skipped = _window_coeffs(
-        mu, alpha, tuple(slice((s + 2) % 3, None, 3) for s in tau))
+    family = tuple(slice((s + 2) % 3, None, 3) for s in tau)
+    coeffs, skipped = _window_coeffs(mu, alpha, family)
     diag = _empty_diagnostics(cfg)
     diag["skipped_terms"] = skipped
-    gf = GridFunction(cfg, _window_apply(mu, coeffs, f.values))
+    gf = GridFunction(cfg, _window_apply(mu, coeffs, family, f.values))
     return (gf, diag) if return_diagnostics else gf
 
 
@@ -367,9 +428,9 @@ def shifted_sum_map(mu: Weight, alpha: float):
     over all windows of each level combination covers every family.
     The returned map acts on cell arrays and is self-adjoint in L^2(mu).
     """
-    coeffs, _ = _window_coeffs(mu, alpha,
-                               (slice(None),) * mu.config.total_dim)
-    return lambda fv: _window_apply(mu, coeffs, fv)
+    family = (slice(None),) * mu.config.total_dim
+    coeffs, _ = _window_coeffs(mu, alpha, family)
+    return lambda fv: _window_apply(mu, coeffs, family, fv)
 
 
 def perez_maps(mu: Weight, alpha: float):
@@ -384,17 +445,13 @@ def perez_maps(mu: Weight, alpha: float):
 
     def forward(fv):
         tree = build_mass_tree(cfg, cm * fv)
-        out = np.zeros_like(fv)
-        for lv in level_combos(cfg):
-            out += _upsample(cfg, hls[lv] * _windows(tree[lv], 1))
-        return out
+        return _spread(cfg, (hls[lv] * _windows(tree[lv], 1)
+                             for lv in level_combos(cfg)))
 
     def adjoint(gv):
         tree = build_mass_tree(cfg, cm * gv)
-        out = np.zeros_like(gv)
-        for lv in level_combos(cfg):
-            out += _upsample(cfg, _windows(hls[lv] * tree[lv], 1))
-        return out
+        return _spread(cfg, (_windows(hls[lv] * tree[lv], 1)
+                             for lv in level_combos(cfg)))
 
     return forward, adjoint
 

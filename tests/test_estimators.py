@@ -250,6 +250,17 @@ class TestCarlesonNormLower:
         assert_monotone(est.history)
         assert est.value == est.history[-1]
 
+    def test_history_pinned(self):
+        # recorded when the gradient added one full-size upsampled term
+        # per level combination
+        w = gen_cascade(GridConfig((1, 1), 5), 2.0, 1)
+        est = carleson_norm_lower(w, 2.0, 4.0, max_sweeps=8)
+        assert est.sweeps == 8
+        assert est.history == [
+            4.167504900995389, 4.5976303971714705, 5.103641091676934,
+            5.513958698842868, 5.834186330724673, 6.2414950830713085,
+            6.860085630991607, 7.530317811594731, 7.929199500533869]
+
     def test_growth_against_testing_power(self):
         w = gen_cascade(GridConfig((1, 1), 4), 2.0, 31)
         est = carleson_norm_lower(w, 2.0, 4.0)
@@ -325,6 +336,21 @@ class TestDepthSweep:
             else:
                 c2 = carleson_testing_constant(wk, 2.0, 4.0)
             assert r.c2 == c2.value
+
+    def test_embed_hashes_kernel_once(self, cascade_square, monkeypatch):
+        hashed = []
+        random_uniform = RectKernel.random_uniform
+
+        def counted(cfg, seed):
+            hashed.append(cfg)
+            return random_uniform(cfg, seed)
+
+        monkeypatch.setattr(RectKernel, "random_uniform", counted)
+        w = cascade_square
+        rows = depth_sweep("embed", (1, 2, 3), weights=(w, w), kernel_seed=7,
+                           max_sweeps=3)
+        assert hashed == [GridConfig(w.config.dims, 3)]
+        assert len(rows) == 3
 
     def test_depth_beyond_weight_rejected(self, cascade_square):
         with pytest.raises(ValueError, match="depth"):

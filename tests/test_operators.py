@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -80,6 +81,84 @@ class TestMlinearForm:
 def _hash_kernel(cfg, seed):
     kern = RectKernel.random_uniform(cfg, seed)
     return lambda rect: kern.value(rect)
+
+
+# shapes of the scatter tests: one factor, one 2-d factor, and mixed
+# factor dimensions with the first factor taller or shorter
+SPREAD_CASES = [((1,), 5), ((2,), 3), ((1, 1), 4), ((2, 1), 2), ((1, 2), 2),
+                ((1, 1, 1), 2)]
+
+
+def _block_arrays(cfg, blocks, rng):
+    """Positive arrays of ``blocks * 2**k`` entries per axis at level k.
+
+    ``blocks`` 1 gives mass-tree shapes, 3 the third-cube pyramid's.
+    Magnitudes span 12 decades, so any change in the order of the
+    additions shows in the low bits.
+    """
+    arrs = []
+    for lv in operators.level_combos(cfg):
+        shape = [blocks << k for k in operators._axis_levels(cfg, lv)]
+        arrs.append(rng.random(shape) * 10.0 ** rng.integers(-6, 7, shape))
+    return arrs
+
+
+def _per_cell_random_uniform(cfg, seed):
+    """One keyed hash per table entry: the reference for random_uniform."""
+    key = int(seed).to_bytes(8, "little", signed=True)
+    tables = {}
+    for levels in operators.level_combos(cfg):
+        shape = tuple(1 << k for k in operators._axis_levels(cfg, levels))
+        arr = np.empty(shape)
+        for idx in np.ndindex(shape):
+            token = repr((levels, idx)).encode()
+            h = hashlib.blake2b(token, digest_size=8, key=key).digest()
+            arr[idx] = int.from_bytes(h, "little") / 2.0 ** 64
+        tables[levels] = arr
+    return tables
+
+
+class TestSpread:
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("dims,depth", SPREAD_CASES)
+    def test_equals_upsample_fold(self, dims, depth, blocks):
+        cfg = GridConfig(dims, depth)
+        arrs = _block_arrays(cfg, blocks, np.random.default_rng(depth))
+        fold = np.zeros((cfg.axis_cells,) * cfg.total_dim)
+        for arr in arrs:
+            fold += operators._upsample(cfg, arr)
+        out = operators._spread(cfg, iter(arrs))
+        assert np.array_equal(out, fold)
+
+
+class TestRandomUniform:
+    @pytest.mark.parametrize("seed", [0, 9, -5])
+    @pytest.mark.parametrize("dims,depth", [((1,), 6), ((2,), 3), ((1, 1), 4),
+                                            ((2, 1), 2), ((1, 1, 1), 3)])
+    def test_matches_per_cell_hash(self, dims, depth, seed):
+        cfg = GridConfig(dims, depth)
+        tables = RectKernel.random_uniform(cfg, seed).tables
+        expect = _per_cell_random_uniform(cfg, seed)
+        assert list(tables) == list(expect)
+        for lv, arr in expect.items():
+            assert np.array_equal(tables[lv], arr)
+
+    def test_restricted_equals_fresh(self):
+        deep = RectKernel.random_uniform(GridConfig((1, 1), 4), -5)
+        for depth in (1, 3, 4):
+            cfg = GridConfig((1, 1), depth)
+            small = deep.restrict(cfg)
+            fresh = RectKernel.random_uniform(cfg, -5)
+            assert small.config == cfg
+            assert list(small.tables) == list(fresh.tables)
+            for lv, arr in fresh.tables.items():
+                assert np.array_equal(small.tables[lv], arr)
+
+    def test_restrict_refuses_other_families(self):
+        kern = RectKernel.random_uniform(GridConfig((1, 1), 3), 0)
+        for cfg in (GridConfig((1, 1), 4), GridConfig((2,), 2)):
+            with pytest.raises(ValueError, match="shallower"):
+                kern.restrict(cfg)
 
 
 class TestApplyPositive:
