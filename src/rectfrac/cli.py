@@ -29,8 +29,8 @@ from pathlib import Path
 from . import __version__
 from .conditions import (condition_d_constant, doubling_constant,
                          fp_constant, reverse_doubling_constant)
-from .estimators import OPERATOR_FORMS, depth_sweep, rows_to_csv
-from .operators import ExponentConfig, RectKernel
+from .estimators import depth_sweep, rows_to_csv
+from .operators import OPERATOR_FORMS, ExponentConfig, RectKernel
 from .studies import (kernel_equiv_study, sample_distinct_pairs, scale_pairs,
                       shift_cover_report)
 from .weights import (GridConfig, gen_cascade, gen_power, gen_uniform,
@@ -54,10 +54,12 @@ def _num_list(text: str) -> tuple[float, ...]:
 
 def _depth_list(text: str) -> tuple[int, ...]:
     """Parse '3:6' (inclusive range) or '3,4,6'."""
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
+    if ":" not in text:
+        return tuple(int(t) for t in text.split(","))
+    lo, hi = (int(t) for t in text.split(":"))
+    if hi < lo:
+        raise ValueError(f"the depth range {text!r} is empty")
+    return tuple(range(lo, hi + 1))
 
 
 def _sha256(path) -> str:
@@ -276,6 +278,8 @@ def _cmd_carleson(args) -> int:
 
 
 def _cmd_kernel_equiv(args) -> int:
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
     w = load_weight(args.weight)
     depths = sorted(set(_depth_list(args.depths)))
     if depths[-1] > w.config.depth:

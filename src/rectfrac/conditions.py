@@ -22,8 +22,8 @@ import numpy as np
 
 from .grids import DyadicCube, GridConfig, cube_to_json, rect_to_json, \
     standard_rect
-from .operators import ExponentError, RectKernel, check_mlinear_exponents, \
-    level_combos
+from .operators import ExponentError, RectKernel, _neg_power, \
+    check_mlinear_exponents, level_combos
 from .weights import Weight, _sum_blocks
 
 
@@ -220,9 +220,7 @@ def fp_constant(kernel, weights, exponents) -> ConstantReport:
     for levels in level_combos(cfg):
         arr = kernel.tables[levels].copy()
         for w, ce in zip(weights, conj_exps):
-            m = w.mass_tree[levels]
-            pos = m > 0
-            arr = arr * np.where(pos, np.where(pos, m, 1.0) ** ce, 0.0)
+            arr = arr * _neg_power(w.mass_tree[levels], ce)
         scanned += arr.size
         flat = int(np.argmax(arr))
         val = float(arr.flat[flat])

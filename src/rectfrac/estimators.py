@@ -21,13 +21,15 @@ A multilinear density keeps each argument's mass tree between steps
 and rebuilds it whenever that argument is a new array, so a restarted
 run reads no tree of the run before.  (The cell-quadrature kernel form
 excludes same-coordinate pairs, so the indicator identity does not
-transfer to it; that form runs without the restart.)  The Carleson
-functional is convex rather than linear in f; it keeps its own
-linearized step and shares the restart.
+transfer to it; that form reports the testing constant but runs
+without the restart.)  The Carleson functional is convex rather than
+linear in f; it keeps its own linearized step and shares the restart.
 
-The kernel form's adjoint is its forward map: ``kernel_map`` mirrors
-every kernel matrix it builds from the upper triangle, so the kernel
-is symmetric bit for bit, factored or dense.
+The perez, shifted-sum and kernel forms ascend ``<Tf, g>`` with the
+``forward`` and ``adjoint`` maps of one ``operators.plan``, whose
+coefficients are computed once per bound.  The dyadic form stays the
+bilinear embedding of ``embed_norm_lower``, whose steps run in the
+embedding's order.
 
 Determinism: for fixed inputs all computations are fixed-order numpy
 reductions, and the densities and the Carleson gradient are scattered
@@ -47,11 +49,8 @@ from .conditions import carleson_testing_constant, fp_constant
 from .grids import GridConfig, rect_from_json
 from .operators import (ExponentConfig, ExponentError, RectKernel,
                         _check_same_grid, _neg_power, _spread,
-                        check_mlinear_exponents, kernel_map, level_combos,
-                        perez_maps, shifted_sum_map)
+                        check_mlinear_exponents, level_combos, plan)
 from .weights import GridFunction, Weight, build_mass_tree
-
-OPERATOR_FORMS = ("dyadic", "perez", "kernel", "shifted-sum")
 
 
 @dataclass
@@ -210,14 +209,11 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
 
     The dyadic form is the bilinear embedding of ``embed_norm_lower``
     with the HLS kernel.  The others ascend ``<Tf, g>`` by taking g
-    from ``forward(f)`` and then f from ``adjoint(g)``.
+    from the plan's ``forward(f)`` and then f from its ``adjoint(g)``.
     """
     ec = ExponentConfig(float(alpha), float(p), float(q),
                         mu.config.total_dim)
-    key = form.replace("_", "-")
-    if key not in OPERATOR_FORMS:
-        raise ValueError(f"unknown operator form {form!r}; "
-                         f"choose from {OPERATOR_FORMS}")
+    key = form.replace("_", "-")  # ``plan`` refuses an unknown form
     cfg = mu.config
     params = {"form": key, "alpha": ec.alpha, "p": ec.p, "q": ec.q,
               "depth": cfg.depth, "c2": None, "tol": tol,
@@ -230,15 +226,9 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
         est.params = {**params, "c2": est.params["c2"]}
         return est
 
-    if key == "kernel":
-        forward = adjoint = kernel_map(mu, ec.alpha)
-    elif key == "perez":
-        forward, adjoint = perez_maps(mu, ec.alpha)
-    else:
-        forward = adjoint = shifted_sum_map(mu, ec.alpha)
-    cm = mu.cell_masses
-    steps = [(1, lambda fs: forward(fs[0]), cm, ec.q - 1.0, ec.q_conj),
-             (0, lambda fs: adjoint(fs[1]), cm, ec.p_conj - 1.0, ec.p)]
+    op, cm = plan(mu, ec.alpha, key), mu.cell_masses
+    steps = [(1, lambda fs: op.forward(fs[0]), cm, ec.q - 1.0, ec.q_conj),
+             (0, lambda fs: op.adjoint(fs[1]), cm, ec.p_conj - 1.0, ec.p)]
 
     def run(init):
         return _ascend(steps, init, tol, max_sweeps)
@@ -247,10 +237,10 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
         result = run([warm_start[0].values, warm_start[-1].values])
     else:
         result = run([np.ones_like(mu.density)] * 2)
+    c2 = fp_constant(RectKernel.hls(mu, ec.alpha), (mu, mu),
+                     (ec.p, ec.q_conj))
+    params["c2"] = c2.value
     if key != "kernel":
-        c2 = fp_constant(RectKernel.hls(mu, ec.alpha), (mu, mu),
-                         (ec.p, ec.q_conj))
-        params["c2"] = c2.value
         result = _restart(run, result, c2, cfg)
     fs, history, sweeps, converged = result
     return NormEstimate(history[-1], tuple(GridFunction(cfg, f) for f in fs),
@@ -352,6 +342,8 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
     files byte-reproducible by default.
     """
     depths = sorted({int(k) for k in depths})
+    if not depths:
+        raise ValueError("a depth sweep needs at least one depth")
     if task not in ("hls", "embed", "carleson"):
         raise ValueError(f"unknown sweep task {task!r}")
     if task == "embed":
@@ -393,12 +385,7 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
             est = carleson_norm_lower(ws[0], p, q, tol=tol,
                                       max_sweeps=max_sweeps, seed=seed,
                                       warm_start=warm)
-        # the estimator scanned the testing constant for its restart,
-        # except the kernel form, which runs none
-        c2 = est.params["c2"]
-        if c2 is None:
-            c2 = fp_constant(RectKernel.hls(ws[0], ec.alpha), (ws[0], ws[0]),
-                             (ec.p, ec.q_conj)).value
+        c2 = est.params["c2"]  # the estimator's testing constant
         dt = time.perf_counter() - t0
         warm = est.maximizers
         if c2 > 0:

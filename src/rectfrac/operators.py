@@ -12,13 +12,21 @@ exponent 0 < alpha < N are provided on the truncated families:
   pair arrays, kernel_sum for one pair, shift_bound_ratio) used by the
   equivalence studies.
 
+Each form of a weight and exponent is one ``plan``: a ``FormPlan``
+with ``forward`` and ``adjoint`` maps on cell arrays and its
+``skipped_terms`` and ``excluded_pairs`` counts, the same four fields
+for every form, with the coefficients computed once.  ``apply_*`` build
+a plan and apply its forward map (``apply_frac_kernel`` stays the
+row-by-row reference), and the estimators ascend with its two maps.
+
 Kernels on the standard family are tabulated per level combination
-(``RectKernel``) on the mass tree, which keeps the multilinear form and
-the positive operator fully vectorized.  The shifted and tripled
-families share one primitive: width-3 window sums (``_windows``) over
-the standard cubes or over the third-cube pyramid.  A level-k cube with
-shift s and index m is the run of three third-cubes starting at 3m + s,
-so along each axis
+(``RectKernel``) on the mass tree, which keeps the multilinear form,
+the positive operator and the standard-family plans (the dyadic form
+with tau = 0 and the enlarged-region form) fully vectorized.  The
+shifted and tripled families share one primitive: width-3 window sums
+(``_windows``) over the standard cubes or over the third-cube pyramid.
+A level-k cube with shift s and index m is the run of three
+third-cubes starting at 3m + s, so along each axis
 
 * the family with shift s is every third window, from (s + 2) % 3 on;
 * the triple 3R of a standard cube is a width-3 window of standard cubes;
@@ -36,13 +44,12 @@ The kernel form's minimal-rectangle masses grow, along each axis, by
 cumulative sums of half-pair cell sums running outward from the anchor
 cell.  For a weight with per-axis factors, mu(R(x,y)) is the product
 of per-axis interval masses, so the kernel is the Kronecker product of
-one C x C matrix per axis (``kernel_factor``), and ``kernel_map``
+one C x C matrix per axis (``kernel_factor``), and the kernel plan
 applies it as one mode product per axis: no C**N x C**N matrix is
 built.  Any other weight falls back to the dense ``kernel_matrix``,
 filled one anchor cell at a time (``_kernel_rows``) and refused before
 it allocates past ``KERNEL_MATRIX_BUDGET`` bytes.  Both are powered on
 their upper triangle and mirrored, so the kernel is exactly symmetric.
-``apply_frac_kernel`` is the row-by-row reference.
 
 Masses and integrals are formed by additions only, so a mass raised
 to the negative power alpha/N - 1 keeps its relative accuracy.
@@ -56,6 +63,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +74,7 @@ from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 EXPONENT_TOL = 1e-12
 KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a dense kernel matrix may take
 FACTOR_ROWS = 128  # rows of a kernel factor summed and powered at once
+OPERATOR_FORMS = ("dyadic", "perez", "kernel", "shifted-sum")
 
 
 class ExponentError(ValueError):
@@ -236,42 +245,6 @@ def _windows(arr: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-def _window_coeffs(mu: Weight, alpha: float, family) -> tuple[dict, int]:
-    """Per level combination, mu(R)**(alpha/N - 1) on the windows of a family.
-
-    ``family`` slices the padded windows of each axis, and only those
-    windows get a coefficient.  Also returns the number of zero-mass
-    cubes in the family.
-    """
-    N = mu.config.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
-    coeffs, skipped = {}, 0
-    for lv, third in build_pyramid(mu.config, mu.cell_masses).items():
-        masses = _windows(third, 2)[family]
-        coeffs[lv] = _neg_power(masses, expo)
-        skipped += int((masses <= 0).sum())
-    return coeffs, skipped
-
-
-def _window_apply(mu: Weight, coeffs: dict, family,
-                  fv: np.ndarray) -> np.ndarray:
-    """sum_R coeff(R) 1_R int_R f dmu over the windows of ``family``.
-
-    The other windows carry no term: they stay 0 in the array that the
-    pad-0 window transposes.
-    """
-    cfg = mu.config
-    pyr = build_pyramid(cfg, mu.cell_masses * fv)
-
-    def term(lv):
-        windows = _windows(pyr[lv], 2)
-        kept = np.zeros_like(windows)
-        kept[family] = coeffs[lv] * windows[family]
-        return _windows(kept, 0)
-
-    return _spread(cfg, (term(lv) for lv in level_combos(cfg)))
-
-
 @dataclass(frozen=True)
 class RectKernel:
     """A nonnegative kernel tabulated on the standard truncated family."""
@@ -391,9 +364,12 @@ def apply_positive(kernel, sigma: Weight, f: GridFunction) -> GridFunction:
                                            for lv in level_combos(cfg))))
 
 
-def _empty_diagnostics(config: GridConfig) -> dict:
-    return {"skipped_terms": 0, "excluded_pairs": 0,
-            "truncation_depth": config.depth}
+def _report(cfg: GridConfig, values, skipped, excluded, return_diagnostics):
+    """An applied form on cells, with its counts when asked for."""
+    gf = GridFunction(cfg, values)
+    diag = {"skipped_terms": skipped, "excluded_pairs": excluded,
+            "truncation_depth": cfg.depth}
+    return (gf, diag) if return_diagnostics else gf
 
 
 def apply_frac_dyadic(mu: Weight, alpha: float, f: GridFunction, tau=None,
@@ -405,67 +381,18 @@ def apply_frac_dyadic(mu: Weight, alpha: float, f: GridFunction, tau=None,
     rectangles are skipped and counted in the diagnostics.
     """
     cfg = _check_same_grid(mu, f)
-    N = cfg.total_dim
-    if tau is None:
-        tau = (0,) * N
-    else:
-        tau = tuple(int(t) for t in tau)
-        if len(tau) != N or any(t not in (-1, 0, 1) for t in tau):
-            raise ValueError("tau must assign -1, 0 or +1 per axis")
-    # family s on an axis is every third window, starting at (s + 2) % 3
-    family = tuple(slice((s + 2) % 3, None, 3) for s in tau)
-    coeffs, skipped = _window_coeffs(mu, alpha, family)
-    diag = _empty_diagnostics(cfg)
-    diag["skipped_terms"] = skipped
-    gf = GridFunction(cfg, _window_apply(mu, coeffs, family, f.values))
-    return (gf, diag) if return_diagnostics else gf
-
-
-def shifted_sum_map(mu: Weight, alpha: float):
-    """The sum of the dyadic forms over all 3**N shifted families.
-
-    Every padded window is a cube of exactly one family, so one pass
-    over all windows of each level combination covers every family.
-    The returned map acts on cell arrays and is self-adjoint in L^2(mu).
-    """
-    family = (slice(None),) * mu.config.total_dim
-    coeffs, _ = _window_coeffs(mu, alpha, family)
-    return lambda fv: _window_apply(mu, coeffs, family, fv)
-
-
-def perez_maps(mu: Weight, alpha: float):
-    """Forward and adjoint of the enlarged-region form on cell arrays.
-
-    Coefficients are ``RectKernel.hls``.  The forward map integrates f
-    over 3R as the width-3 window over the standard cubes; the adjoint
-    spreads each cube's term over its triple by the same window.
-    """
-    cfg, cm = mu.config, mu.cell_masses
-    hls = RectKernel.hls(mu, alpha).tables
-
-    def forward(fv):
-        tree = build_mass_tree(cfg, cm * fv)
-        return _spread(cfg, (hls[lv] * _windows(tree[lv], 1)
-                             for lv in level_combos(cfg)))
-
-    def adjoint(gv):
-        tree = build_mass_tree(cfg, cm * gv)
-        return _spread(cfg, (_windows(hls[lv] * tree[lv], 1)
-                             for lv in level_combos(cfg)))
-
-    return forward, adjoint
+    op = plan(mu, alpha, "dyadic", tau)
+    return _report(cfg, op.forward(f.values), op.skipped_terms,
+                   op.excluded_pairs, return_diagnostics)
 
 
 def apply_perez(mu: Weight, alpha: float, f: GridFunction,
                 return_diagnostics: bool = False):
     """Fractional sum over standard rectangles with integration over 3R."""
     cfg = _check_same_grid(mu, f)
-    forward, _ = perez_maps(mu, alpha)
-    diag = _empty_diagnostics(cfg)
-    diag["skipped_terms"] = sum(int((m <= 0).sum())
-                                for m in mu.mass_tree.values())
-    gf = GridFunction(cfg, forward(f.values))
-    return (gf, diag) if return_diagnostics else gf
+    op = plan(mu, alpha, "perez")
+    return _report(cfg, op.forward(f.values), op.skipped_terms,
+                   op.excluded_pairs, return_diagnostics)
 
 
 def _outward_cumsum(h: np.ndarray, ax: int, xi: int) -> np.ndarray:
@@ -521,11 +448,8 @@ def apply_frac_kernel(mu: Weight, alpha: float, f: GridFunction,
     for x, masses in _kernel_rows(mu):
         out[x] = float(np.vdot(_neg_power(masses, expo), fw))
         zeros += int((masses <= 0).sum())
-    diag = _empty_diagnostics(cfg)
-    diag["excluded_pairs"] = C ** N * (C ** N - (C - 1) ** N)
-    diag["skipped_terms"] = zeros - diag["excluded_pairs"]
-    gf = GridFunction(cfg, out)
-    return (gf, diag) if return_diagnostics else gf
+    excluded = C ** N * (C ** N - (C - 1) ** N)
+    return _report(cfg, out, zeros - excluded, excluded, return_diagnostics)
 
 
 def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
@@ -578,26 +502,70 @@ def kernel_factor(masses: np.ndarray, expo: float) -> np.ndarray:
     return F
 
 
-def kernel_map(mu: Weight, alpha: float):
-    """The kernel form's forward map on cell arrays.
+@dataclass(frozen=True)
+class FormPlan:
+    """One fractional integral form of one weight, ready to apply.
 
-    Maps f to sum_y mu(R(x,y))**(alpha/N-1) f(y) mu(cell_y) at every
-    cell centre x, as ``apply_frac_kernel`` does.  For a weight with
-    per-axis factors the kernel is the Kronecker product of the
-    ``kernel_factor`` matrices, applied as one mode product per axis;
-    any other weight falls back to ``kernel_matrix``.  The kernel is
-    exactly symmetric, so the map is its own adjoint in L^2(mu).
+    ``forward`` and ``adjoint`` map cell arrays to cell arrays; the
+    adjoint is taken in L^2(mu), and every form but perez is its own
+    adjoint.  ``skipped_terms`` counts the zero-mass rectangles summed
+    over (for the kernel form, the zero-mass pairs that are not
+    excluded), ``excluded_pairs`` the kernel form's pairs that share a
+    coordinate.
     """
-    cm = mu.cell_masses
+
+    forward: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    skipped_terms: int
+    excluded_pairs: int = 0
+
+
+def _window_plan(mu: Weight, expo: float, family) -> FormPlan:
+    """The sum over the third-cube windows that ``family`` slices.
+
+    Only those windows get a coefficient; the others carry 0 into the
+    array that the pad-0 window transposes.
+    """
+    cfg = mu.config
+    coeffs, skipped = {}, 0
+    for lv, third in build_pyramid(cfg, mu.cell_masses).items():
+        masses = _windows(third, 2)
+        coeffs[lv] = np.zeros_like(masses)
+        coeffs[lv][family] = _neg_power(masses[family], expo)
+        skipped += int((masses[family] <= 0).sum())
+
+    def apply(fv):
+        pyr = build_pyramid(cfg, mu.cell_masses * fv)
+        return _spread(cfg, (_windows(coeffs[lv] * _windows(pyr[lv], 2), 0)
+                             for lv in level_combos(cfg)))
+
+    return FormPlan(apply, apply, skipped)
+
+
+def _kernel_plan(mu: Weight, alpha: float, expo: float) -> FormPlan:
+    """The kernel form, by Kronecker factors when the weight has them.
+
+    Counts come without a pass over a factor: the excluded pairs by
+    their closed form, and, per axis, the centres i < j whose interval
+    mass is 0 -- those with no positive half-pair sum between them,
+    where the running count of positive ones ties at i and j.  Only
+    the dense fallback counts the zeros of its matrix.
+    """
+    cm, N, C = mu.cell_masses, mu.config.total_dim, mu.config.axis_cells
+    excluded = C ** N * (C ** N - (C - 1) ** N)
     if mu.factors is None:
         A = kernel_matrix(mu, alpha)
-        return lambda fv: (A @ (fv * cm).ravel()).reshape(fv.shape)
-    N = mu.config.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
+        skipped = A.size - int(np.count_nonzero(A)) - excluded
+        dense = lambda fv: (A @ (fv * cm).ravel()).reshape(fv.shape)
+        return FormPlan(dense, dense, skipped, excluded)
     # the weight's cell volume per axis, so that at N = 1 the factor's
     # masses are the weight's cell masses bit for bit
-    step = float(mu.config.axis_cells) ** -1
-    mats = [kernel_factor(a * step, expo) for a in mu.factors]
+    masses = [a * float(C) ** -1 for a in mu.factors]
+    mats = [kernel_factor(m, expo) for m in masses]
+    ties = [np.bincount(np.cumsum(np.r_[0, (m[:-1] + m[1:]) / 2 > 0]))
+            for m in masses]
+    skipped = (C * (C - 1)) ** N - math.prod(
+        C * (C - 1) - int((t * (t - 1)).sum()) for t in ties)
 
     def forward(fv):
         out = fv * cm
@@ -605,7 +573,57 @@ def kernel_map(mu: Weight, alpha: float):
             out = np.moveaxis(np.tensordot(F, out, axes=(1, ax)), 0, ax)
         return out
 
-    return forward
+    return FormPlan(forward, forward, skipped, excluded)
+
+
+def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
+    """The plan of one of the ``OPERATOR_FORMS``.
+
+    Coefficients are computed once, here.  The dyadic form sums over
+    the family with shift ``tau`` (standard by default); on the
+    standard family it and the perez form read the weight's mass tree
+    with ``RectKernel.hls`` coefficients, and only the shifted families
+    and their sum build the third-cube pyramid.  The kernel form takes
+    the Kronecker factors of a weight that has them, one mode product
+    per axis, and the dense ``kernel_matrix`` otherwise.
+    """
+    if form not in OPERATOR_FORMS:
+        raise ValueError(f"unknown operator form {form!r}; "
+                         f"choose from {OPERATOR_FORMS}")
+    cfg, cm, N = mu.config, mu.cell_masses, mu.config.total_dim
+    expo = _check_alpha(alpha, N) / N - 1.0
+    if form == "dyadic":
+        tau = (0,) * N if tau is None else tuple(int(t) for t in tau)
+        if len(tau) != N or any(t not in (-1, 0, 1) for t in tau):
+            raise ValueError("tau must assign -1, 0 or +1 per axis")
+    elif tau is not None:
+        raise ValueError("only the dyadic form takes a shift tau")
+    if form == "kernel":
+        return _kernel_plan(mu, alpha, expo)
+    if form == "shifted-sum":
+        # every padded window is a cube of exactly one shifted family
+        return _window_plan(mu, expo, (slice(None),) * N)
+    if form == "dyadic" and any(tau):
+        # family s on an axis is every third window, from (s + 2) % 3 on
+        return _window_plan(mu, expo, tuple(slice((s + 2) % 3, None, 3)
+                                            for s in tau))
+    hls = RectKernel.hls(mu, alpha).tables
+    skipped = sum(int((m <= 0).sum()) for m in mu.mass_tree.values())
+
+    def rect_sum(term):
+        def apply(fv):
+            tree = build_mass_tree(cfg, cm * fv)
+            return _spread(cfg, (term(hls[lv], tree[lv])
+                                 for lv in level_combos(cfg)))
+        return apply
+
+    if form == "dyadic":
+        dyadic = rect_sum(np.multiply)
+        return FormPlan(dyadic, dyadic, skipped)
+    # integrating f over 3R is the width-3 window over the standard
+    # cubes; the adjoint spreads each cube's term over 3R the same way
+    return FormPlan(rect_sum(lambda c, m: c * _windows(m, 1)),
+                    rect_sum(lambda c, m: _windows(c * m, 1)), skipped)
 
 
 def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:
@@ -658,8 +676,8 @@ def shift_bound_ratio(mu: Weight, alpha: float, f: GridFunction) -> float:
     where both vanish are skipped; 0 if every cell is skipped).
     """
     _check_same_grid(mu, f)
-    num = apply_perez(mu, alpha, f).values
-    den = shifted_sum_map(mu, alpha)(f.values)
+    num = plan(mu, alpha, "perez").forward(f.values)
+    den = plan(mu, alpha, "shifted-sum").forward(f.values)
     live = ~((num == 0) & (den == 0))
     if not live.any():
         return 0.0

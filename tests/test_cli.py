@@ -162,6 +162,40 @@ class TestSweeps:
         assert code == 2
 
 
+class TestBadRanges:
+    @pytest.fixture()
+    def line_file(self, tmp_path):
+        out = tmp_path / "w.json"
+        assert run(["gen-weight", "--kind", "cascade", "--dims", "1",
+                    "--depth", "5", "--rho", "2", "--seed", "1",
+                    "--out", out]) == 0
+        return out
+
+    @pytest.mark.parametrize("cmd,depths", [
+        (["hls", "--alpha", "0.5", "--p", "4/3"], "5:3"),
+        (["embed-norm", "--exponents", "2,2"], "5:4"),
+        (["carleson", "--p", "2", "--q", "4"], "5:4"),
+        (["kernel-equiv", "--alpha", "0.5"], "5:4")])
+    def test_empty_depth_range_is_one_error_line(self, line_file, capsys,
+                                                 cmd, depths):
+        src = ["--weights", f"{line_file},{line_file}"] \
+            if cmd[0] == "embed-norm" else ["--weight", line_file]
+        capsys.readouterr()
+        code = run([cmd[0], *src, *cmd[1:], "--depths", depths])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: the depth range '{depths}' is empty"]
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_pairs_below_one_refused(self, line_file, capsys, pairs):
+        capsys.readouterr()
+        code = run(["kernel-equiv", "--weight", line_file, "--alpha", "0.5",
+                    "--pairs", pairs, "--depths", "4:5"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: --pairs must be at least 1, got {pairs}"]
+
+
 class TestStudies:
     def test_shift_cover_clean(self, tmp_path, capsys):
         rep = tmp_path / "sc.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -196,7 +197,7 @@ class TestOperatorNormLower:
                                    "tol", "max_sweeps"}
         assert est.params["form"] == form
         assert est.params["max_sweeps"] == 7
-        assert (est.params["c2"] is None) == (form == "kernel")
+        assert isinstance(est.params["c2"], float)
 
     def test_one_forward_and_one_adjoint_per_sweep(self, cascade_square,
                                                    monkeypatch):
@@ -208,15 +209,17 @@ class TestOperatorNormLower:
                 return fn(fv)
             return wrapper
 
-        perez_maps = estimators.perez_maps
-        shifted_sum_map = estimators.shifted_sum_map
-        monkeypatch.setattr(
-            estimators, "perez_maps",
-            lambda mu, alpha: tuple(map(counted, ("forward", "adjoint"),
-                                        perez_maps(mu, alpha))))
-        monkeypatch.setattr(
-            estimators, "shifted_sum_map",
-            lambda mu, alpha: counted("shifted", shifted_sum_map(mu, alpha)))
+        plan = estimators.plan
+
+        def counted_plan(mu, alpha, form):
+            op = plan(mu, alpha, form)
+            names = ("shifted",) * 2 if form == "shifted-sum" else \
+                ("forward", "adjoint")
+            return dataclasses.replace(
+                op, forward=counted(names[0], op.forward),
+                adjoint=counted(names[1], op.adjoint))
+
+        monkeypatch.setattr(estimators, "plan", counted_plan)
         # the cascade's ascent beats its testing value 1: no restart runs
         est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, "perez",
                                   max_sweeps=5)
@@ -356,3 +359,10 @@ class TestDepthSweep:
         with pytest.raises(ValueError, match="depth"):
             depth_sweep("carleson", (2, 9), weight=cascade_square,
                         p=2.0, q=4.0)
+
+    @pytest.mark.parametrize("task", ["hls", "embed", "carleson"])
+    def test_empty_depth_list_rejected(self, cascade_square, task):
+        with pytest.raises(ValueError, match="at least one depth"):
+            depth_sweep(task, (), weight=cascade_square,
+                        weights=(cascade_square, cascade_square),
+                        alpha=0.5, p=4 / 3, q=4.0)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -17,8 +18,8 @@ from rectfrac.bruteforce import (frac_dyadic_direct, mass_direct,
                                  mlinear_direct, perez_direct,
                                  positive_direct)
 from rectfrac import operators
-from rectfrac.operators import (KernelBudgetError, kernel_factor, kernel_map,
-                                kernel_matrix, perez_maps, shifted_sum_map)
+from rectfrac.operators import (KernelBudgetError, kernel_factor,
+                                kernel_matrix, plan)
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 
@@ -322,15 +323,100 @@ class TestAscentMaps:
         rng = np.random.default_rng(22)
         f, g = random_function(cfg, rng), random_function(cfg, rng)
         cm = mu.cell_masses
-        _, adjoint = perez_maps(mu, 0.5)
+        adjoint = plan(mu, 0.5, "perez").adjoint
         lhs = np.sum(apply_perez(mu, 0.5, f).values * g.values * cm)
         rhs = np.sum(f.values * adjoint(g.values) * cm)
         assert lhs == pytest.approx(rhs, rel=1e-12)
         direct = sum(frac_dyadic_direct(mu, 0.5, f, tau).values
                      for tau in itertools.product((-1, 0, 1),
                                                   repeat=cfg.total_dim))
-        np.testing.assert_allclose(shifted_sum_map(mu, 0.5)(f.values), direct,
+        np.testing.assert_allclose(plan(mu, 0.5, "shifted-sum").forward(
+            f.values), direct, rtol=1e-12)
+
+
+def _zero_banded_weight(dims, depth, factored):
+    """A weight with zero-mass runs of cells, with or without factors."""
+    cfg = GridConfig(dims, depth)
+    C = cfg.axis_cells
+    if factored:
+        rng = np.random.default_rng(51)
+        factors = []
+        for ax in range(cfg.total_dim):
+            a = rng.random(C) + 0.5
+            a[:3] = 0.0  # a zero run at the edge ...
+            a[C // 2 - 2 + ax:C // 2 + 2] = 0.0  # ... and one inside
+            factors.append(a)
+        dens = functools.reduce(np.multiply.outer, factors)
+        return Weight(cfg, dens, factors=factors)
+    dens = np.random.default_rng(52).random((C,) * cfg.total_dim) + 0.5
+    dens[:5, :4] = 0.0  # a corner block, not a product pattern
+    dens[9:12, 14:20] = 0.0
+    return Weight(cfg, dens)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("tau", [None, (0, 0)])
+    def test_standard_family_is_the_positive_operator(self, cascade_square,
+                                                      tau):
+        f = random_function(cascade_square.config, np.random.default_rng(3))
+        got = apply_frac_dyadic(cascade_square, 0.5, f, tau)
+        want = apply_positive(RectKernel.hls(cascade_square, 0.5),
+                              cascade_square, f)
+        assert np.array_equal(got.values, want.values)
+
+    def test_diagnostics_have_one_key_set(self, cascade_square):
+        f = GridFunction.ones(cascade_square.config)
+        diags = [apply_frac_dyadic(cascade_square, 0.5, f, tau,
+                                   return_diagnostics=True)[1]
+                 for tau in itertools.product((-1, 0, 1), repeat=2)]
+        diags.append(apply_perez(cascade_square, 0.5, f,
+                                 return_diagnostics=True)[1])
+        diags.append(apply_frac_kernel(cascade_square, 0.5, f,
+                                       return_diagnostics=True)[1])
+        assert len(diags) == 11
+        for diag in diags:
+            assert set(diag) == {"skipped_terms", "excluded_pairs",
+                                 "truncation_depth"}
+
+    @pytest.mark.parametrize("dims,depth,factored", [
+        ((1, 1), 3, True), ((1,), 5, True), ((1, 1, 1), 2, True),
+        ((1, 1), 3, False)])
+    def test_kernel_counts_match_the_reference(self, dims, depth, factored,
+                                               monkeypatch):
+        w = _zero_banded_weight(dims, depth, factored)
+        assert (w.factors is not None) == factored
+        if factored:
+            _no_dense_matrix(monkeypatch)
+        f = random_function(w.config, np.random.default_rng(53))
+        op = plan(w, 0.5, "kernel")
+        ref, diag = apply_frac_kernel(w, 0.5, f, return_diagnostics=True)
+        assert diag["skipped_terms"] > 0
+        assert op.skipped_terms == diag["skipped_terms"]
+        assert op.excluded_pairs == diag["excluded_pairs"]
+        np.testing.assert_allclose(op.forward(f.values), ref.values,
                                    rtol=1e-12)
+
+    def test_counts_of_the_window_forms(self, line_cfg):
+        dens = np.ones(line_cfg.axis_cells)
+        dens[:3] = 0.0  # the level-K cube at the left edge
+        w = Weight(line_cfg, dens)
+        assert plan(w, 0.5, "dyadic").skipped_terms == 1
+        assert plan(w, 0.5, "perez").skipped_terms == 1
+        # shifted by +1/3, the level-K and level-(K-1) cubes that
+        # overhang the left edge meet zero cells only
+        shifted = [plan(w, 0.5, "dyadic", (s,)).skipped_terms
+                   for s in (-1, 0, 1)]
+        assert shifted == [1, 1, 2]
+        # every window is a cube of exactly one family
+        assert plan(w, 0.5, "shifted-sum").skipped_terms == sum(shifted)
+
+    def test_form_and_tau_checked(self, cascade_square):
+        with pytest.raises(ValueError, match="form"):
+            plan(cascade_square, 0.5, "fourier")
+        with pytest.raises(ValueError, match="tau"):
+            plan(cascade_square, 0.5, "perez", (0, 0))
+        with pytest.raises(ValueError, match="tau"):
+            plan(cascade_square, 0.5, "dyadic", (2, 0))
 
 
 class TestKernelForm:
@@ -419,7 +505,7 @@ class TestKernelFactors:
         _no_dense_matrix(monkeypatch)
         rng = np.random.default_rng(41)
         f = random_function(w.config, rng)
-        got = kernel_map(w, 0.5)(f.values)
+        got = plan(w, 0.5, "kernel").forward(f.values)
         np.testing.assert_allclose(got, apply_frac_kernel(w, 0.5, f).values,
                                    rtol=1e-12)
         # the plain pair loop on a few rows, the centre cell included
