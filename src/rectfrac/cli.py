@@ -53,13 +53,18 @@ def _num_list(text: str) -> tuple[float, ...]:
 
 
 def _depth_list(text: str) -> tuple[int, ...]:
-    """Parse '3:6' (inclusive range) or '3,4,6'."""
+    """Parse '3:6' (inclusive range) or '3,4,6'; every depth is >= 1."""
     if ":" not in text:
-        return tuple(int(t) for t in text.split(","))
-    lo, hi = (int(t) for t in text.split(":"))
-    if hi < lo:
-        raise ValueError(f"the depth range {text!r} is empty")
-    return tuple(range(lo, hi + 1))
+        depths = tuple(int(t) for t in text.split(","))
+    else:
+        lo, hi = (int(t) for t in text.split(":"))
+        if hi < lo:
+            raise ValueError(f"the depth range {text!r} is empty")
+        depths = tuple(range(lo, hi + 1))
+    if min(depths) < 1:
+        raise ValueError(f"depths start at 1, got {min(depths)} "
+                         f"in {text!r}")
+    return depths
 
 
 def _sha256(path) -> str:

@@ -25,11 +25,15 @@ transfer to it; that form reports the testing constant but runs
 without the restart.)  The Carleson functional is convex rather than
 linear in f; it keeps its own linearized step and shares the restart.
 
-The perez, shifted-sum and kernel forms ascend ``<Tf, g>`` with the
-``forward`` and ``adjoint`` maps of one ``operators.plan``, whose
-coefficients are computed once per bound.  The dyadic form stays the
-bilinear embedding of ``embed_norm_lower``, whose steps run in the
-embedding's order.
+Every operator form, the dyadic one included, ascends ``<Tf, g>``
+with the ``forward`` and ``adjoint`` maps of one ``operators.plan``,
+whose coefficients are computed once per bound.  The steps run in
+argument order, f from ``adjoint(g)`` and then g from ``forward(f)``,
+as the embedding's do, so the dyadic bound is the bilinear embedding
+of ``embed_norm_lower`` with the HLS kernel, bit for bit.  Every bound
+(embedding, operator and Carleson) shares one set-up, ``_norm_bound``:
+the start from constants or a warm start, the testing constant, the
+restart and the report.
 
 Determinism: for fixed inputs all computations are fixed-order numpy
 reductions, and the densities and the Carleson gradient are scattered
@@ -82,36 +86,44 @@ def _normalized(cell_masses, values, p):
     return values / nrm
 
 
-def _ascend(steps, fs, tol, max_sweeps):
+def _ascend(densities, sigmas, rs, tol, max_sweeps):
     """Cyclic exact coordinate maximization of a form linear in each argument.
 
-    ``steps`` lists ``(j, density, cell_masses, power, p)`` in update
-    order; ``density(fs)`` is the form's density in argument j, and
-    ``power`` is ``p' - 1``.  Returns ``(fs, history, sweeps, converged)``.
+    ``densities[j](fs)`` is the form's density in argument j, whose
+    maximizer is sought on the unit ball of L^r_j(sigma_j).  The steps
+    run in argument order, each raising its density to ``r' - 1``.
+    Returns the run: a map of initial arrays to ``(fs, history, sweeps,
+    converged)``.
     """
-    fs = list(fs)
-    for j, _, cm, _, p in steps:
-        f = _normalized(cm, fs[j], p)
-        if f is None:
-            return [np.zeros_like(f0) for f0 in fs], [0.0], 0, True
-        fs[j] = f
-    history: list[float] = []
-    while True:
-        for j, density, cm, power, p in steps:
-            d = density(fs)  # a fresh array: raised and scaled in place
-            d **= power
-            nrm = _lp(cm, d, p)
-            if nrm == 0.0:
-                return fs, history or [0.0], len(history), True
-            d /= nrm
-            fs[j] = d
-        # Hölder equality: the form at the last step's maximizer
-        history.append(nrm ** (p - 1.0))
-        if len(history) >= 2 and \
-                history[-1] - history[-2] <= tol * abs(history[-1]):
-            return fs, history, len(history), True
-        if len(history) >= max_sweeps:
-            return fs, history, len(history), False
+    steps = [(j, density, w.cell_masses, r / (r - 1.0) - 1.0, r)
+             for j, (density, w, r) in enumerate(zip(densities, sigmas, rs))]
+
+    def run(fs):
+        fs = list(fs)
+        for j, _, cm, _, p in steps:
+            f = _normalized(cm, fs[j], p)
+            if f is None:
+                return [np.zeros_like(f0) for f0 in fs], [0.0], 0, True
+            fs[j] = f
+        history: list[float] = []
+        while True:
+            for j, density, cm, power, p in steps:
+                d = density(fs)  # a fresh array: raised and scaled in place
+                d **= power
+                nrm = _lp(cm, d, p)
+                if nrm == 0.0:
+                    return fs, history or [0.0], len(history), True
+                d /= nrm
+                fs[j] = d
+            # Hölder equality: the form at the last step's maximizer
+            history.append(nrm ** (p - 1.0))
+            if len(history) >= 2 and \
+                    history[-1] - history[-2] <= tol * abs(history[-1]):
+                return fs, history, len(history), True
+            if len(history) >= max_sweeps:
+                return fs, history, len(history), False
+
+    return run
 
 
 def _restart(run, first, c2, config):
@@ -129,6 +141,28 @@ def _restart(run, first, c2, config):
         if h2[-1] >= history[-1]:
             return fs2, history + h2, sweeps + s2, conv2
     return first
+
+
+def _norm_bound(run, sigmas, c2, head, *, tol, max_sweeps, seed,
+                warm_start, restart=True) -> NormEstimate:
+    """The set-up every bound shares around its ascent ``run``.
+
+    Runs from the warm start or from constants, then ``_restart`` from
+    the testing constant ``c2`` unless ``restart`` is off, and reports
+    ``params`` as ``head`` followed by the keys every bound has.
+    """
+    cfg = sigmas[0].config
+    if warm_start is not None:
+        result = run([gf.values for gf in warm_start])
+    else:
+        result = run([np.ones_like(w.density) for w in sigmas])
+    if restart:
+        result = _restart(run, result, c2, cfg)
+    fs, history, sweeps, converged = result
+    params = {**head, "depth": cfg.depth, "c2": c2.value, "tol": tol,
+              "max_sweeps": max_sweeps}
+    return NormEstimate(history[-1], tuple(GridFunction(cfg, f) for f in fs),
+                        sweeps, converged, history, seed, params)
 
 
 def _mlinear_densities(kernel: RectKernel, sigmas):
@@ -182,23 +216,12 @@ def embed_norm_lower(kernel, sigmas, exponents, *, tol: float = 1e-9,
     ps = check_mlinear_exponents(exponents)
     if len(ps) != len(sigmas):
         raise ValueError("need one exponent per weight")
-    steps = [(j, density, w.cell_masses, p / (p - 1.0) - 1.0, p)
-             for j, (density, w, p) in enumerate(
-                 zip(_mlinear_densities(kernel, sigmas), sigmas, ps))]
-
-    def run(init):
-        return _ascend(steps, init, tol, max_sweeps)
-
-    if warm_start is not None:
-        init = [gf.values for gf in warm_start]
-    else:
-        init = [np.ones_like(w.density) for w in sigmas]
-    c2 = fp_constant(kernel, sigmas, ps)
-    fs, history, sweeps, converged = _restart(run, run(init), c2, cfg)
-    params = {"exponents": [float(p) for p in ps], "depth": cfg.depth,
-              "c2": c2.value, "tol": tol, "max_sweeps": max_sweeps}
-    return NormEstimate(history[-1], tuple(GridFunction(cfg, f) for f in fs),
-                        sweeps, converged, history, seed, params)
+    run = _ascend(_mlinear_densities(kernel, sigmas), sigmas, ps, tol,
+                  max_sweeps)
+    return _norm_bound(run, sigmas, fp_constant(kernel, sigmas, ps),
+                       {"exponents": list(ps)}, tol=tol,
+                       max_sweeps=max_sweeps, seed=seed,
+                       warm_start=warm_start)
 
 
 def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
@@ -207,44 +230,22 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
                         warm_start=None) -> NormEstimate:
     """Lower bound on the L^p(mu) -> L^q(mu) norm of one operator form.
 
-    The dyadic form is the bilinear embedding of ``embed_norm_lower``
-    with the HLS kernel.  The others ascend ``<Tf, g>`` by taking g
-    from the plan's ``forward(f)`` and then f from its ``adjoint(g)``.
+    Every form ascends ``<Tf, g>`` with the maps of its ``plan``: f
+    from ``adjoint(g)`` on the unit ball of L^p, then g from
+    ``forward(f)`` on that of L^q'.  For the dyadic form these are the
+    steps of ``embed_norm_lower`` with the HLS kernel, bit for bit.
     """
     ec = ExponentConfig(float(alpha), float(p), float(q),
                         mu.config.total_dim)
     key = form.replace("_", "-")  # ``plan`` refuses an unknown form
-    cfg = mu.config
-    params = {"form": key, "alpha": ec.alpha, "p": ec.p, "q": ec.q,
-              "depth": cfg.depth, "c2": None, "tol": tol,
-              "max_sweeps": max_sweeps}
-    if key == "dyadic":
-        est = embed_norm_lower(RectKernel.hls(mu, ec.alpha), (mu, mu),
-                               (ec.p, ec.q_conj), tol=tol,
-                               max_sweeps=max_sweeps, seed=seed,
-                               warm_start=warm_start)
-        est.params = {**params, "c2": est.params["c2"]}
-        return est
-
-    op, cm = plan(mu, ec.alpha, key), mu.cell_masses
-    steps = [(1, lambda fs: op.forward(fs[0]), cm, ec.q - 1.0, ec.q_conj),
-             (0, lambda fs: op.adjoint(fs[1]), cm, ec.p_conj - 1.0, ec.p)]
-
-    def run(init):
-        return _ascend(steps, init, tol, max_sweeps)
-
-    if warm_start is not None:
-        result = run([warm_start[0].values, warm_start[-1].values])
-    else:
-        result = run([np.ones_like(mu.density)] * 2)
-    c2 = fp_constant(RectKernel.hls(mu, ec.alpha), (mu, mu),
-                     (ec.p, ec.q_conj))
-    params["c2"] = c2.value
-    if key != "kernel":
-        result = _restart(run, result, c2, cfg)
-    fs, history, sweeps, converged = result
-    return NormEstimate(history[-1], tuple(GridFunction(cfg, f) for f in fs),
-                        sweeps, converged, history, seed, params)
+    op, mus, rs = plan(mu, ec.alpha, key), (mu, mu), (ec.p, ec.q_conj)
+    run = _ascend((lambda fs: op.adjoint(fs[1]), lambda fs: op.forward(fs[0])),
+                  mus, rs, tol, max_sweeps)
+    c2 = fp_constant(RectKernel.hls(mu, ec.alpha), mus, rs)
+    head = {"form": key, "alpha": ec.alpha, "p": ec.p, "q": ec.q}
+    return _norm_bound(run, mus, c2, head, tol=tol, max_sweeps=max_sweeps,
+                       seed=seed, warm_start=warm_start,
+                       restart=key != "kernel")
 
 
 def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
@@ -294,13 +295,9 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
             sweeps += 1
         return [f], history, sweeps, converged
 
-    f0 = warm_start[0].values if warm_start else np.ones_like(sigma.density)
-    c2 = carleson_testing_constant(sigma, p, q)
-    fs, history, sweeps, converged = _restart(run, run([f0]), c2, cfg)
-    params = {"p": p, "q": q, "depth": cfg.depth, "c2": c2.value,
-              "tol": tol, "max_sweeps": max_sweeps}
-    return NormEstimate(history[-1], (GridFunction(cfg, fs[0]),), sweeps,
-                        converged, history, seed, params)
+    return _norm_bound(run, (sigma,), carleson_testing_constant(sigma, p, q),
+                       {"p": p, "q": q}, tol=tol, max_sweeps=max_sweeps,
+                       seed=seed, warm_start=warm_start)
 
 
 # ---------------------------------------------------------------------------

@@ -455,20 +455,6 @@ def _decode(payload, count: int, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
-def _array_doc(config: GridConfig, arr: np.ndarray, kind: str,
-               meta: dict) -> dict:
-    doc_meta = {"kind": kind, "seed": None, "params": {}}
-    doc_meta.update(meta)
-    return {
-        "version": WEIGHT_SCHEMA_VERSION,
-        "dims": list(config.dims),
-        "depth": config.depth,
-        "lattice": [config.axis_cells] * config.total_dim,
-        "density": _encode(arr),
-        "meta": doc_meta,
-    }
-
-
 def _parse_array_doc(doc: dict) -> tuple[GridConfig, np.ndarray, dict]:
     for key in ("version", "dims", "depth", "lattice", "density"):
         if key not in doc:
@@ -487,7 +473,11 @@ def _parse_array_doc(doc: dict) -> tuple[GridConfig, np.ndarray, dict]:
 
 
 def save_weight(w: Weight, path) -> None:
-    doc = _array_doc(w.config, w.density, w.meta.get("kind", "custom"), w.meta)
+    cfg = w.config
+    doc = {"version": WEIGHT_SCHEMA_VERSION, "dims": list(cfg.dims),
+           "depth": cfg.depth, "lattice": [cfg.axis_cells] * cfg.total_dim,
+           "density": _encode(w.density),
+           "meta": {"kind": "custom", "seed": None, "params": {}, **w.meta}}
     if w.factors is not None:
         doc["factors"] = [_encode(a) for a in w.factors]
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -517,17 +507,3 @@ def load_weight(path, expect_config: GridConfig | None = None) -> Weight:
         return Weight(config, arr, meta, factors)
     except ValueError as exc:
         raise WeightFormatError(str(exc)) from exc
-
-
-def save_grid_function(f: GridFunction, path) -> None:
-    doc = _array_doc(f.config, f.values, "grid_function", {})
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def load_grid_function(path) -> GridFunction:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise WeightFormatError(f"malformed grid function file: {exc}") from exc
-    config, arr, _ = _parse_array_doc(doc)
-    return GridFunction(config, arr)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rectfrac import (ConstantReport, DyadicCube, GridConfig, GridFunction,
-                      ProductRect, RectKernel, Weight, apply_frac_dyadic,
+from rectfrac import (ConstantReport, DyadicCube, ExponentConfig,
+                      GridConfig, GridFunction, ProductRect, RectKernel,
+                      Weight, apply_frac_dyadic,
                       apply_frac_kernel, apply_perez, carleson_norm_lower,
                       carleson_testing_constant, depth_sweep,
                       embed_norm_lower, estimators, fp_constant, gen_cascade,
@@ -152,6 +153,51 @@ class TestOperatorNormLower:
             (4 / 3, 2.0))
         assert est.value == pytest.approx(via_embed.value, rel=1e-9)
 
+    @pytest.mark.parametrize("dims,depth", [((1, 1), 4), ((1, 1, 1), 3),
+                                            ((1,), 6)])
+    @pytest.mark.parametrize("start", ["constants", "warm", "restart"])
+    def test_dyadic_is_the_bilinear_embedding(self, monkeypatch, dims, depth,
+                                              start):
+        # at N = 1, q'/(q'-1) - 1 is 3.000000000000001 while q - 1 is 3.0
+        cfg = GridConfig(dims, depth)
+        mu = gen_cascade(cfg, 2.0, 3)
+        ec = ExponentConfig.hls(0.5, 4 / 3, cfg.total_dim)
+        warm = None
+        if start == "warm":
+            rng = np.random.default_rng(5)
+            warm = tuple(GridFunction(cfg, rng.random(mu.density.shape) + 0.1)
+                         for _ in range(2))
+        elif start == "restart":
+            # a testing value no ascent reaches, witnessed by the whole
+            # domain, restarts the ascent from constants: the same run again
+            top = ProductRect(tuple(DyadicCube(0, (0,) * d) for d in dims))
+            report = ConstantReport("fp", math.inf,
+                                    {"rect": rect_to_json(top)}, 1, depth)
+            monkeypatch.setattr(estimators, "fp_constant", lambda *a: report)
+        est = operator_norm_lower(mu, ec.alpha, ec.p, ec.q, "dyadic",
+                                  warm_start=warm)
+        ref = embed_norm_lower(RectKernel.hls(mu, ec.alpha), (mu, mu),
+                               (ec.p, ec.q_conj), warm_start=warm)
+        assert est.value == ref.value
+        assert est.history == ref.history
+        assert est.sweeps == ref.sweeps
+        assert est.converged == ref.converged
+        for a, b in zip(est.maximizers, ref.maximizers, strict=True):
+            assert np.array_equal(a.values, b.values)
+        if start == "restart":
+            half = len(est.history) // 2
+            assert est.history == est.history[:half] * 2
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_no_embedding_call(self, cascade_square, monkeypatch, form):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator bound went through the embedding")
+
+        monkeypatch.setattr(estimators, "embed_norm_lower", refuse)
+        est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, form,
+                                  max_sweeps=3)
+        assert est.sweeps == 3
+
     def test_hls_invariant_under_weight_scaling(self, cascade_square):
         cfg = cascade_square.config
         scaled = Weight(cfg, cascade_square.density * 5.0)
@@ -221,10 +267,12 @@ class TestOperatorNormLower:
 
         monkeypatch.setattr(estimators, "plan", counted_plan)
         # the cascade's ascent beats its testing value 1: no restart runs
-        est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, "perez",
-                                  max_sweeps=5)
-        assert est.sweeps == 5
-        assert calls["forward"] == calls["adjoint"] == est.sweeps
+        for form in ("perez", "dyadic"):
+            calls.update(forward=0, adjoint=0)
+            est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, form,
+                                      max_sweeps=5)
+            assert est.sweeps == 5
+            assert calls["forward"] == calls["adjoint"] == est.sweeps
         est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0,
                                   "shifted-sum", max_sweeps=5)
         assert est.sweeps == 5
