@@ -240,26 +240,35 @@ def _rows_json(rows) -> list[dict]:
              "converged": r.converged} for r in rows]
 
 
+def _sweep_opts(args) -> dict:
+    """A sweep subcommand's ascent options, as ``depth_sweep`` keywords."""
+    if args.max_sweeps < 1:
+        raise ValueError(
+            f"--max-sweeps must be at least 1, got {args.max_sweeps}")
+    if not args.tol >= 0:
+        raise ValueError(f"--tol must be at least 0, got {args.tol}")
+    return {"tol": args.tol, "max_sweeps": args.max_sweeps,
+            "seed": args.seed, "timing": args.timing}
+
+
 def _cmd_embed_norm(args) -> int:
+    opts = _sweep_opts(args)
     paths = args.weights.split(",")
     ws = [load_weight(p) for p in paths]
     rows = depth_sweep("embed", _depth_list(args.depths), weights=ws,
                        exponents=_num_list(args.exponents),
-                       kernel_seed=args.kernel_seed, tol=args.tol,
-                       max_sweeps=args.max_sweeps, seed=args.seed,
-                       timing=args.timing)
+                       kernel_seed=args.kernel_seed, **opts)
     return _emit(args, {"sweep": _rows_json(rows)},
                  _sweep_checks(rows, require_ratio=True), inputs=paths,
                  csv_text=rows_to_csv(rows))
 
 
 def _cmd_hls(args) -> int:
+    opts = _sweep_opts(args)
     w = load_weight(args.weight)
     ec = ExponentConfig.hls(args.alpha, args.p, w.config.total_dim)
     rows = depth_sweep("hls", _depth_list(args.depths), weight=w,
-                       alpha=ec.alpha, p=ec.p, form=args.form, tol=args.tol,
-                       max_sweeps=args.max_sweeps, seed=args.seed,
-                       timing=args.timing)
+                       alpha=ec.alpha, p=ec.p, form=args.form, **opts)
     checks = _sweep_checks(rows, require_ratio=args.form != "kernel")
     drift = [rows[i + 1].c1_hat / rows[i].c1_hat - 1.0
              for i in range(len(rows) - 1)]
@@ -270,11 +279,10 @@ def _cmd_hls(args) -> int:
 
 
 def _cmd_carleson(args) -> int:
+    opts = _sweep_opts(args)
     w = load_weight(args.weight)
     rows = depth_sweep("carleson", _depth_list(args.depths), weight=w,
-                       p=args.p, q=args.q, tol=args.tol,
-                       max_sweeps=args.max_sweeps, seed=args.seed,
-                       timing=args.timing)
+                       p=args.p, q=args.q, **opts)
     n = w.config.n_factors
     body = {"sweep": _rows_json(rows),
             "c1_over_c2_pow_n": [r.c1_hat / r.c2 ** n for r in rows]}

@@ -135,19 +135,20 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
     For each rectangle and direction j, sums sigma(<R; Q, j>)**expo over
     every dyadic descendant Q of the j-th side down to the configured
     depth, including the side itself, and divides by sigma(R)**expo.
+    Every level of the mass tree is raised to ``expo`` once per scan.
     """
     cfg = w.config
     K, n = cfg.depth, cfg.n_factors
     best = -1.0
     best_wit = None
     scanned = 0
+    powered = {lv: arr ** expo for lv, arr in w.mass_tree.items()}
     for levels in level_combos(cfg):
         base = w.mass_tree[levels]
         for j in range(n):
             acc = np.zeros_like(base)
             for l in range(levels[j], K + 1):
-                sub_levels = levels[:j] + (l,) + levels[j + 1:]
-                arr = w.mass_tree[sub_levels] ** expo
+                arr = powered[levels[:j] + (l,) + levels[j + 1:]]
                 block = 1 << (l - levels[j])
                 for ax in cfg.factor_axes(j):
                     arr = _sum_blocks(arr, ax, block)
@@ -155,7 +156,7 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
             scanned += base.size
             pos = base > 0
             ratios = np.where(
-                pos, acc / np.where(pos, base, 1.0) ** expo, -1.0)
+                pos, acc / np.where(pos, powered[levels], 1.0), -1.0)
             flat = int(np.argmax(ratios))
             val = float(ratios.flat[flat])
             if val > best:

@@ -35,10 +35,19 @@ of ``embed_norm_lower`` with the HLS kernel, bit for bit.  Every bound
 the start from constants or a warm start, the testing constant, the
 restart and the report.
 
+Steps run at the resolution their density comes in.  On the standard
+family (the dyadic and perez forms, the multilinear densities and the
+Carleson gradient) ``_spread`` returns one value per level-K cube, so a
+step raises, normalizes and scales the density per cube and puts it on
+cells with one ``_upsample``; only the products with cell masses, the
+tree base and the L^p norm sum, are taken per cell.  Every power,
+product and addition is then the one a step on cells would make, so the
+results are those of steps on cells, bit for bit.
+
 Determinism: for fixed inputs all computations are fixed-order numpy
 reductions, and the densities and the Carleson gradient are scattered
-onto cells by ``_spread``, which adds the level combinations in
-``level_combos`` order, so histories are reproducible bit for bit.
+by ``_spread``, which adds the level combinations in ``level_combos``
+order, so histories are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -52,8 +61,9 @@ import numpy as np
 from .conditions import carleson_testing_constant, fp_constant
 from .grids import GridConfig, rect_from_json
 from .operators import (ExponentConfig, ExponentError, RectKernel,
-                        _check_same_grid, _neg_power, _spread,
-                        check_mlinear_exponents, level_combos, plan)
+                        _check_same_grid, _neg_power, _paired, _spread,
+                        _upsample, check_mlinear_exponents, level_combos,
+                        plan)
 from .weights import GridFunction, Weight, build_mass_tree
 
 
@@ -76,7 +86,22 @@ class NormEstimate:
 
 
 def _lp(cell_masses: np.ndarray, values: np.ndarray, p: float) -> float:
-    return float(np.sum(values ** p * cell_masses)) ** (1.0 / p)
+    """The L^p norm of per-block (or per-cell) ``values``.
+
+    The power is taken per block, the product with the cell masses and
+    the sum per cell, as for the ``_upsample`` of ``values``.
+    """
+    view, term = _paired(cell_masses.shape, values.shape)
+    cells = (values ** p).reshape(term) * cell_masses.reshape(view)
+    return float(np.sum(cells.reshape(cell_masses.shape))) ** (1.0 / p)
+
+
+def _check_limits(tol: float, max_sweeps: int) -> None:
+    """Refuse a sweep cap below 1 and a negative (or NaN) tolerance."""
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be at least 0, got {tol}")
 
 
 def _normalized(cell_masses, values, p):
@@ -91,10 +116,13 @@ def _ascend(densities, sigmas, rs, tol, max_sweeps):
 
     ``densities[j](fs)`` is the form's density in argument j, whose
     maximizer is sought on the unit ball of L^r_j(sigma_j).  The steps
-    run in argument order, each raising its density to ``r' - 1``.
-    Returns the run: a map of initial arrays to ``(fs, history, sweeps,
+    run in argument order, each raising its density to ``r' - 1`` and
+    normalizing it at the resolution the density comes in (per level-K
+    cube on the standard family), then putting it on cells.  Returns
+    the run: a map of initial arrays to ``(fs, history, sweeps,
     converged)``.
     """
+    cfg = sigmas[0].config
     steps = [(j, density, w.cell_masses, r / (r - 1.0) - 1.0, r)
              for j, (density, w, r) in enumerate(zip(densities, sigmas, rs))]
 
@@ -114,7 +142,7 @@ def _ascend(densities, sigmas, rs, tol, max_sweeps):
                 if nrm == 0.0:
                     return fs, history or [0.0], len(history), True
                 d /= nrm
-                fs[j] = d
+                fs[j] = _upsample(cfg, d)
             # Hölder equality: the form at the last step's maximizer
             history.append(nrm ** (p - 1.0))
             if len(history) >= 2 and \
@@ -210,6 +238,7 @@ def embed_norm_lower(kernel, sigmas, exponents, *, tol: float = 1e-9,
     functions.  The result is always >= the testing constant up to
     roundoff.
     """
+    _check_limits(tol, max_sweeps)
     sigmas = tuple(sigmas)
     cfg = _check_same_grid(*sigmas)
     kernel = RectKernel.coerce(kernel, cfg)
@@ -235,13 +264,15 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
     ``forward(f)`` on that of L^q'.  For the dyadic form these are the
     steps of ``embed_norm_lower`` with the HLS kernel, bit for bit.
     """
+    _check_limits(tol, max_sweeps)
     ec = ExponentConfig(float(alpha), float(p), float(q),
                         mu.config.total_dim)
     key = form.replace("_", "-")  # ``plan`` refuses an unknown form
     op, mus, rs = plan(mu, ec.alpha, key), (mu, mu), (ec.p, ec.q_conj)
     run = _ascend((lambda fs: op.adjoint(fs[1]), lambda fs: op.forward(fs[0])),
                   mus, rs, tol, max_sweeps)
-    c2 = fp_constant(RectKernel.hls(mu, ec.alpha), mus, rs)
+    kernel = RectKernel.hls(mu, ec.alpha) if op.kernel is None else op.kernel
+    c2 = fp_constant(kernel, mus, rs)
     head = {"form": key, "alpha": ec.alpha, "p": ec.p, "q": ec.q}
     return _norm_bound(run, mus, c2, head, tol=tol, max_sweeps=max_sweeps,
                        seed=seed, warm_start=warm_start,
@@ -260,6 +291,7 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
     p, q = float(p), float(q)
     if not (1.0 < p < q < math.inf):
         raise ExponentError(f"need 1 < p < q < inf, got p={p}, q={q}")
+    _check_limits(tol, max_sweeps)
     cfg = sigma.config
     combos = list(level_combos(cfg))
     cm = sigma.cell_masses
@@ -291,7 +323,7 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
             f_new = _normalized(cm, grad ** (p_conj - 1.0), p)
             if f_new is None:
                 break
-            f = f_new
+            f = _upsample(cfg, f_new)
             sweeps += 1
         return [f], history, sweeps, converged
 
@@ -338,6 +370,7 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
     wall time when ``timing`` is set and 0.0 otherwise, keeping output
     files byte-reproducible by default.
     """
+    _check_limits(tol, max_sweeps)
     depths = sorted({int(k) for k in depths})
     if not depths:
         raise ValueError("a depth sweep needs at least one depth")

@@ -13,9 +13,10 @@ exponent 0 < alpha < N are provided on the truncated families:
   equivalence studies.
 
 Each form of a weight and exponent is one ``plan``: a ``FormPlan``
-with ``forward`` and ``adjoint`` maps on cell arrays and its
-``skipped_terms`` and ``excluded_pairs`` counts, the same four fields
-for every form, with the coefficients computed once.  ``apply_*`` build
+with ``forward`` and ``adjoint`` maps that take cell arrays, its
+``skipped_terms`` and ``excluded_pairs`` counts and, on the standard
+family, its ``RectKernel.hls`` coefficients: the same fields for every
+form, with the coefficients computed once.  ``apply_*`` build
 a plan and apply its forward map (``apply_frac_kernel`` stays the
 row-by-row reference), and the estimators ascend with its two maps.
 
@@ -33,12 +34,15 @@ third-cubes starting at 3m + s, so along each axis
 * the 3**N shifted families together are all windows, one pass per
   level combination.
 
-Every rectangle sum is scattered back onto cells by ``_spread``, the
-one scatter that pairs with the gather ``_level_tree``: it adds the
-terms of all level combinations (after the transposed window, for the
-window families) in ``level_combos`` order, keeping the running sum
-coarse in the first factor, so each cell gets the additions of the
-term-by-term sum in the same order, bit for bit.
+Every rectangle sum is scattered by ``_spread``, the one scatter that
+pairs with the gather ``_level_tree``: it adds the terms of all level
+combinations (after the transposed window, for the window families) in
+``level_combos`` order, keeping the running sum at the finest block
+resolution of the terms so far, so each cell gets the additions of the
+term-by-term sum in the same order, bit for bit.  A sum over the
+standard family stays per level-K cube, on which all its terms are
+constant (``2**K`` entries per axis instead of ``3 * 2**K``), until
+``_upsample`` puts it on cells; the window families' sums are on cells.
 
 The kernel form's minimal-rectangle masses grow, along each axis, by
 cumulative sums of half-pair cell sums running outward from the anchor
@@ -168,49 +172,56 @@ def level_combos(config: GridConfig):
                              repeat=config.n_factors)
 
 
+def _paired(fine, coarse) -> tuple[list[int], list[int]]:
+    """Shapes pairing each axis of ``fine`` with the blocks of ``coarse``.
+
+    Reshaped to the first, an array of shape ``fine`` has per axis a
+    block index and an offset within the block; reshaped to the second,
+    an array of shape ``coarse`` broadcasts over the offsets.
+    """
+    view, term = [], []
+    for n, m in zip(fine, coarse):
+        view += [m, n // m]
+        term += [m, 1]
+    return view, term
+
+
 def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
-    """Spread per-block values (cubes or third-cubes) onto their cells."""
-    for ax in range(arr.ndim):
-        if arr.shape[ax] < config.axis_cells:
-            arr = np.repeat(arr, config.axis_cells // arr.shape[ax], axis=ax)
-    return arr
+    """Spread per-block values (cubes or third-cubes) onto their cells.
+
+    A cell array is returned as it is; anything else is copied once.
+    """
+    cells = (config.axis_cells,) * arr.ndim
+    if arr.shape == cells:
+        return arr
+    view, term = _paired(cells, arr.shape)
+    return np.broadcast_to(arr.reshape(term), view).reshape(cells)
 
 
 def _spread(config: GridConfig, arrs) -> np.ndarray:
-    """The sum of the ``_upsample`` of every block array in ``arrs``.
+    """The sum of the block arrays in ``arrs``, on their finest blocks.
 
     ``arrs`` yields one array per level combination in ``level_combos``
-    order, so the first factor's level never falls.  The terms up to
-    one with first-factor level l0 depend on that factor only through
-    its level-l0 ancestor, so the running sum keeps the first factor at
-    the current block count, doubled by ``np.repeat`` as it rises, and
-    every other factor on cells; each term is added in place through a
-    broadcasting view, and one final ``_upsample`` spreads the first
-    factor onto cells.  Every cell gets the same additions, from 0 and
-    in the same order, as the fold ``out += _upsample(arr)``, so the
-    sum is identical bit for bit.
+    order.  The running sum holds, per axis, the finest block count of
+    the terms so far, doubled by ``np.repeat`` when a term is finer, and
+    each term is added in place through a broadcasting view.  Every
+    entry then stands for cells that received the same additions, so
+    ``_upsample`` of the result gets the additions of the fold ``out +=
+    _upsample(arr)``, from 0 and in the same order, bit for bit.  Over
+    standard cubes the result has ``2**K`` entries per axis, one per
+    level-K cube; over third-cubes it is on cells.
     """
-    C = config.axis_cells
-    first = config.factor_axes(0)
     out = None
     for arr in arrs:
         if out is None:
-            out = np.zeros([n if ax in first else C
-                            for ax, n in enumerate(arr.shape)])
-        for ax in first:
-            if out.shape[ax] < arr.shape[ax]:
-                out = np.repeat(out, arr.shape[ax] // out.shape[ax], axis=ax)
-        view, term = [], []
-        for ax, n in enumerate(arr.shape):
-            if ax in first:
-                view.append(n)
-                term.append(n)
-            else:
-                view += [n, C // n]
-                term += [n, 1]
+            out = np.zeros(arr.shape)
+        for ax, (n, m) in enumerate(zip(out.shape, arr.shape)):
+            if n < m:
+                out = np.repeat(out, m // n, axis=ax)
+        view, term = _paired(out.shape, arr.shape)
         fine = out.reshape(view)  # a view: out is contiguous
         fine += arr.reshape(term)
-    return _upsample(config, out)
+    return out
 
 
 def _axis_levels(config: GridConfig, levels: tuple[int, ...]) -> list[int]:
@@ -360,13 +371,13 @@ def apply_positive(kernel, sigma: Weight, f: GridFunction) -> GridFunction:
     cfg = _check_same_grid(sigma, f)
     kernel = RectKernel.coerce(kernel, cfg)
     tree = build_mass_tree(cfg, sigma.cell_masses * f.values)
-    return GridFunction(cfg, _spread(cfg, (kernel.tables[lv] * tree[lv]
-                                           for lv in level_combos(cfg))))
+    return GridFunction(cfg, _upsample(cfg, _spread(
+        cfg, (kernel.tables[lv] * tree[lv] for lv in level_combos(cfg)))))
 
 
 def _report(cfg: GridConfig, values, skipped, excluded, return_diagnostics):
     """An applied form on cells, with its counts when asked for."""
-    gf = GridFunction(cfg, values)
+    gf = GridFunction(cfg, _upsample(cfg, values))
     diag = {"skipped_terms": skipped, "excluded_pairs": excluded,
             "truncation_depth": cfg.depth}
     return (gf, diag) if return_diagnostics else gf
@@ -506,18 +517,23 @@ def kernel_factor(masses: np.ndarray, expo: float) -> np.ndarray:
 class FormPlan:
     """One fractional integral form of one weight, ready to apply.
 
-    ``forward`` and ``adjoint`` map cell arrays to cell arrays; the
-    adjoint is taken in L^2(mu), and every form but perez is its own
-    adjoint.  ``skipped_terms`` counts the zero-mass rectangles summed
-    over (for the kernel form, the zero-mass pairs that are not
-    excluded), ``excluded_pairs`` the kernel form's pairs that share a
-    coordinate.
+    ``forward`` and ``adjoint`` map cell arrays to the ``_spread`` of
+    their terms (per level-K cube for the standard family, whose terms
+    are constant on those cubes, and on cells for every other form);
+    ``_upsample`` puts a result on cells.  The adjoint is taken in
+    L^2(mu), and every form but perez is its own adjoint.
+    ``skipped_terms`` counts the zero-mass rectangles summed over (for
+    the kernel form, the zero-mass pairs that are not excluded),
+    ``excluded_pairs`` the kernel form's pairs that share a coordinate.
+    ``kernel`` holds the ``RectKernel.hls`` coefficients of the forms
+    that sum over the standard family, and is None for the others.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     skipped_terms: int
     excluded_pairs: int = 0
+    kernel: RectKernel | None = None
 
 
 def _window_plan(mu: Weight, expo: float, family) -> FormPlan:
@@ -607,7 +623,8 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
         # family s on an axis is every third window, from (s + 2) % 3 on
         return _window_plan(mu, expo, tuple(slice((s + 2) % 3, None, 3)
                                             for s in tau))
-    hls = RectKernel.hls(mu, alpha).tables
+    kernel = RectKernel.hls(mu, alpha)
+    hls = kernel.tables
     skipped = sum(int((m <= 0).sum()) for m in mu.mass_tree.values())
 
     def rect_sum(term):
@@ -619,11 +636,12 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
 
     if form == "dyadic":
         dyadic = rect_sum(np.multiply)
-        return FormPlan(dyadic, dyadic, skipped)
+        return FormPlan(dyadic, dyadic, skipped, kernel=kernel)
     # integrating f over 3R is the width-3 window over the standard
     # cubes; the adjoint spreads each cube's term over 3R the same way
     return FormPlan(rect_sum(lambda c, m: c * _windows(m, 1)),
-                    rect_sum(lambda c, m: _windows(c * m, 1)), skipped)
+                    rect_sum(lambda c, m: _windows(c * m, 1)), skipped,
+                    kernel=kernel)
 
 
 def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:
@@ -676,7 +694,7 @@ def shift_bound_ratio(mu: Weight, alpha: float, f: GridFunction) -> float:
     where both vanish are skipped; 0 if every cell is skipped).
     """
     _check_same_grid(mu, f)
-    num = plan(mu, alpha, "perez").forward(f.values)
+    num = _upsample(mu.config, plan(mu, alpha, "perez").forward(f.values))
     den = plan(mu, alpha, "shifted-sum").forward(f.values)
     live = ~((num == 0) & (den == 0))
     if not live.any():

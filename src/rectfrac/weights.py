@@ -5,7 +5,8 @@ A weight is a nonnegative density, piecewise constant on the lattice of
 bottom-up by pure additions, so no digits cancel: the mass tree holds
 every standard product dyadic rectangle (O(1) lookup), and the
 third-cube pyramid holds the blocks that one-third shifted cubes and
-tripled cubes are runs of (``operators`` sums the runs).  Single box
+tripled cubes are runs of (``operators`` sums the runs).  Both halve
+by strided slice additions along a recipe cached per grid.  Single box
 queries the tree cannot answer -- a shifted or tripled box passed to
 ``Weight.mass``, minimal rectangles between lattice points, every
 ``integrate`` target -- are direct sums over the cells the box meets
@@ -54,23 +55,48 @@ def _sum_blocks(arr: np.ndarray, axis: int, block: int) -> np.ndarray:
     return arr.reshape(ns).sum(axis=axis + 1)
 
 
+def _slice_sum(arr: np.ndarray, axis: int, block: int) -> np.ndarray:
+    """``_sum_blocks`` for blocks of 2 or 3, by strided slice additions.
+
+    Each block is summed from its first entry on, as the reduction of
+    ``_sum_blocks`` adds it, so the two agree bit for bit.
+    """
+    lead = (slice(None),) * axis
+    out = arr[lead + (slice(0, None, block),)] + \
+        arr[lead + (slice(1, None, block),)]
+    if block == 3:
+        out += arr[lead + (slice(2, None, 3),)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_recipe(config: GridConfig) -> tuple:
+    """The steps of ``_level_tree``: ``(levels, source levels, axes)``.
+
+    Levels run from the finest down; each is derived from the levels
+    with its first lowerable factor one level deeper, by halving that
+    factor's axes, so the summation order is fixed for every build.
+    """
+    K, n = config.depth, config.n_factors
+    steps = []
+    for levels in itertools.product(range(K, -1, -1), repeat=n):
+        i = next((j for j in range(n) if levels[j] < K), None)
+        if i is not None:
+            steps.append((levels, levels[:i] + (levels[i] + 1,) +
+                          levels[i + 1:], tuple(config.factor_axes(i))))
+    return tuple(steps)
+
+
 def _level_tree(config: GridConfig, base: np.ndarray) -> dict:
     """Halve ``base`` factor by factor into every level combination.
 
-    ``base`` holds the finest level on every factor; each coarser array
-    is derived from the one with the first-lowerable factor one level
-    deeper, so the summation order is fixed for every build.
+    ``base`` holds the finest level on every factor.
     """
-    K, n = config.depth, config.n_factors
-    tree: dict[tuple[int, ...], np.ndarray] = {}
-    for levels in itertools.product(range(K, -1, -1), repeat=n):
-        if all(k == K for k in levels):
-            tree[levels] = base
-            continue
-        i = next(j for j in range(n) if levels[j] < K)
-        arr = tree[levels[:i] + (levels[i] + 1,) + levels[i + 1:]]
-        for ax in config.factor_axes(i):
-            arr = _sum_blocks(arr, ax, 2)
+    tree = {(config.depth,) * config.n_factors: base}
+    for levels, source, axes in _tree_recipe(config):
+        arr = tree[source]
+        for ax in axes:
+            arr = _slice_sum(arr, ax, 2)
         tree[levels] = arr
     return tree
 
@@ -83,7 +109,7 @@ def build_mass_tree(config: GridConfig, cell_masses: np.ndarray) -> dict:
     """
     base = cell_masses
     for ax in range(config.total_dim):
-        base = _sum_blocks(base, ax, 3)
+        base = _slice_sum(base, ax, 3)
     return _level_tree(config, base)
 
 

@@ -200,6 +200,23 @@ class TestBadRanges:
         assert code == 2
         assert err == ["error: depths start at 1, got 0 in '0:2'"]
 
+    @pytest.mark.parametrize("opt,value,least", [("--max-sweeps", 0, 1),
+                                                  ("--max-sweeps", -5, 1),
+                                                  ("--tol", -0.5, 0)])
+    @pytest.mark.parametrize("cmd", [
+        ["hls", "--alpha", "0.5", "--p", "4/3"],
+        ["embed-norm", "--exponents", "2,2"],
+        ["carleson", "--p", "2", "--q", "4"]])
+    def test_sweep_limits_are_one_error_line(self, line_file, capsys, cmd,
+                                             opt, value, least):
+        src = ["--weights", f"{line_file},{line_file}"] \
+            if cmd[0] == "embed-norm" else ["--weight", line_file]
+        capsys.readouterr()
+        code = run([cmd[0], *src, *cmd[1:], "--depths", "4:5", opt, value])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: {opt} must be at least {least}, got {value}"]
+
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_pairs_below_one_refused(self, line_file, capsys, pairs):
         capsys.readouterr()

@@ -8,7 +8,10 @@ from rectfrac import (DyadicCube, ExponentError, GridConfig, ProductRect,
                       condition_d_constant, doubling_constant, fp_constant,
                       gen_cascade, gen_power, gen_uniform, mass,
                       reverse_doubling_constant)
-from rectfrac.grids import rect_from_json, cube_to_json, rect_to_json
+from rectfrac.grids import (cube_to_json, rect_from_json, rect_to_json,
+                            standard_rect)
+from rectfrac.operators import level_combos
+from rectfrac.weights import _sum_blocks
 
 
 def reproduce_halving_witness(w, report):
@@ -111,6 +114,46 @@ class TestConditionD:
         w = gen_cascade(GridConfig((1, 1), 4), 2.0, 13)
         shallow = condition_d_constant(w.coarsen(3), 0.5).value
         assert shallow <= condition_d_constant(w, 0.5).value * (1 + 1e-12)
+
+
+def _per_level_power_scan(w, expo):
+    """The scan raising a level once per (levels, j, l): the reference."""
+    cfg = w.config
+    K, n = cfg.depth, cfg.n_factors
+    best, best_at = -1.0, None
+    for levels in level_combos(cfg):
+        base = w.mass_tree[levels]
+        for j in range(n):
+            acc = np.zeros_like(base)
+            for l in range(levels[j], K + 1):
+                arr = w.mass_tree[levels[:j] + (l,) + levels[j + 1:]] ** expo
+                for ax in cfg.factor_axes(j):
+                    arr = _sum_blocks(arr, ax, 1 << (l - levels[j]))
+                acc = acc + arr
+            pos = base > 0
+            ratios = np.where(
+                pos, acc / np.where(pos, base, 1.0) ** expo, -1.0)
+            flat = int(np.argmax(ratios))
+            if ratios.flat[flat] > best:
+                best = float(ratios.flat[flat])
+                best_at = (levels, j, flat)
+    return best, best_at
+
+
+class TestDescendantScan:
+    @pytest.mark.parametrize("dims,depth", [((1, 1), 5), ((1, 1, 1), 3),
+                                            ((2,), 3), ((1,), 8)])
+    def test_equals_per_level_powers(self, dims, depth):
+        cfg = GridConfig(dims, depth)
+        w = gen_cascade(cfg, 4.0, 17)
+        for rep, expo in ((condition_d_constant(w, 0.25), 1.25),
+                          (condition_d_constant(w, 1.0), 2.0),
+                          (carleson_testing_constant(w, 2.0, 5.0), 2.5)):
+            value, (levels, j, flat) = _per_level_power_scan(w, expo)
+            rect = standard_rect(cfg, levels, np.unravel_index(
+                flat, w.mass_tree[levels].shape))
+            assert rep.value == value
+            assert rep.witness == {"rect": rect_to_json(rect), "j": j}
 
 
 class TestCarlesonTesting:

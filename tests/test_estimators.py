@@ -14,6 +14,8 @@ from rectfrac import (ConstantReport, DyadicCube, ExponentConfig,
                       gen_uniform, lp_norm, mlinear_form, operator_norm_lower,
                       rows_to_csv)
 from rectfrac.grids import rect_to_json
+from rectfrac.operators import _neg_power, _spread, _upsample, level_combos
+from rectfrac.weights import build_mass_tree, gen_power
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 FORMS = ("dyadic", "perez", "shifted-sum", "kernel")
@@ -278,6 +280,20 @@ class TestOperatorNormLower:
         assert est.sweeps == 5
         assert calls["shifted"] == 2 * est.sweeps  # forward and adjoint
 
+    @pytest.mark.parametrize("form", FORMS)
+    def test_hls_tables_built_once(self, cascade_square, monkeypatch, form):
+        built = []
+        hls = RectKernel.hls
+
+        def counted(mu, alpha):
+            built.append(1)
+            return hls(mu, alpha)
+
+        monkeypatch.setattr(RectKernel, "hls", staticmethod(counted))
+        operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, form,
+                            max_sweeps=2)
+        assert len(built) == 1
+
     def test_unknown_form_rejected(self, cascade_square):
         with pytest.raises(ValueError, match="form"):
             operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, "fourier")
@@ -414,3 +430,143 @@ class TestDepthSweep:
             depth_sweep(task, (), weight=cascade_square,
                         weights=(cascade_square, cascade_square),
                         alpha=0.5, p=4 / 3, q=4.0)
+
+
+class TestSweepLimits:
+    @pytest.mark.parametrize("limits", [{"max_sweeps": 0}, {"max_sweeps": -5},
+                                        {"tol": -1e-9}, {"tol": math.nan}])
+    @pytest.mark.parametrize("bound", ["operator", "embed", "carleson",
+                                       "sweep"])
+    def test_refused(self, cascade_square, bound, limits):
+        mu = cascade_square
+        calls = {
+            "operator": lambda: operator_norm_lower(mu, 0.5, 4 / 3, 2.0,
+                                                    **limits),
+            "embed": lambda: embed_norm_lower(RectKernel.hls(mu, 0.5),
+                                              (mu, mu), (2.0, 2.0), **limits),
+            "carleson": lambda: carleson_norm_lower(mu, 2.0, 4.0, **limits),
+            "sweep": lambda: depth_sweep("carleson", [2, 3], weight=mu,
+                                         p=2.0, q=4.0, **limits)}
+        with pytest.raises(ValueError, match=f"^{next(iter(limits))} must"):
+            calls[bound]()
+
+
+def _lp_on_cells(cm, values, p):
+    return float(np.sum(values ** p * cm)) ** (1.0 / p)
+
+
+def _cell_ascend(densities, sigmas, rs, tol, max_sweeps):
+    """``estimators._ascend`` with every step on cells: the reference."""
+    cfg = sigmas[0].config
+    steps = [(j, density, w.cell_masses, r / (r - 1.0) - 1.0, r)
+             for j, (density, w, r) in enumerate(zip(densities, sigmas, rs))]
+
+    def run(fs):
+        fs = list(fs)
+        for j, _, cm, _, p in steps:
+            nrm = _lp_on_cells(cm, fs[j], p)
+            if nrm == 0.0:
+                return [np.zeros_like(f0) for f0 in fs], [0.0], 0, True
+            fs[j] = fs[j] / nrm
+        history = []
+        while True:
+            for j, density, cm, power, p in steps:
+                d = _upsample(cfg, density(fs)) ** power
+                nrm = _lp_on_cells(cm, d, p)
+                if nrm == 0.0:
+                    return fs, history or [0.0], len(history), True
+                fs[j] = d / nrm
+            history.append(nrm ** (p - 1.0))
+            if len(history) >= 2 and \
+                    history[-1] - history[-2] <= tol * abs(history[-1]):
+                return fs, history, len(history), True
+            if len(history) >= max_sweeps:
+                return fs, history, len(history), False
+
+    return run
+
+
+def _cell_carleson(sigma, p, q, max_sweeps):
+    """``carleson_norm_lower`` with every step on cells: the reference."""
+    cfg, cm, tol = sigma.config, sigma.cell_masses, 1e-9
+    combos = list(level_combos(cfg))
+    p_conj = p / (p - 1.0)
+    a_tables = {lv: _neg_power(sigma.mass_tree[lv], q / p - q)
+                for lv in combos}
+
+    def run(init):
+        nrm = _lp_on_cells(cm, init[0], p)
+        if nrm == 0.0:
+            return init, [0.0], 0, True
+        f, history, sweeps, converged = init[0] / nrm, [], 0, False
+        while True:
+            tree = build_mass_tree(cfg, cm * f)
+            phi = 0.0
+            for lv in combos:
+                phi += float((a_tables[lv] * tree[lv] ** q).sum())
+            history.append(phi)
+            if len(history) >= 2 and \
+                    history[-1] - history[-2] <= tol * abs(history[-1]):
+                converged = True
+                break
+            if sweeps >= max_sweeps:
+                break
+            grad = _upsample(cfg, _spread(
+                cfg, (a_tables[lv] * tree[lv] ** (q - 1.0) for lv in combos)))
+            g = grad ** (p_conj - 1.0)
+            nrm = _lp_on_cells(cm, g, p)
+            if nrm == 0.0:
+                break
+            f = g / nrm
+            sweeps += 1
+        return [f], history, sweeps, converged
+
+    return estimators._norm_bound(
+        run, (sigma,), carleson_testing_constant(sigma, p, q),
+        {"p": p, "q": q}, tol=tol, max_sweeps=max_sweeps, seed=0,
+        warm_start=None)
+
+
+def _bit_weights():
+    yield from (gen_cascade(GridConfig(dims, depth), 2.0, 4)
+                for dims, depth in (((1, 1), 5), ((1, 1, 1), 3),
+                                    ((2, 1), 3)))
+    yield gen_power(GridConfig((1,), 10), (6,), centers=(0.5,))
+
+
+class TestCubeResolution:
+    """Every ascent equals its steps taken on cells, bit for bit."""
+
+    @pytest.mark.parametrize("mu", _bit_weights(),
+                             ids=["cascade-1,1", "cascade-1,1,1",
+                                  "cascade-2,1", "power-1"])
+    @pytest.mark.parametrize("bound", [*FORMS, "embed2", "embed3",
+                                       "carleson"])
+    def test_equals_cell_steps(self, monkeypatch, mu, bound):
+        cfg, sweeps = mu.config, 6
+        ec = ExponentConfig.hls(0.5, 4 / 3, cfg.total_dim)
+        kern = RectKernel.random_uniform(cfg, 9)
+        others = tuple(gen_cascade(cfg, 2.0, s) for s in (5, 6))
+
+        def estimate():
+            if bound in FORMS:
+                return operator_norm_lower(mu, ec.alpha, ec.p, ec.q, bound,
+                                           max_sweeps=sweeps)
+            if bound == "embed2":
+                return embed_norm_lower(kern, (mu, others[0]), (2.0, 2.0),
+                                        max_sweeps=sweeps)
+            if bound == "embed3":
+                return embed_norm_lower(kern, (mu, *others),
+                                        (2.0, 3.0, 3.0), max_sweeps=sweeps)
+            return carleson_norm_lower(mu, 2.0, 4.0, max_sweeps=sweeps)
+
+        est = estimate()
+        if bound == "carleson":
+            ref = _cell_carleson(mu, 2.0, 4.0, sweeps)
+        else:
+            monkeypatch.setattr(estimators, "_ascend", _cell_ascend)
+            ref = estimate()
+        assert est.history == ref.history
+        assert (est.sweeps, est.converged) == (ref.sweeps, ref.converged)
+        for a, b in zip(est.maximizers, ref.maximizers, strict=True):
+            assert np.array_equal(a.values, b.values)

@@ -17,7 +17,7 @@ from rectfrac import (DegeneratePairError, DyadicCube, ExponentConfig,
 from rectfrac.bruteforce import (frac_dyadic_direct, mass_direct,
                                  mlinear_direct, perez_direct,
                                  positive_direct)
-from rectfrac import operators
+from rectfrac import operators, weights
 from rectfrac.operators import (KernelBudgetError, kernel_factor,
                                 kernel_matrix, plan)
 
@@ -128,8 +128,55 @@ class TestSpread:
         fold = np.zeros((cfg.axis_cells,) * cfg.total_dim)
         for arr in arrs:
             fold += operators._upsample(cfg, arr)
-        out = operators._spread(cfg, iter(arrs))
+        out = operators._upsample(cfg, operators._spread(cfg, iter(arrs)))
         assert np.array_equal(out, fold)
+
+
+def _reshape_sum(arr, axis, block):
+    shape = arr.shape
+    return arr.reshape(shape[:axis] + (shape[axis] // block, block) +
+                       shape[axis + 1:]).sum(axis=axis + 1)
+
+
+def _reshape_sum_tree(cfg, base):
+    """The level tree halved by reshape sums: the reference."""
+    K, n = cfg.depth, cfg.n_factors
+    tree = {}
+    for levels in itertools.product(range(K, -1, -1), repeat=n):
+        if all(k == K for k in levels):
+            tree[levels] = base
+            continue
+        i = next(j for j in range(n) if levels[j] < K)
+        arr = tree[levels[:i] + (levels[i] + 1,) + levels[i + 1:]]
+        for ax in cfg.factor_axes(i):
+            arr = _reshape_sum(arr, ax, 2)
+        tree[levels] = arr
+    return tree
+
+
+def _assert_trees_equal(got, want):
+    assert list(got) == list(want)
+    for lv in want:
+        assert np.array_equal(got[lv], want[lv])
+
+
+class TestGather:
+    @pytest.mark.parametrize("dims,depth", SPREAD_CASES + [((1,), 12)])
+    def test_slice_sums_equal_reshape_sums(self, dims, depth):
+        cfg = GridConfig(dims, depth)
+        shape = (cfg.axis_cells,) * cfg.total_dim
+        rng = np.random.default_rng(depth)
+        cms = [rng.random(shape) * 10.0 ** rng.integers(-6, 7, shape)]
+        if dims == (1,):
+            cms.append(gen_power(cfg, (6,)).cell_masses)
+        for cm in cms:
+            base = cm
+            for ax in range(cfg.total_dim):
+                base = _reshape_sum(base, ax, 3)
+            _assert_trees_equal(weights.build_mass_tree(cfg, cm),
+                                _reshape_sum_tree(cfg, base))
+            _assert_trees_equal(weights.build_pyramid(cfg, cm),
+                                _reshape_sum_tree(cfg, cm))
 
 
 class TestRandomUniform:
@@ -325,7 +372,8 @@ class TestAscentMaps:
         cm = mu.cell_masses
         adjoint = plan(mu, 0.5, "perez").adjoint
         lhs = np.sum(apply_perez(mu, 0.5, f).values * g.values * cm)
-        rhs = np.sum(f.values * adjoint(g.values) * cm)
+        rhs = np.sum(f.values * operators._upsample(cfg, adjoint(g.values))
+                     * cm)
         assert lhs == pytest.approx(rhs, rel=1e-12)
         direct = sum(frac_dyadic_direct(mu, 0.5, f, tau).values
                      for tau in itertools.product((-1, 0, 1),
