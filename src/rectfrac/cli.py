@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,28 +70,13 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Run description embedded in every output file.
+def _manifest(args: argparse.Namespace, inputs) -> dict:
+    """The run description embedded in every output file.
 
     It holds only deterministic fields (no timestamps, no thread count),
     so reruns of a command with the same seed produce byte-identical
     files; ``main`` logs start and finish times to standard error.
     """
-
-    subcommand: str
-    params: dict
-    seed: int
-    version: str
-    input_hashes: dict
-
-    def to_json(self) -> dict:
-        return {"subcommand": self.subcommand, "params": self.params,
-                "seed": self.seed, "version": self.version,
-                "input_hashes": self.input_hashes}
-
-
-def _manifest(args: argparse.Namespace, inputs) -> RunManifest:
     skip = {"func", "out", "threads", "format", "command",
             "out_required", "_started_at"}
     params = {}
@@ -100,19 +84,15 @@ def _manifest(args: argparse.Namespace, inputs) -> RunManifest:
         if key in skip or val is None:
             continue
         params[key] = str(val) if isinstance(val, Path) else val
-    return RunManifest(
-        subcommand=args.command,
-        params=params,
-        seed=getattr(args, "seed", 0),
-        version=__version__,
-        input_hashes={str(p): _sha256(p) for p in inputs},
-    )
+    return {"subcommand": args.command, "params": params,
+            "seed": getattr(args, "seed", 0), "version": __version__,
+            "input_hashes": {str(p): _sha256(p) for p in inputs}}
 
 
 def _emit(args: argparse.Namespace, body: dict, checks: list[dict],
           inputs=(), csv_text: str | None = None,
           to_stdout: bool = False) -> int:
-    doc = {"manifest": _manifest(args, inputs).to_json()}
+    doc = {"manifest": _manifest(args, inputs)}
     doc.update(body)
     doc["checks"] = checks
     out = None if to_stdout else args.out

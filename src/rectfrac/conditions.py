@@ -194,12 +194,17 @@ def condition_d_constant(w: Weight, eps: float) -> ConstantReport:
     return rep
 
 
-def carleson_testing_constant(w: Weight, p: float, q: float) -> ConstantReport:
-    """Testing constant with power q/p over descendants, 1 < p < q."""
+def _carleson_scan(w: Weight, p: float, q: float) -> ConstantReport:
+    """``carleson_testing_constant`` without its tail bound."""
     if not (1.0 < p < q < math.inf):
         raise ExponentError(f"need 1 < p < q < inf, got p={p}, q={q}")
-    rep = _descendant_power_scan(w, q / p, "carleson_testing",
-                                 {"p": float(p), "q": float(q)})
+    return _descendant_power_scan(w, q / p, "carleson_testing",
+                                  {"p": float(p), "q": float(q)})
+
+
+def carleson_testing_constant(w: Weight, p: float, q: float) -> ConstantReport:
+    """Testing constant with power q/p over descendants, 1 < p < q."""
+    rep = _carleson_scan(w, p, q)
     rep.tail_bound = _reverse_tail_bound(w, q / p - 1.0)
     return rep
 

@@ -1,15 +1,17 @@
 """Lower-bound estimation of embedding and operator norms.
 
-Every norm bounded here is the supremum of a form that is linear in
-each of its arguments: the multilinear rectangle sum of the embedding
-theorem, or ``<Tf, g>`` for an operator form.  One loop, ``_ascend``,
-serves all of them by cyclic exact coordinate ascent (the nonlinear
-power iteration).  With every argument but one frozen, the form is
+Every norm bounded here is the supremum of a form: the multilinear
+rectangle sum of the embedding theorem, ``<Tf, g>`` for an operator
+form, or the Carleson averaging sum.  One loop, ``_ascend``, serves all
+of them by cyclic exact coordinate ascent (the nonlinear power
+iteration).  With every argument but one frozen, a linear form is
 ``int f_j d dsigma_j`` for a nonnegative density d, whose maximizer on
 the unit ball of L^p is ``d**(p'-1) / nrm``.  By the equality case of
 Hölder's inequality the form then equals ``nrm**(p-1)``, so each sweep
-reads its value from the normalization and evaluates nothing else.
-Each step increases the form, histories are non-decreasing, and the
+reads its value from the normalization.  The Carleson functional is
+convex in f: its step takes the gradient as the density, and its value
+is evaluated after each sweep.  Each step increases the form, histories (one entry
+per sweep, the start not included) are non-decreasing, and the
 reported value is a certified lower bound on the supremum -- never a
 claim of the supremum itself.
 
@@ -22,8 +24,8 @@ and rebuilds it whenever that argument is a new array, so a restarted
 run reads no tree of the run before.  (The cell-quadrature kernel form
 excludes same-coordinate pairs, so the indicator identity does not
 transfer to it; that form reports the testing constant but runs
-without the restart.)  The Carleson functional is convex rather than
-linear in f; it keeps its own linearized step and shares the restart.
+without the restart.)  The Carleson bound keeps the tree of its f the
+same way, for its value and its next gradient.
 
 Every operator form, the dyadic one included, ascends ``<Tf, g>``
 with the ``forward`` and ``adjoint`` maps of one ``operators.plan``,
@@ -58,12 +60,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import carleson_testing_constant, fp_constant
+from .conditions import _carleson_scan, fp_constant
 from .grids import GridConfig, rect_from_json
-from .operators import (ExponentConfig, ExponentError, RectKernel,
-                        _check_same_grid, _neg_power, _paired, _spread,
-                        _upsample, check_mlinear_exponents, level_combos,
-                        plan)
+from .operators import (ExponentConfig, RectKernel, _check_same_grid,
+                        _neg_power, _paired, _spread, _upsample,
+                        check_mlinear_exponents, level_combos, plan)
 from .weights import GridFunction, Weight, build_mass_tree
 
 
@@ -104,23 +105,17 @@ def _check_limits(tol: float, max_sweeps: int) -> None:
         raise ValueError(f"tol must be at least 0, got {tol}")
 
 
-def _normalized(cell_masses, values, p):
-    nrm = _lp(cell_masses, values, p)
-    if nrm == 0.0:
-        return None
-    return values / nrm
-
-
-def _ascend(densities, sigmas, rs, tol, max_sweeps):
-    """Cyclic exact coordinate maximization of a form linear in each argument.
+def _ascend(densities, sigmas, rs, tol, max_sweeps, value=None):
+    """Cyclic exact coordinate maximization of a form.
 
     ``densities[j](fs)`` is the form's density in argument j, whose
     maximizer is sought on the unit ball of L^r_j(sigma_j).  The steps
     run in argument order, each raising its density to ``r' - 1`` and
     normalizing it at the resolution the density comes in (per level-K
-    cube on the standard family), then putting it on cells.  Returns
-    the run: a map of initial arrays to ``(fs, history, sweeps,
-    converged)``.
+    cube on the standard family), then putting it on cells.  A sweep
+    records the form's value by Hölder's equality, or ``value(fs)`` for
+    a form that is not linear.  Returns the run: a map of initial
+    arrays to ``(fs, history, sweeps, converged)``.
     """
     cfg = sigmas[0].config
     steps = [(j, density, w.cell_masses, r / (r - 1.0) - 1.0, r)
@@ -129,10 +124,10 @@ def _ascend(densities, sigmas, rs, tol, max_sweeps):
     def run(fs):
         fs = list(fs)
         for j, _, cm, _, p in steps:
-            f = _normalized(cm, fs[j], p)
-            if f is None:
+            nrm = _lp(cm, fs[j], p)
+            if nrm == 0.0:
                 return [np.zeros_like(f0) for f0 in fs], [0.0], 0, True
-            fs[j] = f
+            fs[j] = fs[j] / nrm
         history: list[float] = []
         while True:
             for j, density, cm, power, p in steps:
@@ -144,7 +139,7 @@ def _ascend(densities, sigmas, rs, tol, max_sweeps):
                 d /= nrm
                 fs[j] = _upsample(cfg, d)
             # Hölder equality: the form at the last step's maximizer
-            history.append(nrm ** (p - 1.0))
+            history.append(nrm ** (p - 1.0) if value is None else value(fs))
             if len(history) >= 2 and \
                     history[-1] - history[-2] <= tol * abs(history[-1]):
                 return fs, history, len(history), True
@@ -286,50 +281,40 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
 
     Maximizes sum_R sigma(R)**(q/p - q) (int_R f dsigma)**q over the
     unit ball of L^p(sigma), f >= 0.  The functional is convex, so the
-    linearized exact step ascends.
+    linearized exact step ascends: ``_ascend`` takes the gradient
+    sum_R a_R (int_R f dsigma)**(q-1) 1_R as its density, and the
+    value and the gradient read one mass tree of f.
     """
-    p, q = float(p), float(q)
-    if not (1.0 < p < q < math.inf):
-        raise ExponentError(f"need 1 < p < q < inf, got p={p}, q={q}")
     _check_limits(tol, max_sweeps)
-    cfg = sigma.config
+    p, q = float(p), float(q)
+    c2 = _carleson_scan(sigma, p, q)  # refuses exponents outside 1 < p < q
+    cfg, cm = sigma.config, sigma.cell_masses
     combos = list(level_combos(cfg))
-    cm = sigma.cell_masses
-    p_conj = p / (p - 1.0)
     a_tables = {lv: _neg_power(sigma.mass_tree[lv], q / p - q)
                 for lv in combos}
+    kept = []  # the f the tree was built from and its tree, once built
 
-    def run(init):
-        f = _normalized(cm, init[0], p)
-        if f is None:
-            return init, [0.0], 0, True
-        history: list[float] = []
-        sweeps = 0
-        converged = False
-        while True:
-            tree = build_mass_tree(cfg, cm * f)
-            phi = 0.0
-            for lv in combos:
-                phi += float((a_tables[lv] * tree[lv] ** q).sum())
-            history.append(phi)
-            if len(history) >= 2 and \
-                    history[-1] - history[-2] <= tol * abs(history[-1]):
-                converged = True
-                break
-            if sweeps >= max_sweeps:
-                break
-            grad = _spread(cfg, (a_tables[lv] * tree[lv] ** (q - 1.0)
-                                 for lv in combos))
-            f_new = _normalized(cm, grad ** (p_conj - 1.0), p)
-            if f_new is None:
-                break
-            f = _upsample(cfg, f_new)
-            sweeps += 1
-        return [f], history, sweeps, converged
+    def tree(f):
+        if not kept or kept[0] is not f:
+            kept.clear()
+            kept.extend((f, build_mass_tree(cfg, cm * f)))
+        return kept[1]
 
-    return _norm_bound(run, (sigma,), carleson_testing_constant(sigma, p, q),
-                       {"p": p, "q": q}, tol=tol, max_sweeps=max_sweeps,
-                       seed=seed, warm_start=warm_start)
+    def gradient(fs):
+        t = tree(fs[0])
+        return _spread(cfg, (a_tables[lv] * t[lv] ** (q - 1.0)
+                             for lv in combos))
+
+    def value(fs):
+        t, phi = tree(fs[0]), 0.0
+        for lv in combos:
+            phi += float((a_tables[lv] * t[lv] ** q).sum())
+        return phi
+
+    run = _ascend((gradient,), (sigma,), (p,), tol, max_sweeps, value)
+    return _norm_bound(run, (sigma,), c2, {"p": p, "q": q}, tol=tol,
+                       max_sweeps=max_sweeps, seed=seed,
+                       warm_start=warm_start)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,10 @@ of per-axis interval masses, so the kernel is the Kronecker product of
 one C x C matrix per axis (``kernel_factor``), and the kernel plan
 applies it as one mode product per axis: no C**N x C**N matrix is
 built.  Any other weight falls back to the dense ``kernel_matrix``,
-filled one anchor cell at a time (``_kernel_rows``) and refused before
-it allocates past ``KERNEL_MATRIX_BUDGET`` bytes.  Both are powered on
-their upper triangle and mirrored, so the kernel is exactly symmetric.
+filled one anchor cell at a time (``_kernel_rows``).  Either matrix is
+refused before it is allocated past ``KERNEL_MATRIX_BUDGET`` bytes, and
+both are powered on their upper triangle and mirrored, so the kernel is
+exactly symmetric.
 
 Masses and integrals are formed by additions only, so a mass raised
 to the negative power alpha/N - 1 keeps its relative accuracy.
@@ -76,7 +77,7 @@ from .grids import (GridConfig, ProductRect, min_rect, standard_rect,
 from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 
 EXPONENT_TOL = 1e-12
-KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a dense kernel matrix may take
+KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a kernel matrix or factor may take
 FACTOR_ROWS = 128  # rows of a kernel factor summed and powered at once
 OPERATOR_FORMS = ("dyadic", "perez", "kernel", "shifted-sum")
 
@@ -86,7 +87,7 @@ class ExponentError(ValueError):
 
 
 class KernelBudgetError(ValueError):
-    """A dense kernel matrix larger than ``KERNEL_MATRIX_BUDGET``."""
+    """A kernel matrix or factor larger than ``KERNEL_MATRIX_BUDGET``."""
 
 
 @dataclass(frozen=True)
@@ -473,13 +474,15 @@ def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
     """
     N = mu.config.total_dim
     expo = _check_alpha(alpha, N) / N - 1.0
-    count = mu.config.axis_cells ** N
+    C = mu.config.axis_cells
+    count = C ** N
     nbytes = 8 * count * count
     if nbytes > KERNEL_MATRIX_BUDGET:
         raise KernelBudgetError(
             f"the dense kernel matrix of {count} cells needs {nbytes} bytes, "
-            f"over the budget of {KERNEL_MATRIX_BUDGET} bytes; only a weight "
-            f"with per-axis factors runs the kernel form at this size")
+            f"over the budget of {KERNEL_MATRIX_BUDGET} bytes; a weight with "
+            f"per-axis factors takes one {C} x {C} factor per axis, under the "
+            f"same budget")
     A = np.empty((count, count))
     for r, (_, masses) in enumerate(_kernel_rows(mu)):
         A[r, r:] = _neg_power(masses.ravel()[r:], expo)
@@ -494,10 +497,16 @@ def kernel_factor(masses: np.ndarray, expo: float) -> np.ndarray:
     the outward cumulative sum of the half-pair sums, as in
     ``_kernel_rows``; blocks of ``FACTOR_ROWS`` rows are summed and
     powered together, then mirrored below the diagonal, so the matrix
-    is exactly symmetric with a zero diagonal.
+    is exactly symmetric with a zero diagonal.  Refuses with
+    ``KernelBudgetError`` before it allocates when the matrix would take
+    more than ``KERNEL_MATRIX_BUDGET`` bytes.
     """
-    h = (masses[:-1] + masses[1:]) / 2
     C = len(masses)
+    if 8 * C * C > KERNEL_MATRIX_BUDGET:
+        raise KernelBudgetError(
+            f"the kernel factor of {C} cells needs {8 * C * C} bytes, over "
+            f"the budget of {KERNEL_MATRIX_BUDGET} bytes")
+    h = (masses[:-1] + masses[1:]) / 2
     F = np.zeros((C, C))
     for b0 in range(0, C, FACTOR_ROWS):
         b1 = min(b0 + FACTOR_ROWS, C)

@@ -14,8 +14,8 @@ from rectfrac import (ConstantReport, DyadicCube, ExponentConfig,
                       gen_uniform, lp_norm, mlinear_form, operator_norm_lower,
                       rows_to_csv)
 from rectfrac.grids import rect_to_json
-from rectfrac.operators import _neg_power, _spread, _upsample, level_combos
-from rectfrac.weights import build_mass_tree, gen_power
+from rectfrac.operators import _upsample
+from rectfrac.weights import gen_power
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 FORMS = ("dyadic", "perez", "shifted-sum", "kernel")
@@ -324,7 +324,7 @@ class TestCarlesonNormLower:
         est = carleson_norm_lower(w, 2.0, 4.0, max_sweeps=8)
         assert est.sweeps == 8
         assert est.history == [
-            4.167504900995389, 4.5976303971714705, 5.103641091676934,
+            4.5976303971714705, 5.103641091676934,
             5.513958698842868, 5.834186330724673, 6.2414950830713085,
             6.860085630991607, 7.530317811594731, 7.929199500533869]
 
@@ -382,7 +382,7 @@ class TestDepthSweep:
                 return fn(*args)
             return wrapper
 
-        for name in ("fp_constant", "carleson_testing_constant"):
+        for name in ("fp_constant", "_carleson_scan"):
             monkeypatch.setattr(estimators, name,
                                 counted(getattr(estimators, name)))
         w = cascade_square
@@ -451,11 +451,39 @@ class TestSweepLimits:
             calls[bound]()
 
 
+def _bound(name, mu, **limits):
+    ec = ExponentConfig.hls(0.5, 4 / 3, mu.config.total_dim)
+    if name == "dyadic":
+        return operator_norm_lower(mu, ec.alpha, ec.p, ec.q, **limits)
+    if name == "embed":
+        return embed_norm_lower(RectKernel.hls(mu, ec.alpha), (mu, mu),
+                                (ec.p, ec.q_conj), **limits)
+    return carleson_norm_lower(mu, 2.0, 4.0, **limits)
+
+
+class TestSweepSemantics:
+    """``sweeps``, ``converged`` and ``history`` mean the same everywhere."""
+
+    @pytest.mark.parametrize("max_sweeps", [1, 3])
+    @pytest.mark.parametrize("bound", ["dyadic", "embed", "carleson"])
+    def test_one_entry_per_sweep(self, bound, max_sweeps):
+        mu = gen_cascade(GridConfig((1, 1), 4), 2.0, 1)
+        est = _bound(bound, mu, tol=0.0, max_sweeps=max_sweeps)
+        assert len(est.history) == est.sweeps == max_sweeps
+        assert est.converged is False
+
+    @pytest.mark.parametrize("bound", ["dyadic", "embed", "carleson"])
+    def test_fixed_point_converges_on_second_sweep(self, bound):
+        est = _bound(bound, gen_uniform(GridConfig((1,), 4)))
+        assert est.converged is True
+        assert est.sweeps >= 2
+
+
 def _lp_on_cells(cm, values, p):
     return float(np.sum(values ** p * cm)) ** (1.0 / p)
 
 
-def _cell_ascend(densities, sigmas, rs, tol, max_sweeps):
+def _cell_ascend(densities, sigmas, rs, tol, max_sweeps, value=None):
     """``estimators._ascend`` with every step on cells: the reference."""
     cfg = sigmas[0].config
     steps = [(j, density, w.cell_masses, r / (r - 1.0) - 1.0, r)
@@ -476,7 +504,7 @@ def _cell_ascend(densities, sigmas, rs, tol, max_sweeps):
                 if nrm == 0.0:
                     return fs, history or [0.0], len(history), True
                 fs[j] = d / nrm
-            history.append(nrm ** (p - 1.0))
+            history.append(nrm ** (p - 1.0) if value is None else value(fs))
             if len(history) >= 2 and \
                     history[-1] - history[-2] <= tol * abs(history[-1]):
                 return fs, history, len(history), True
@@ -484,47 +512,6 @@ def _cell_ascend(densities, sigmas, rs, tol, max_sweeps):
                 return fs, history, len(history), False
 
     return run
-
-
-def _cell_carleson(sigma, p, q, max_sweeps):
-    """``carleson_norm_lower`` with every step on cells: the reference."""
-    cfg, cm, tol = sigma.config, sigma.cell_masses, 1e-9
-    combos = list(level_combos(cfg))
-    p_conj = p / (p - 1.0)
-    a_tables = {lv: _neg_power(sigma.mass_tree[lv], q / p - q)
-                for lv in combos}
-
-    def run(init):
-        nrm = _lp_on_cells(cm, init[0], p)
-        if nrm == 0.0:
-            return init, [0.0], 0, True
-        f, history, sweeps, converged = init[0] / nrm, [], 0, False
-        while True:
-            tree = build_mass_tree(cfg, cm * f)
-            phi = 0.0
-            for lv in combos:
-                phi += float((a_tables[lv] * tree[lv] ** q).sum())
-            history.append(phi)
-            if len(history) >= 2 and \
-                    history[-1] - history[-2] <= tol * abs(history[-1]):
-                converged = True
-                break
-            if sweeps >= max_sweeps:
-                break
-            grad = _upsample(cfg, _spread(
-                cfg, (a_tables[lv] * tree[lv] ** (q - 1.0) for lv in combos)))
-            g = grad ** (p_conj - 1.0)
-            nrm = _lp_on_cells(cm, g, p)
-            if nrm == 0.0:
-                break
-            f = g / nrm
-            sweeps += 1
-        return [f], history, sweeps, converged
-
-    return estimators._norm_bound(
-        run, (sigma,), carleson_testing_constant(sigma, p, q),
-        {"p": p, "q": q}, tol=tol, max_sweeps=max_sweeps, seed=0,
-        warm_start=None)
 
 
 def _bit_weights():
@@ -561,11 +548,8 @@ class TestCubeResolution:
             return carleson_norm_lower(mu, 2.0, 4.0, max_sweeps=sweeps)
 
         est = estimate()
-        if bound == "carleson":
-            ref = _cell_carleson(mu, 2.0, 4.0, sweeps)
-        else:
-            monkeypatch.setattr(estimators, "_ascend", _cell_ascend)
-            ref = estimate()
+        monkeypatch.setattr(estimators, "_ascend", _cell_ascend)
+        ref = estimate()
         assert est.history == ref.history
         assert (est.sweeps, est.converged) == (ref.sweeps, ref.converged)
         for a, b in zip(est.maximizers, ref.maximizers, strict=True):

@@ -602,15 +602,18 @@ class TestKernelFactors:
 class TestKernelMatrixBudget:
     def test_refuses_before_allocating(self, monkeypatch):
         w = gen_cascade(GridConfig((1, 1), 2), 2.0, 3)  # 144 cells, 165888 B
+        masses = w.cell_masses.ravel()  # one axis of 144 cells, as large
         monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", 1000)
-        tracemalloc.start()
-        try:
-            with pytest.raises(KernelBudgetError, match="165888 bytes"):
-                kernel_matrix(w, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16_000
+        for build in (lambda: kernel_matrix(w, 0.5),
+                      lambda: kernel_factor(masses, -0.75)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(KernelBudgetError, match="165888 bytes"):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16_000
 
     def test_unfactored_depth_six_refused(self, monkeypatch):
         def no_rows(mu):
