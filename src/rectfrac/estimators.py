@@ -216,7 +216,7 @@ def _mlinear_densities(kernel: RectKernel, sigmas):
         def density(fs):
             trees = [tree(k, f) for k, f in enumerate(fs) if k != j]
             cache.pop((j + 1) % len(fs), None)
-            return _spread(cfg, (term(lv, trees) for lv in combos))
+            return _spread(term(lv, trees) for lv in combos)
         return density
 
     return [density_in(j) for j in range(len(sigmas))]
@@ -302,8 +302,7 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
 
     def gradient(fs):
         t = tree(fs[0])
-        return _spread(cfg, (a_tables[lv] * t[lv] ** (q - 1.0)
-                             for lv in combos))
+        return _spread(a_tables[lv] * t[lv] ** (q - 1.0) for lv in combos)
 
     def value(fs):
         t, phi = tree(fs[0]), 0.0

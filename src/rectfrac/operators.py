@@ -48,13 +48,14 @@ The kernel form's minimal-rectangle masses grow, along each axis, by
 cumulative sums of half-pair cell sums running outward from the anchor
 cell.  For a weight with per-axis factors, mu(R(x,y)) is the product
 of per-axis interval masses, so the kernel is the Kronecker product of
-one C x C matrix per axis (``kernel_factor``), and the kernel plan
-applies it as one mode product per axis: no C**N x C**N matrix is
-built.  Any other weight falls back to the dense ``kernel_matrix``,
-filled one anchor cell at a time (``_kernel_rows``).  Either matrix is
-refused before it is allocated past ``KERNEL_MATRIX_BUDGET`` bytes, and
-both are powered on their upper triangle and mirrored, so the kernel is
-exactly symmetric.
+one symmetric C x C factor per axis (``kernel_factor``).  Each factor
+is stored once, as strips of its upper triangle, and the kernel plan
+applies it as one mode product per axis, each strip standing for
+itself and its mirror: no C**N x C**N matrix is built.  Any other
+weight falls back to the dense ``kernel_matrix``, filled one anchor
+cell at a time (``_kernel_rows``), powered on its upper triangle and
+mirrored, so it is exactly symmetric.  Either is refused before it is
+allocated past ``KERNEL_MATRIX_BUDGET`` bytes.
 
 Masses and integrals are formed by additions only, so a mass raised
 to the negative power alpha/N - 1 keeps its relative accuracy.
@@ -78,7 +79,7 @@ from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 
 EXPONENT_TOL = 1e-12
 KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a kernel matrix or factor may take
-FACTOR_ROWS = 128  # rows of a kernel factor summed and powered at once
+FACTOR_ROWS = 128  # rows of a kernel factor strip, summed and powered at once
 OPERATOR_FORMS = ("dyadic", "perez", "kernel", "shifted-sum")
 
 
@@ -199,7 +200,7 @@ def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
     return np.broadcast_to(arr.reshape(term), view).reshape(cells)
 
 
-def _spread(config: GridConfig, arrs) -> np.ndarray:
+def _spread(arrs) -> np.ndarray:
     """The sum of the block arrays in ``arrs``, on their finest blocks.
 
     ``arrs`` yields one array per level combination in ``level_combos``
@@ -373,7 +374,7 @@ def apply_positive(kernel, sigma: Weight, f: GridFunction) -> GridFunction:
     kernel = RectKernel.coerce(kernel, cfg)
     tree = build_mass_tree(cfg, sigma.cell_masses * f.values)
     return GridFunction(cfg, _upsample(cfg, _spread(
-        cfg, (kernel.tables[lv] * tree[lv] for lv in level_combos(cfg)))))
+        kernel.tables[lv] * tree[lv] for lv in level_combos(cfg))))
 
 
 def _report(cfg: GridConfig, values, skipped, excluded, return_diagnostics):
@@ -490,36 +491,69 @@ def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
     return A
 
 
-def kernel_factor(masses: np.ndarray, expo: float) -> np.ndarray:
+def kernel_factor(masses: np.ndarray, expo: float) -> list[np.ndarray]:
     """mass(I(x_i, x_j))**expo between the cell centres of one axis.
 
-    ``masses`` are the axis's cell masses.  Row i from column i on is
-    the outward cumulative sum of the half-pair sums, as in
-    ``_kernel_rows``; blocks of ``FACTOR_ROWS`` rows are summed and
-    powered together, then mirrored below the diagonal, so the matrix
-    is exactly symmetric with a zero diagonal.  Refuses with
-    ``KernelBudgetError`` before it allocates when the matrix would take
+    ``masses`` are the axis's cell masses.  The factor F is exactly
+    symmetric with a zero diagonal, so only its upper half is stored: a
+    list of strips of ``FACTOR_ROWS`` rows, the strip of rows b0:b1
+    holding ``F[b0:b1, b0:]``.  Row i from column i on is the outward
+    cumulative sum of the half-pair sums, as in ``_kernel_rows``; the
+    rows of a strip are summed and powered together, and its leading
+    square block, which holds the diagonal, gets its lower triangle by
+    mirroring.  Given the cell masses of a one-axis weight, the strips
+    assembled are its ``kernel_matrix`` bit for bit.  Refuses with
+    ``KernelBudgetError`` before it allocates when the strips would take
     more than ``KERNEL_MATRIX_BUDGET`` bytes.
     """
     C = len(masses)
-    if 8 * C * C > KERNEL_MATRIX_BUDGET:
+    bounds = [(b0, min(b0 + FACTOR_ROWS, C))
+              for b0 in range(0, C, FACTOR_ROWS)]
+    nbytes = 8 * sum((b1 - b0) * (C - b0) for b0, b1 in bounds)
+    if nbytes > KERNEL_MATRIX_BUDGET:
         raise KernelBudgetError(
-            f"the kernel factor of {C} cells needs {8 * C * C} bytes, over "
+            f"the kernel factor of {C} cells needs {nbytes} bytes, over "
             f"the budget of {KERNEL_MATRIX_BUDGET} bytes")
     h = (masses[:-1] + masses[1:]) / 2
-    F = np.zeros((C, C))
-    for b0 in range(0, C, FACTOR_ROWS):
-        b1 = min(b0 + FACTOR_ROWS, C)
+    strips = []
+    for b0, b1 in bounds:
+        S = np.zeros((b1 - b0, C - b0))
         # entry (i, k) of the block is F[b0 + i, b0 + 1 + k]
-        blk = F[b0:b1, b0 + 1:]
+        blk = S[:, 1:]
         upper = np.arange(C - 1 - b0) >= np.arange(b1 - b0)[:, None]
         np.copyto(blk, h[b0:], where=upper)
         np.cumsum(blk, axis=1, out=blk)
         np.power(blk, expo, out=blk, where=blk > 0)
-        F[b1:, b0:b1] = F[b0:b1, b1:].T
-        diag = F[b0:b1, b0:b1]
+        diag = S[:, :b1 - b0]
         diag += diag.T  # one of each mirrored pair is still 0
-    return F
+        strips.append(S)
+    return strips
+
+
+def _strip_product(strips: list[np.ndarray], arr: np.ndarray,
+                   ax: int) -> np.ndarray:
+    """The mode product of the factor stored as ``strips`` with ``arr``.
+
+    With the axis in front and the rest flattened, strip ``S`` of rows
+    b0:b1 adds ``S @ v[b0:]`` to rows b0:b1 and, as the factor's lower
+    half, its transpose beyond the diagonal block to rows b1 on; the
+    first strip writes every row.  Both products take views, so no
+    strip is copied.
+    """
+    v = np.moveaxis(arr, ax, 0)
+    shape = v.shape
+    v = v.reshape(shape[0], -1)
+    out = np.empty_like(v)
+    n = len(strips[0])
+    np.matmul(strips[0], v, out=out[:n])
+    np.matmul(strips[0][:, n:].T, v[:n], out=out[n:])
+    b0 = n
+    for S in strips[1:]:
+        b1 = b0 + len(S)
+        out[b0:b1] += S @ v[b0:]
+        out[b1:] += S[:, b1 - b0:].T @ v[b0:b1]
+        b0 = b1
+    return np.moveaxis(out.reshape(shape), 0, ax)
 
 
 @dataclass(frozen=True)
@@ -561,8 +595,8 @@ def _window_plan(mu: Weight, expo: float, family) -> FormPlan:
 
     def apply(fv):
         pyr = build_pyramid(cfg, mu.cell_masses * fv)
-        return _spread(cfg, (_windows(coeffs[lv] * _windows(pyr[lv], 2), 0)
-                             for lv in level_combos(cfg)))
+        return _spread(_windows(coeffs[lv] * _windows(pyr[lv], 2), 0)
+                       for lv in level_combos(cfg))
 
     return FormPlan(apply, apply, skipped)
 
@@ -570,11 +604,14 @@ def _window_plan(mu: Weight, expo: float, family) -> FormPlan:
 def _kernel_plan(mu: Weight, alpha: float, expo: float) -> FormPlan:
     """The kernel form, by Kronecker factors when the weight has them.
 
-    Counts come without a pass over a factor: the excluded pairs by
-    their closed form, and, per axis, the centres i < j whose interval
-    mass is 0 -- those with no positive half-pair sum between them,
-    where the running count of positive ones ties at i and j.  Only
-    the dense fallback counts the zeros of its matrix.
+    Each factor is kept as the upper-triangle strips of
+    ``kernel_factor`` and applied by ``_strip_product``, one mode
+    product per axis; the factors are symmetric, so the forward map is
+    its own adjoint.  Counts come without a pass over a factor: the
+    excluded pairs by their closed form, and, per axis, the centres
+    i < j whose interval mass is 0 -- those with no positive half-pair
+    sum between them, where the running count of positive ones ties at
+    i and j.  Only the dense fallback counts the zeros of its matrix.
     """
     cm, N, C = mu.cell_masses, mu.config.total_dim, mu.config.axis_cells
     excluded = C ** N * (C ** N - (C - 1) ** N)
@@ -586,7 +623,7 @@ def _kernel_plan(mu: Weight, alpha: float, expo: float) -> FormPlan:
     # the weight's cell volume per axis, so that at N = 1 the factor's
     # masses are the weight's cell masses bit for bit
     masses = [a * float(C) ** -1 for a in mu.factors]
-    mats = [kernel_factor(m, expo) for m in masses]
+    factors = [kernel_factor(m, expo) for m in masses]
     ties = [np.bincount(np.cumsum(np.r_[0, (m[:-1] + m[1:]) / 2 > 0]))
             for m in masses]
     skipped = (C * (C - 1)) ** N - math.prod(
@@ -594,8 +631,8 @@ def _kernel_plan(mu: Weight, alpha: float, expo: float) -> FormPlan:
 
     def forward(fv):
         out = fv * cm
-        for ax, F in enumerate(mats):
-            out = np.moveaxis(np.tensordot(F, out, axes=(1, ax)), 0, ax)
+        for ax, strips in enumerate(factors):
+            out = _strip_product(strips, out, ax)
         return out
 
     return FormPlan(forward, forward, skipped, excluded)
@@ -639,8 +676,8 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
     def rect_sum(term):
         def apply(fv):
             tree = build_mass_tree(cfg, cm * fv)
-            return _spread(cfg, (term(hls[lv], tree[lv])
-                                 for lv in level_combos(cfg)))
+            return _spread(term(hls[lv], tree[lv])
+                           for lv in level_combos(cfg))
         return apply
 
     if form == "dyadic":

@@ -2,7 +2,11 @@ import functools
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from rectfrac import (DegeneratePairError, DyadicCube, ExponentConfig,
 from rectfrac.bruteforce import (frac_dyadic_direct, mass_direct,
                                  mlinear_direct, perez_direct,
                                  positive_direct)
+import rectfrac
 from rectfrac import operators, weights
 from rectfrac.operators import (KernelBudgetError, kernel_factor,
                                 kernel_matrix, plan)
@@ -128,7 +133,7 @@ class TestSpread:
         fold = np.zeros((cfg.axis_cells,) * cfg.total_dim)
         for arr in arrs:
             fold += operators._upsample(cfg, arr)
-        out = operators._upsample(cfg, operators._spread(cfg, iter(arrs)))
+        out = operators._upsample(cfg, operators._spread(iter(arrs)))
         assert np.array_equal(out, fold)
 
 
@@ -544,6 +549,46 @@ def _factored_weight(kind, dims, depth):
     return gen_power(cfg, (6,), centers=(0.5,))
 
 
+def _assembled(strips):
+    """The full factor from its upper-triangle strips."""
+    C = strips[0].shape[1]
+    F = np.empty((C, C))
+    b0 = 0
+    for S in strips:
+        b1 = b0 + len(S)
+        F[b0:b1, b0:] = S
+        F[b1:, b0:b1] = S[:, b1 - b0:].T
+        b0 = b1
+    return F
+
+
+THREAD_RUN = """
+import hashlib, json
+from rectfrac import (ExponentConfig, GridConfig, gen_cascade,
+                      operator_norm_lower)
+for dims, depth in (((1,), 8), ((1, 1), 4), ((1, 1, 1), 3)):
+    w = gen_cascade(GridConfig(dims, depth), 2.0, 1)
+    ec = ExponentConfig.hls(0.5, 4 / 3, len(dims))
+    est = operator_norm_lower(w, ec.alpha, ec.p, ec.q, "kernel",
+                              max_sweeps=6)
+    print(json.dumps([dims, repr(est.value), [repr(v) for v in est.history],
+                      [hashlib.sha256(m.values.tobytes()).hexdigest()
+                       for m in est.maximizers]]))
+"""
+
+
+def _thread_run(threads):
+    """Kernel bounds from a fresh process with ``threads`` BLAS threads."""
+    src = str(Path(rectfrac.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", THREAD_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestKernelFactors:
     @pytest.mark.parametrize("kind,dims,depth", FACTORED_CASES)
     def test_forward_map_against_references(self, kind, dims, depth,
@@ -576,12 +621,21 @@ class TestKernelFactors:
 
     def test_factors_and_dense_matrix_exactly_symmetric(self):
         power = gen_power(GridConfig((1,), 10), (6,), centers=(0.5,))
-        F = kernel_factor(power.cell_masses, -0.5)
-        assert np.array_equal(F, F.T)
+        strips = kernel_factor(power.cell_masses, -0.5)
+        F = _assembled(strips)
+        # at N = 1 the factor is the dense matrix of the same weight
+        assert np.array_equal(F, kernel_matrix(power, 0.5))
+        for S in strips:
+            diag = S[:, :len(S)]
+            assert np.array_equal(diag, diag.T)
         assert not F.diagonal().any()
         for cfg in (GridConfig((1,), 6), GridConfig((1, 1), 3)):
             A = kernel_matrix(gen_cascade(cfg, 2.0, 5), 0.5)
             assert np.array_equal(A, A.T)
+
+    def test_bound_byte_identical_across_thread_counts(self):
+        runs = [_thread_run(threads) for threads in (1, 2)]
+        assert runs[0] == runs[1]
 
     def test_factored_bound_matches_dense(self):
         w = gen_cascade(GridConfig((1, 1), 3), 2.0, 8)
@@ -602,18 +656,35 @@ class TestKernelFactors:
 class TestKernelMatrixBudget:
     def test_refuses_before_allocating(self, monkeypatch):
         w = gen_cascade(GridConfig((1, 1), 2), 2.0, 3)  # 144 cells, 165888 B
-        masses = w.cell_masses.ravel()  # one axis of 144 cells, as large
+        masses = w.cell_masses.ravel()  # one axis of 144 cells: 149504 B
         monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", 1000)
-        for build in (lambda: kernel_matrix(w, 0.5),
-                      lambda: kernel_factor(masses, -0.75)):
+        for build, nbytes in ((lambda: kernel_matrix(w, 0.5), 165888),
+                              (lambda: kernel_factor(masses, -0.75), 149504)):
             tracemalloc.start()
             try:
-                with pytest.raises(KernelBudgetError, match="165888 bytes"):
+                with pytest.raises(KernelBudgetError,
+                                   match=f"{nbytes} bytes"):
                     build()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 16_000
+
+    @pytest.mark.parametrize("cells", [1, 127, 128, 129, 144, 300])
+    def test_factor_states_its_strip_bytes(self, cells, monkeypatch):
+        masses = np.random.default_rng(cells).random(cells)
+        nbytes = sum(S.nbytes for S in kernel_factor(masses, -0.5))
+        monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", nbytes - 1)
+        with pytest.raises(KernelBudgetError, match=f"needs {nbytes} bytes"):
+            kernel_factor(masses, -0.5)
+
+    def test_depth_twelve_factor_within_budget(self, monkeypatch):
+        masses = np.full(3 << 12, 1 / (3 << 12))  # one axis at K = 12
+        nbytes = 610271232  # the upper-triangle strips; the full F: 1.21 GB
+        assert nbytes <= operators.KERNEL_MATRIX_BUDGET
+        monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", nbytes - 1)
+        with pytest.raises(KernelBudgetError, match=f"needs {nbytes} bytes"):
+            kernel_factor(masses, -0.5)
 
     def test_unfactored_depth_six_refused(self, monkeypatch):
         def no_rows(mu):
