@@ -77,8 +77,7 @@ def _manifest(args: argparse.Namespace, inputs) -> dict:
     so reruns of a command with the same seed produce byte-identical
     files; ``main`` logs start and finish times to standard error.
     """
-    skip = {"func", "out", "threads", "format", "command",
-            "out_required", "_started_at"}
+    skip = {"func", "out", "threads", "format", "command", "out_required"}
     params = {}
     for key, val in sorted(vars(args).items()):
         if key in skip or val is None:
@@ -424,13 +423,13 @@ def main(argv=None) -> int:
     if getattr(args, "out_required", False) and args.out is None:
         print("error: this subcommand requires --out", file=sys.stderr)
         return 2
-    args._started_at = time.time()
+    started = time.time()
     try:
         code = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"[rectfrac] {args.command}: started {args._started_at:.3f}, "
+    print(f"[rectfrac] {args.command}: started {started:.3f}, "
           f"finished {time.time():.3f} (epoch seconds)", file=sys.stderr)
     return code
 

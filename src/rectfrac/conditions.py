@@ -7,6 +7,12 @@ scanned and the truncation depth.  The restriction to the lattice
 family is a measurement limitation and is always surfaced through
 those fields.
 
+Every constant runs through one scan, ``_scan``, over ``(key, array)``
+entries: the first extremum of each array, kept only when strictly
+better than the best so far.  So ties go to the first extremal
+rectangle in ``level_combos`` order, then direction j, then row-major
+index within the level's array.
+
 Conventions for degenerate masses follow the definitions read
 literally: the doubling scan reports +inf when a child has zero mass
 under a positive parent (the weight fails doubling, and the witness
@@ -20,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import DyadicCube, GridConfig, cube_to_json, rect_to_json, \
-    standard_rect
+from .grids import DyadicCube, cube_to_json, rect_to_json, standard_rect
 from .operators import ExponentError, RectKernel, _neg_power, \
     check_mlinear_exponents, level_combos
 from .weights import Weight, _sum_blocks
@@ -54,57 +59,69 @@ class ConstantReport:
         }
 
 
-def _expand_parent(config: GridConfig, arr: np.ndarray, j: int) -> np.ndarray:
-    for ax in config.factor_axes(j):
-        arr = np.repeat(arr, 2, axis=ax)
-    return arr
+def _scan(entries, start: float, minimize: bool = False):
+    """First extremum over ``(key, array)`` entries, read in order.
+
+    Each array gives its first extremum (``np.argmax``, or ``np.argmin``
+    when minimizing), which replaces the best so far only when strictly
+    better; the best starts at ``start``.  Returns the best
+    ``(value, key, flat index, shape)`` -- key None when no entry beat
+    ``start`` -- and the number of array elements scanned.  No array is
+    kept past its own scan.
+    """
+    pick = np.argmin if minimize else np.argmax
+    best, scanned = (start, None, 0, ()), 0
+    for key, arr in entries:
+        flat = int(pick(arr))
+        val = float(arr.flat[flat])
+        scanned += arr.size
+        if (val < best[0]) if minimize else (val > best[0]):
+            best = (val, key, flat, arr.shape)
+    return best, scanned
 
 
-def _child_witness(config: GridConfig, levels, j: int, flat: int,
-                   child_shape) -> dict:
-    c_idx = np.unravel_index(flat, child_shape)
-    j_axes = set(config.factor_axes(j))
-    parent_idx = tuple(int(v) // 2 if ax in j_axes else int(v)
-                       for ax, v in enumerate(c_idx))
-    rect = standard_rect(config, levels, parent_idx)
-    child = DyadicCube(levels[j] + 1,
-                       tuple(int(c_idx[ax]) for ax in config.factor_axes(j)))
-    return {"rect": rect_to_json(rect), "j": j, "child": cube_to_json(child)}
+def _halving_scan(w: Weight, name: str, minimize: bool) -> ConstantReport:
+    """Extremal mass ratio parent/child over all one-direction halvings.
 
-
-def _halving_scan(w: Weight, minimize: bool):
-    """Extremal mass ratio parent/child over all one-direction halvings."""
+    One scan per direction j gives ``per_factor[j]``; the overall best
+    is the best of those, ties going to the smallest ``(levels, j)``.
+    """
     cfg = w.config
     K, n = cfg.depth, cfg.n_factors
     skip = math.inf if minimize else -1.0
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
-    best = math.inf if minimize else -1.0
-    best_wit = None
-    per_factor = [math.inf if minimize else -1.0] * n
-    scanned = 0
-    for levels in level_combos(cfg):
-        parent_arr = w.mass_tree[levels]
-        for j in range(n):
+
+    def ratios(j):
+        for levels in level_combos(cfg):
             if levels[j] >= K:
                 continue
-            child_levels = levels[:j] + (levels[j] + 1,) + levels[j + 1:]
-            child_arr = w.mass_tree[child_levels]
-            parent_exp = _expand_parent(cfg, parent_arr, j)
-            scanned += child_arr.size
-            pos = child_arr > 0
+            child = w.mass_tree[levels[:j] + (levels[j] + 1,)
+                                + levels[j + 1:]]
+            parent = w.mass_tree[levels]
+            for ax in cfg.factor_axes(j):
+                parent = np.repeat(parent, 2, axis=ax)
+            pos = child > 0
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(
-                    pos, parent_exp / np.where(pos, child_arr, 1.0),
-                    np.where(parent_exp > 0, math.inf, skip))
-            flat = int(np.argmin(ratios) if minimize else np.argmax(ratios))
-            val = float(ratios.flat[flat])
-            if better(val, per_factor[j]):
-                per_factor[j] = val
-            if better(val, best):
-                best = val
-                best_wit = _child_witness(cfg, levels, j, flat,
-                                          child_arr.shape)
-    return best, best_wit, scanned, tuple(per_factor)
+                arr = np.where(pos, parent / np.where(pos, child, 1.0),
+                               np.where(parent > 0, math.inf, skip))
+            yield levels, arr
+
+    bests, counts = zip(*(_scan(ratios(j), skip, minimize) for j in range(n)))
+    sign = 1.0 if minimize else -1.0
+    # a None key comes only with the start value, which every hit beats
+    j = min(range(n), key=lambda i: (sign * bests[i][0], bests[i][1] or ()))
+    value, levels, flat, shape = bests[j]
+    wit = None
+    if levels is not None:
+        c_idx = np.unravel_index(flat, shape)
+        j_axes = cfg.factor_axes(j)
+        parent_idx = tuple(int(v) // 2 if ax in j_axes else int(v)
+                           for ax, v in enumerate(c_idx))
+        child = DyadicCube(levels[j] + 1,
+                           tuple(int(c_idx[ax]) for ax in j_axes))
+        wit = {"rect": rect_to_json(standard_rect(cfg, levels, parent_idx)),
+               "j": j, "child": cube_to_json(child)}
+    return ConstantReport(name, value, wit, sum(counts), K,
+                          per_factor=tuple(best[0] for best in bests))
 
 
 def doubling_constant(w: Weight) -> ConstantReport:
@@ -113,9 +130,7 @@ def doubling_constant(w: Weight) -> ConstantReport:
     +inf (with witness) when some halving child carries zero mass under
     a positive parent; 0/0 pairs are skipped.
     """
-    value, wit, scanned, per_factor = _halving_scan(w, minimize=False)
-    return ConstantReport("doubling", value, wit, scanned, w.config.depth,
-                          per_factor=per_factor)
+    return _halving_scan(w, "doubling", minimize=False)
 
 
 def reverse_doubling_constant(w: Weight) -> ConstantReport:
@@ -123,9 +138,7 @@ def reverse_doubling_constant(w: Weight) -> ConstantReport:
 
     Always >= 1 on the lattice family since children are subsets.
     """
-    value, wit, scanned, per_factor = _halving_scan(w, minimize=True)
-    return ConstantReport("reverse_doubling", value, wit, scanned,
-                          w.config.depth, per_factor=per_factor)
+    return _halving_scan(w, "reverse_doubling", minimize=True)
 
 
 def _descendant_power_scan(w: Weight, expo: float, name: str,
@@ -139,32 +152,27 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
     """
     cfg = w.config
     K, n = cfg.depth, cfg.n_factors
-    best = -1.0
-    best_wit = None
-    scanned = 0
     powered = {lv: arr ** expo for lv, arr in w.mass_tree.items()}
-    for levels in level_combos(cfg):
-        base = w.mass_tree[levels]
-        for j in range(n):
-            acc = np.zeros_like(base)
-            for l in range(levels[j], K + 1):
-                arr = powered[levels[:j] + (l,) + levels[j + 1:]]
-                block = 1 << (l - levels[j])
-                for ax in cfg.factor_axes(j):
-                    arr = _sum_blocks(arr, ax, block)
-                acc = acc + arr
-            scanned += base.size
-            pos = base > 0
-            ratios = np.where(
-                pos, acc / np.where(pos, powered[levels], 1.0), -1.0)
-            flat = int(np.argmax(ratios))
-            val = float(ratios.flat[flat])
-            if val > best:
-                best = val
-                rect = standard_rect(cfg, levels,
-                                     np.unravel_index(flat, base.shape))
-                best_wit = {"rect": rect_to_json(rect), "j": j}
-    return ConstantReport(name, best, best_wit, scanned, K, params)
+
+    def ratios():
+        for levels in level_combos(cfg):
+            base = w.mass_tree[levels]
+            for j in range(n):
+                acc = np.zeros_like(base)
+                for l in range(levels[j], K + 1):
+                    arr = powered[levels[:j] + (l,) + levels[j + 1:]]
+                    block = 1 << (l - levels[j])
+                    for ax in cfg.factor_axes(j):
+                        arr = _sum_blocks(arr, ax, block)
+                    acc = acc + arr
+                pos = base > 0
+                yield (levels, j), np.where(
+                    pos, acc / np.where(pos, powered[levels], 1.0), -1.0)
+
+    (best, key, flat, shape), scanned = _scan(ratios(), -1.0)
+    wit = None if key is None else {"rect": rect_to_json(standard_rect(
+        cfg, key[0], np.unravel_index(flat, shape))), "j": key[1]}
+    return ConstantReport(name, best, wit, scanned, K, params)
 
 
 def _reverse_tail_bound(w: Weight, decay_exp: float) -> float | None:
@@ -220,21 +228,17 @@ def fp_constant(kernel, weights, exponents) -> ConstantReport:
     kernel = RectKernel.coerce(kernel, cfg)
     ps = check_mlinear_exponents(exponents)
     conj_exps = [1.0 - 1.0 / p for p in ps]
-    best = -1.0
-    best_wit = None
-    scanned = 0
-    for levels in level_combos(cfg):
-        arr = kernel.tables[levels].copy()
-        for w, ce in zip(weights, conj_exps):
-            arr = arr * _neg_power(w.mass_tree[levels], ce)
-        scanned += arr.size
-        flat = int(np.argmax(arr))
-        val = float(arr.flat[flat])
-        if val > best:
-            best = val
-            rect = standard_rect(cfg, levels,
-                                 np.unravel_index(flat, arr.shape))
-            best_wit = {"rect": rect_to_json(rect)}
-    return ConstantReport("fefferman_phong", max(best, 0.0), best_wit,
+
+    def products():
+        for levels in level_combos(cfg):
+            arr = kernel.tables[levels]
+            for w, ce in zip(weights, conj_exps):
+                arr = arr * _neg_power(w.mass_tree[levels], ce)
+            yield levels, arr
+
+    (best, levels, flat, shape), scanned = _scan(products(), -1.0)
+    wit = None if levels is None else {"rect": rect_to_json(standard_rect(
+        cfg, levels, np.unravel_index(flat, shape)))}
+    return ConstantReport("fefferman_phong", max(best, 0.0), wit,
                           scanned, cfg.depth,
                           {"exponents": [float(p) for p in ps]})

@@ -208,6 +208,17 @@ def rect_box(config: GridConfig, rect: ProductRect) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
+def _as_box(config: GridConfig, target, verb: str) -> Box:
+    """The box in global units of a rectangle, cube or box."""
+    if isinstance(target, ProductRect):
+        return rect_box(config, target)
+    if isinstance(target, DyadicCube):
+        return cube_box(config, target)
+    if isinstance(target, Box):
+        return target
+    raise TypeError(f"cannot {verb} {type(target).__name__}")
+
+
 def children(config: GridConfig, cube: DyadicCube) -> list[DyadicCube]:
     """The 2**d congruent halves of a cube, one level down.
 
@@ -248,14 +259,7 @@ def replace(rect: ProductRect, cube: DyadicCube, j: int) -> ProductRect:
 
 def triple(config: GridConfig, obj) -> Box:
     """The concentric box with three times the side lengths, per axis."""
-    if isinstance(obj, ProductRect):
-        box = rect_box(config, obj)
-    elif isinstance(obj, DyadicCube):
-        box = cube_box(config, obj)
-    elif isinstance(obj, Box):
-        box = obj
-    else:
-        raise TypeError(f"cannot triple {type(obj).__name__}")
+    box = _as_box(config, obj, "triple")
     lo = tuple(l - (h - l) for l, h in zip(box.lo, box.hi))
     hi = tuple(h + (h - l) for l, h in zip(box.lo, box.hi))
     return Box(lo, hi)

@@ -27,17 +27,21 @@ from .weights import Weight
 def sample_distinct_pairs(config: GridConfig, count: int,
                           seed: int) -> list[tuple[tuple[int, ...],
                                                    tuple[int, ...]]]:
-    """Seeded pairs of lattice points distinct in every coordinate."""
+    """Seeded pairs of lattice points distinct in every coordinate.
+
+    Each round draws the pairs still needed as one ``(rows, 2, N)``
+    block and keeps, in order, the rows whose x and y differ on every
+    axis.  Row-major order is the stream of drawing x, then y, one
+    pair at a time, so the pairs equal those of a one-pair loop.
+    """
     rng = np.random.default_rng(seed)
     N = config.total_dim
     units = config.axis_units
     pairs = []
     while len(pairs) < count:
-        x = rng.integers(0, units, size=N)
-        y = rng.integers(0, units, size=N)
-        if np.all(x != y):
-            pairs.append((tuple(int(c) for c in x),
-                          tuple(int(c) for c in y)))
+        draw = rng.integers(0, units, size=(count - len(pairs), 2, N))
+        keep = draw[(draw[:, 0] != draw[:, 1]).all(axis=1)]
+        pairs.extend((tuple(x), tuple(y)) for x, y in keep.tolist())
     return pairs
 
 

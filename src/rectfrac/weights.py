@@ -31,8 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import (Box, DyadicCube, GridConfig, ProductRect, cube_box,
-                    rect_box)
+from .grids import Box, GridConfig, ProductRect, _as_box
 
 WEIGHT_SCHEMA_VERSION = 1
 FACTOR_RTOL = 1e-12  # per-axis factors against the density, cell by cell
@@ -245,17 +244,6 @@ class GridFunction:
         if c < 0:
             raise ValueError("scale factor must be >= 0")
         return GridFunction(self.config, self.values * c)
-
-
-def _as_box(config: GridConfig, target, verb: str) -> Box:
-    """The box in global units of a rectangle, cube or box."""
-    if isinstance(target, ProductRect):
-        return rect_box(config, target)
-    if isinstance(target, DyadicCube):
-        return cube_box(config, target)
-    if isinstance(target, Box):
-        return target
-    raise TypeError(f"cannot {verb} {type(target).__name__}")
 
 
 def cell_slices(config: GridConfig, target) -> tuple[slice, ...]:

@@ -10,7 +10,7 @@ from rectfrac import (DyadicCube, ExponentError, GridConfig, ProductRect,
                       reverse_doubling_constant)
 from rectfrac.grids import (cube_to_json, rect_from_json, rect_to_json,
                             standard_rect)
-from rectfrac.operators import level_combos
+from rectfrac.operators import _neg_power, level_combos
 from rectfrac.weights import _sum_blocks
 
 
@@ -215,6 +215,115 @@ class TestFeffermanPhong:
         v3 = fp_constant(kern3, (w.coarsen(3), w.coarsen(3)), (2.0, 2.0)).value
         v4 = fp_constant(kern4, (w, w), (2.0, 2.0)).value
         assert v3 <= v4 * (1 + 1e-12)
+
+
+def _per_entry_halving_scan(w, minimize):
+    """The halving scan one (levels, j, child) entry at a time: the reference.
+
+    Entries run in ``level_combos`` order, then direction, then the
+    child's row-major index, and the best moves only on a strict
+    improvement.
+    """
+    cfg = w.config
+    K, n = cfg.depth, cfg.n_factors
+    skip = math.inf if minimize else -1.0
+    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
+    best, wit, size = skip, None, 0
+    per_factor = [skip] * n
+    for levels in level_combos(cfg):
+        for j in range(n):
+            if levels[j] >= K:
+                continue
+            children = w.mass_tree[levels[:j] + (levels[j] + 1,)
+                                   + levels[j + 1:]]
+            j_axes = cfg.factor_axes(j)
+            for c_idx in np.ndindex(children.shape):
+                p_idx = tuple(v // 2 if ax in j_axes else v
+                              for ax, v in enumerate(c_idx))
+                num = float(w.mass_tree[levels][p_idx])
+                den = float(children[c_idx])
+                if den > 0:
+                    ratio = num / den
+                else:
+                    ratio = math.inf if num > 0 else skip
+                size += 1
+                if better(ratio, per_factor[j]):
+                    per_factor[j] = ratio
+                if better(ratio, best):
+                    best = ratio
+                    child = DyadicCube(levels[j] + 1,
+                                       tuple(c_idx[ax] for ax in j_axes))
+                    wit = {"rect": rect_to_json(standard_rect(cfg, levels,
+                                                              p_idx)),
+                           "j": j, "child": cube_to_json(child)}
+    return best, wit, size, tuple(per_factor)
+
+
+def _per_entry_fp_scan(kernel, weights, exponents):
+    """``fp_constant`` one rectangle at a time: the reference.
+
+    The products are formed by the same array powers as the library's,
+    so only the selection -- level_combos order, then row-major index,
+    strict improvement -- is checked entry by entry.
+    """
+    cfg = weights[0].config
+    best, wit, size = -1.0, None, 0
+    for levels in level_combos(cfg):
+        table = kernel.tables[levels]
+        for w, p in zip(weights, exponents):
+            table = table * _neg_power(w.mass_tree[levels], 1.0 - 1.0 / p)
+        for idx in np.ndindex(table.shape):
+            size += 1
+            if table[idx] > best:
+                best = float(table[idx])
+                wit = {"rect": rect_to_json(standard_rect(cfg, levels, idx))}
+    return max(best, 0.0), wit, size
+
+
+def _zero_half_weight():
+    cfg = GridConfig((1, 1), 4)
+    dens = np.random.default_rng(3).uniform(0.5, 2.0, (cfg.axis_cells,) * 2)
+    dens[:cfg.axis_cells // 2] = 0.0  # inf and 0/0 halving ratios
+    return Weight(cfg, dens)
+
+
+def _crossed_ties_weight():
+    # direction 0 first reaches its extremal ratios at levels (1, 0),
+    # direction 1 at (0, 0), with equal values: levels decide, not j
+    cfg = GridConfig((1, 1), 2)
+    return Weight(cfg, np.multiply.outer(np.repeat([1.0, 1, 1, 3], 3),
+                                         np.repeat([1.0, 1, 3, 3], 3)))
+
+
+TIE_WEIGHTS = {
+    "uniform (1,1) K=4": lambda: gen_uniform(GridConfig((1, 1), 4)),
+    "cascade (2,1) K=3": lambda: gen_cascade(GridConfig((2, 1), 3), 4.0, 9),
+    "zero half (1,1) K=4": _zero_half_weight,
+    "crossed ties (1,1) K=2": _crossed_ties_weight,
+}
+
+
+class TestTieBreaking:
+    """Witnesses are the first extremum in the reference's entry order."""
+
+    @pytest.mark.parametrize("name", list(TIE_WEIGHTS))
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_halving_scan_equals_per_entry_loop(self, name, minimize):
+        w = TIE_WEIGHTS[name]()
+        scan = reverse_doubling_constant if minimize else doubling_constant
+        rep = scan(w)
+        assert (rep.value, rep.witness, rep.family_size, rep.per_factor) \
+            == _per_entry_halving_scan(w, minimize)
+
+    @pytest.mark.parametrize("name", list(TIE_WEIGHTS))
+    def test_fp_scan_equals_per_entry_loop(self, name):
+        w = TIE_WEIGHTS[name]()
+        alpha, p = 0.5, 4 / 3
+        q = 1.0 / (1.0 / p - alpha / w.config.total_dim)
+        kern = RectKernel.hls(w, alpha)
+        rep = fp_constant(kern, (w, w), (p, q / (q - 1)))
+        assert (rep.value, rep.witness, rep.family_size) \
+            == _per_entry_fp_scan(kern, (w, w), (p, q / (q - 1)))
 
 
 class TestReportSerialization:

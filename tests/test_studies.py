@@ -3,7 +3,8 @@
 Pinned summaries and a scalar transcription of the one-pair loop guard
 the summation order and the scalar powers of the batched kernel sums;
 oracles check the kernel sums and the minimal-cube masses independently;
-the error behaviour matches the one-pair study.
+the error behaviour matches the one-pair study.  The batched pair
+draw gives the pairs of the one-pair draw loop.
 """
 
 import itertools
@@ -175,3 +176,27 @@ class TestErrors:
         assert kernel_sum(w, 0.5, (3, 5), (3, 9)) > 0
         with pytest.raises(DegeneratePairError):
             kernel_sum(w, 0.5, (3, 5), (3, 5))
+
+
+def _one_pair_draws(config, count, seed):
+    """The pair sampler drawing x, then y, one pair at a time."""
+    rng = np.random.default_rng(seed)
+    N, units = config.total_dim, config.axis_units
+    pairs = []
+    while len(pairs) < count:
+        x = rng.integers(0, units, size=N)
+        y = rng.integers(0, units, size=N)
+        if np.all(x != y):
+            pairs.append((tuple(int(c) for c in x),
+                          tuple(int(c) for c in y)))
+    return pairs
+
+
+@pytest.mark.parametrize("dims", [(1,), (1, 1), (1, 1, 1), (2, 1), (2, 2)])
+def test_pair_draw_equals_one_pair_loop(dims):
+    for depth, seed, count in itertools.product((1, 2, 3, 6), (0, 1, 7, 12345),
+                                                (1, 5, 60, 1000)):
+        cfg = GridConfig(dims, depth)
+        pairs = sample_distinct_pairs(cfg, count, seed)
+        assert pairs == _one_pair_draws(cfg, count, seed)
+        assert all(type(c) is int for x, y in pairs for c in x + y)
