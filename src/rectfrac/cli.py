@@ -179,6 +179,8 @@ def _cmd_check_weight(args) -> int:
 def _cmd_fp(args) -> int:
     checks = []
     if args.alpha is not None:
+        if args.weight is None or args.p is None:
+            raise ValueError("hls mode needs --weight and --p")
         w = load_weight(args.weight)
         ec = ExponentConfig.hls(args.alpha, args.p, w.config.total_dim)
         rep = fp_constant(RectKernel.hls(w, ec.alpha), (w, w),
@@ -298,8 +300,7 @@ def _cmd_kernel_equiv(args) -> int:
 
 
 def _cmd_shift_cover(args) -> int:
-    report = shift_cover_report(args.dim, args.maxlevel,
-                                threads=args.threads)
+    report = shift_cover_report(args.dim, args.maxlevel)
     checks = [_check("all_covered", not report["failures"],
                      len(report["failures"]))]
     print(f"checked {report['cubes_checked']} cubes at |level| <= "

@@ -10,9 +10,10 @@ per axis.  All corner bookkeeping happens in the global integer unit
 standard cubes down to level K+1 and corners of one-third shifted cubes
 are then simultaneously integer multiples of that unit, so membership,
 containment and distance decisions are exact integer comparisons.  The
-one construction that may descend below level K+1 (the minimal cube of
-a nearly coincident point pair) scales coordinates up by powers of two
-instead of ever rounding.
+one construction that may descend below level K+1, the minimal cube of
+a nearly coincident point pair, stops by level K+3 and counts in
+quarters of the unit, where cubes down to that level have integer
+corners too.
 
 The combined per-axis index ``c = 3*m + s`` makes the split algebra
 uniform: the two halves of ``c`` along an axis are ``2*c`` and
@@ -269,12 +270,17 @@ def minimal_cube(config: GridConfig, u: tuple[int, ...],
                  v: tuple[int, ...]) -> DyadicCube:
     """Smallest standard dyadic cube containing u whose triple contains v.
 
-    Exists because the top cube [0,1)^d works, and is found by walking
-    down the ancestor chain of u while the triple still catches v (the
-    predicate is monotone along the chain since 3Q' is contained in 3Q
-    for a child Q' of Q).  Descends below level depth+1 when the points
-    are very close; coordinates are then compared at an up-scaled
-    integer resolution, never rounded.
+    Counted in quarters of the global unit, a level-k cube has side
+    ``3 * 2**s`` with ``s = depth + 3 - k``.  With ``U = 4*u // 3`` per
+    axis, the level-k cube containing u has index ``U >> s`` (nested
+    floor division), and its triple holds v exactly when
+    ``|(U >> s) - (V >> s)| <= 1`` on every axis.  The predicate is
+    monotone in s (halving keeps neighbours within one) and holds at
+    ``s = depth + 3``, level 0, so the minimal cube has level
+    ``depth + 3 - s`` and index ``U >> s`` at the least passing s >= 0.
+    No pair of distinct lattice points needs more: at level depth + 4
+    the side is 3/8 of a unit, so the triple cannot reach a point one
+    unit away.  The level therefore never exceeds depth + 3.
     """
     d = len(u)
     if len(v) != d:
@@ -284,31 +290,13 @@ def minimal_cube(config: GridConfig, u: tuple[int, ...],
         raise ValueError("coordinates must lie inside [0,1)^d")
     if tuple(u) == tuple(v):
         raise DegeneratePairError("minimal cube of coincident points")
-
-    level = 0
-    cvec = (0,) * d
-    for _ in range(config.depth + 80):
-        nlevel = level + 1
-        scale_pt = max(0, nlevel - (config.depth + 1))
-        scale_cube = max(0, (config.depth + 1) - nlevel)
-        nxt = []
-        for a in range(d):
-            c0 = 2 * cvec[a]
-            # pick the half that contains u along this axis
-            if (u[a] << scale_pt) < ((c0 + 3) << scale_cube):
-                nxt.append(c0)
-            else:
-                nxt.append(c0 + 3)
-        inside = True
-        for a in range(d):
-            vv = v[a] << scale_pt
-            if not ((nxt[a] - 3) << scale_cube) <= vv < ((nxt[a] + 6) << scale_cube):
-                inside = False
-                break
-        if not inside:
-            return cube_from_c(level, cvec)
-        level, cvec = nlevel, tuple(nxt)
-    raise AssertionError("minimal cube descent failed to terminate")
+    U = [4 * c // 3 for c in u]
+    s = 0
+    for a, c in zip(U, v):
+        b = 4 * c // 3
+        while abs((a >> s) - (b >> s)) > 1:
+            s += 1
+    return DyadicCube(config.depth + 3 - s, tuple(a >> s for a in U))
 
 
 def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
@@ -318,9 +306,10 @@ def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
     units.  Entry ``[p, i]`` is the deepest level k <= depth + 1 (the
     finest level whose cube corners are whole units) at which the
     level-k standard cube containing ``X[p]`` in factor i has ``Y[p]``
-    in its triple.  The predicate is monotone along the ancestor chain,
-    so it holds at exactly the levels 0..k: k is the level of
-    ``minimal_cube`` whenever k <= depth.  Raises like ``kernel_sum``:
+    in its triple.  It runs ``minimal_cube``'s predicate at s = 2 ..
+    depth + 3, the levels depth + 1 .. 0, and counts the levels at which
+    every axis of the factor passes; by monotonicity those are exactly
+    the levels 0..k.  Raises like ``kernel_sum``:
     points outside [0,1)^N first, then a pair coinciding in a whole
     factor.
     """
@@ -335,11 +324,10 @@ def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
     for i, ax in enumerate(axes):
         if (X[:, ax] == Y[:, ax]).all(axis=1).any():
             raise DegeneratePairError(f"points coincide in factor {i}")
+    U, V = 4 * X // 3, 4 * Y // 3
     depths = np.full((len(X), len(axes)), -1)
-    for k in range(K + 2):
-        side = 3 << (K + 1 - k)
-        lo = X // side * side
-        inside = (lo - side <= Y) & (Y < lo + 2 * side)
+    for s in range(2, K + 4):
+        inside = np.abs((U >> s) - (V >> s)) <= 1
         for i, ax in enumerate(axes):
             depths[:, i] += inside[:, ax].all(axis=1)
     return depths

@@ -6,8 +6,8 @@ numpy's default PCG64 generator.  The kernel-equivalence study works
 on whole ``(P, N)`` int64 pair arrays: kernel sums and minimal-cube
 masses take one mass-tree gather per level tuple, and only the
 minimal-rectangle masses stay one ``box_sum`` per pair.  Everything
-runs in one thread; the ``threads`` arguments are accepted for
-compatibility and never change the results.
+runs in one thread; the ``threads`` argument of ``kernel_equiv_study``
+is accepted for compatibility and never changes the results.
 """
 
 from __future__ import annotations
@@ -114,34 +114,27 @@ def boundary_cover_cubes(dim: int, max_level: int) -> list[DyadicCube]:
     return cubes
 
 
-def verify_shift_cover(cube: DyadicCube, config: GridConfig | None = None) -> bool:
+def verify_shift_cover(cube: DyadicCube, config: GridConfig) -> bool:
     """One cube: constructed cover is exact and agrees with the oracle."""
-    if config is None:
-        config = GridConfig((cube.dim,), 1)
     tau, P = shift_cover(cube)
     pbox = cube_box(config, P)
-    qbox3 = triple(config, cube)
-    side_q = cube_box(config, cube).hi[0] - cube_box(config, cube).lo[0]
-    side_p = pbox.hi[0] - pbox.lo[0]
-    if side_p != 8 * side_q:
+    qbox = cube_box(config, cube)
+    if pbox.hi[0] - pbox.lo[0] != 8 * (qbox.hi[0] - qbox.lo[0]):
         return False
-    if not pbox.contains_box(qbox3):
+    if not pbox.contains_box(triple(config, qbox)):
         return False
     if P.shift != tau:
         return False
-    oracle = shift_cover_exhaustive(cube)
-    if not oracle:
-        return False
-    return (tau, P) in oracle
+    return (tau, P) in shift_cover_exhaustive(cube)
 
 
-def shift_cover_report(dim: int, max_level: int, threads: int = 1) -> dict:
-    """Exhaustive shift-cover verification over the boundary cube family.
-
-    ``threads`` is accepted and ignored; the result never depends on it.
-    """
+def shift_cover_report(dim: int, max_level: int) -> dict:
+    """Exhaustive shift-cover verification over the boundary cube family."""
+    if max_level < 0:
+        raise ValueError(f"max_level must be at least 0, got {max_level}")
+    config = GridConfig((dim,), 1)
     cubes = boundary_cover_cubes(dim, max_level)
     failures = [{"level": cube.level, "index": list(cube.index)}
-                for cube in cubes if not verify_shift_cover(cube)]
+                for cube in cubes if not verify_shift_cover(cube, config)]
     return {"dim": dim, "max_level": max_level,
             "cubes_checked": len(cubes), "failures": failures}

@@ -469,21 +469,35 @@ def _decode(payload, count: int, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
-def _parse_array_doc(doc: dict) -> tuple[GridConfig, np.ndarray, dict]:
+def _parse_array_doc(doc) -> tuple[GridConfig, np.ndarray, dict]:
+    if not isinstance(doc, dict):
+        raise WeightFormatError("a weight file holds one JSON object")
     for key in ("version", "dims", "depth", "lattice", "density"):
         if key not in doc:
             raise WeightFormatError(f"missing field {key!r}")
     if doc["version"] != WEIGHT_SCHEMA_VERSION:
         raise WeightFormatError(
             f"unsupported schema version {doc['version']!r}")
-    config = GridConfig(tuple(int(d) for d in doc["dims"]), int(doc["depth"]))
-    lattice = [int(c) for c in doc["lattice"]]
+    # type(...) is int, not isinstance: JSON true would pass as 1
+    if type(doc["depth"]) is not int:
+        raise WeightFormatError(f"depth must be an integer, got "
+                                f"{doc['depth']!r}")
+    for key in ("dims", "lattice"):
+        if not isinstance(doc[key], list) or \
+                not all(type(c) is int for c in doc[key]):
+            raise WeightFormatError(f"{key} must be a list of integers, "
+                                    f"got {doc[key]!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise WeightFormatError(f"meta must be an object, got {meta!r}")
+    config = GridConfig(tuple(doc["dims"]), doc["depth"])
+    lattice = doc["lattice"]
     if lattice != [config.axis_cells] * config.total_dim:
         raise WeightFormatError(
             f"lattice {lattice} inconsistent with depth {config.depth}")
     arr = _decode(doc["density"], config.axis_cells ** config.total_dim,
                   "density").reshape((config.axis_cells,) * config.total_dim)
-    return config, arr, dict(doc.get("meta", {}))
+    return config, arr, dict(meta)
 
 
 def save_weight(w: Weight, path) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -82,6 +83,20 @@ class TestCheckWeight:
     def test_missing_file_errors(self, tmp_path, capsys):
         assert run(["check-weight", "--weight", tmp_path / "nope.json"]) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("meta", ["kind", "cascade"]), ("depth", None), ("depth", True),
+        ("lattice", 24), ("dims", "1,1"), ("dims", 2), ("dims", [True, 1])])
+    def test_malformed_field_is_one_error_line(self, cascade_file, capsys,
+                                               field, value):
+        doc = json.loads(cascade_file.read_text())
+        doc[field] = value
+        cascade_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["check-weight", "--weight", cascade_file])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {field} ")
+
 
 class TestFp:
     def test_hls_identity(self, cascade_file, tmp_path):
@@ -102,6 +117,16 @@ class TestFp:
                     "--p", "2"])
         assert code == 2
         assert "1/q = 1/p - alpha/N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop", ["--weight", "--p"])
+    def test_hls_mode_inputs_required(self, cascade_file, capsys, drop):
+        args = {"--weight": cascade_file, "--alpha": "0.5", "--p": "4/3"}
+        del args[drop]
+        capsys.readouterr()
+        code = run(["fp", *itertools.chain(*args.items())])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: hls mode needs --weight and --p"]
 
 
 class TestSweeps:
@@ -236,6 +261,15 @@ class TestStudies:
         assert doc["report"]["failures"] == []
         assert doc["report"]["cubes_checked"] > 0
         assert "0 failures" in capsys.readouterr().err
+
+    def test_shift_cover_negative_level_refused(self, capsys):
+        capsys.readouterr()
+        code = run(["shift-cover", "--dim", "2", "--maxlevel", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: max_level must be at least 0, got -1"]
 
     def test_kernel_equiv(self, cascade_file, tmp_path):
         rep = tmp_path / "ke.json"

@@ -12,6 +12,7 @@ from rectfrac import (Box, DegeneratePairError, DepthExceededError,
                       parent, product_minimal, rect_box, replace,
                       shift_cover, triple)
 from rectfrac.bruteforce import minimal_cube_exhaustive, shift_cover_exhaustive
+from rectfrac.grids import triple_depths
 
 CFG = GridConfig((1,), 4)
 CFG2 = GridConfig((2,), 4)
@@ -222,6 +223,57 @@ class TestMinimalCube:
                       & (lo2 - side <= v2) & (v2 < lo2 + 2 * side))
             assert np.all(prev | ~inside)
             prev = inside
+
+
+def _unit_apart_pairs(cfg):
+    """Every ordered pair whose coordinates differ by at most one unit."""
+    U, d = cfg.axis_units, cfg.total_dim
+    pairs = []
+    for u in itertools.product(range(U), repeat=d):
+        for off in itertools.product((-1, 0, 1), repeat=d):
+            v = tuple(a + o for a, o in zip(u, off))
+            if any(off) and all(0 <= c < U for c in v):
+                pairs.append((u, v))
+    return pairs
+
+
+class TestMinimalCubeRange:
+    """The closed formula over the whole range of levels, up to depth + 3."""
+
+    @staticmethod
+    def check(cfg, pairs):
+        levels = []
+        for u, v in pairs:
+            q = minimal_cube(cfg, u, v)
+            assert q == minimal_cube_exhaustive(cfg, u, v)
+            levels.append(q.level)
+        X, Y = np.array(pairs).transpose(1, 0, 2)
+        assert triple_depths(cfg, X, Y).tolist() == \
+            [[min(k, cfg.depth + 1)] for k in levels]
+        return levels
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_every_pair_d1(self, depth):
+        cfg = GridConfig((1,), depth)
+        U = cfg.axis_units
+        levels = self.check(cfg, [((a,), (b,)) for a in range(U)
+                                  for b in range(U) if a != b])
+        # a level-1 triple covers [0,1), so level 0 is never minimal
+        assert set(levels) == set(range(1, depth + 4))
+
+    @pytest.mark.parametrize("dims,depth", [((1,), k) for k in range(1, 7)]
+                             + [((2,), 3)])
+    def test_every_pair_one_unit_apart(self, dims, depth):
+        cfg = GridConfig(dims, depth)
+        assert max(self.check(cfg, _unit_apart_pairs(cfg))) == depth + 3
+
+    def test_seeded_pairs_one_unit_apart_at_depth_twelve(self):
+        cfg = GridConfig((1,), 12)
+        rng = np.random.default_rng(2024)
+        u = rng.integers(0, cfg.axis_units - 1, size=2000)
+        flip = rng.integers(0, 2, size=2000).astype(bool)
+        pairs = [((int(a + f),), (int(a + 1 - f),)) for a, f in zip(u, flip)]
+        assert max(self.check(cfg, pairs)) == cfg.depth + 3
 
 
 class TestMinRect:

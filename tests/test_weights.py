@@ -212,6 +212,25 @@ class TestPersistence:
         with pytest.raises(WeightFormatError, match="version"):
             load_weight(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("meta", ["kind", "cascade"]), ("depth", None), ("depth", True),
+        ("lattice", 24), ("dims", "1,1"), ("dims", 2), ("dims", [True, 1])])
+    def test_malformed_field_refused(self, cascade_square, tmp_path, field,
+                                     value):
+        path = tmp_path / "w.json"
+        save_weight(cascade_square, path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFormatError, match=field):
+            load_weight(path)
+
+    def test_non_object_file_refused(self, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text("5\n")
+        with pytest.raises(WeightFormatError, match="JSON object"):
+            load_weight(path)
+
     def test_golden_file_masses(self):
         w = load_weight(DATA / "golden_cascade.json")
         rect = ProductRect((DyadicCube(1, (0,)), DyadicCube(2, (3,))))
