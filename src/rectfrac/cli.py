@@ -284,7 +284,7 @@ def _cmd_kernel_equiv(args) -> int:
     per_depth = {}
     widths = []
     for K in depths:
-        wk = w.coarsen(K) if w.config.depth != K else w
+        wk = w.coarsen(K)
         scaled = scale_pairs(pairs, 1 << (K - depths[0]))
         stats = kernel_equiv_study(wk, args.alpha, scaled,
                                    threads=args.threads)

@@ -17,15 +17,19 @@ claim of the supremum itself.
 
 Every run also scans indicator test functions of single rectangles,
 which realize the single-rectangle testing value exactly; when that
-beats the ascent, ``_restart`` re-runs the ascent from the extremal
-indicator, so reported values never fall below the testing constant.
-A multilinear density keeps each argument's mass tree between steps
-and rebuilds it whenever that argument is a new array, so a restarted
-run reads no tree of the run before.  (The cell-quadrature kernel form
-excludes same-coordinate pairs, so the indicator identity does not
-transfer to it; that form reports the testing constant but runs
-without the restart.)  The Carleson bound keeps the tree of its f the
-same way, for its value and its next gradient.
+beats the ascent, the ascent runs again from the extremal indicator
+and that run is kept when it ends no lower, so reported values never
+fall below the testing constant.  A multilinear density keeps each
+argument's mass tree between steps and rebuilds it whenever that
+argument is a new array, so a restarted run reads no tree of the run
+before.  (The cell-quadrature kernel form excludes same-coordinate
+pairs, so the indicator identity does not transfer to it: its testing
+constant is the dyadic form's and does not bound it.  It restarts by
+the same rule; a restart is kept only when it ends no lower, so its
+bound stays a certified lower bound and can only rise, though not
+necessarily to the testing constant.)
+The Carleson bound keeps the tree of its f the same way, for its value
+and its next gradient.
 
 Every operator form, the dyadic one included, ascends ``<Tf, g>``
 with the ``forward`` and ``adjoint`` maps of one ``operators.plan``,
@@ -33,9 +37,10 @@ whose coefficients are computed once per bound.  The steps run in
 argument order, f from ``adjoint(g)`` and then g from ``forward(f)``,
 as the embedding's do, so the dyadic bound is the bilinear embedding
 of ``embed_norm_lower`` with the HLS kernel, bit for bit.  Every bound
-(embedding, operator and Carleson) shares one set-up, ``_norm_bound``:
-the start from constants or a warm start, the testing constant, the
-restart and the report.
+(embedding, operator and Carleson) hands its densities and testing
+constant to one set-up, ``_norm_bound``, which builds the ``_ascend``
+run, starts it from constants or a warm start, restarts it from the
+testing witness and reports the estimate.
 
 Steps run at the resolution their density comes in.  On the standard
 family (the dyadic and perez forms, the multilinear densities and the
@@ -149,39 +154,34 @@ def _ascend(densities, sigmas, rs, tol, max_sweeps, value=None):
     return run
 
 
-def _restart(run, first, c2, config):
-    """Re-run the ascent from the testing witness when it beats ``first``.
+def _norm_bound(densities, sigmas, rs, c2, head, *, tol, max_sweeps, seed,
+                warm_start, value=None) -> NormEstimate:
+    """The set-up every bound shares around its ascent.
 
-    ``run`` maps initial arrays to an ``(fs, history, sweeps, converged)``
-    result; the restarted run is kept when it ends no lower, and its
-    history and sweeps are appended to the first run's.
+    Builds the run of ``densities`` with ``_ascend`` (looked up when
+    called) and starts it from the warm start or from constants.  When
+    the testing constant ``c2`` beats that run, runs again from the
+    indicator of ``c2``'s witness and keeps the restarted run, its
+    history and sweeps appended to the first run's, when it ends no
+    lower.  Every form follows this one rule, the kernel form too,
+    whose ``c2`` does not bound it: the reported value can only rise.
+    ``params`` are ``head`` followed by the keys every bound has.
     """
+    cfg = sigmas[0].config
+    run = _ascend(densities, sigmas, rs, tol, max_sweeps, value)
+    # the start is passed, not named, so the run frees the constants
+    if warm_start is not None:
+        first = run([gf.values for gf in warm_start])
+    else:
+        first = run([np.ones_like(w.density) for w in sigmas])
     fs, history, sweeps, converged = first
     if c2.value > history[-1] and c2.witness is not None:
         rect = rect_from_json(c2.witness["rect"])
-        ind = GridFunction.indicator(config, rect).values
+        ind = GridFunction.indicator(cfg, rect).values
         fs2, h2, s2, conv2 = run([ind] * len(fs))
         if h2[-1] >= history[-1]:
-            return fs2, history + h2, sweeps + s2, conv2
-    return first
-
-
-def _norm_bound(run, sigmas, c2, head, *, tol, max_sweeps, seed,
-                warm_start, restart=True) -> NormEstimate:
-    """The set-up every bound shares around its ascent ``run``.
-
-    Runs from the warm start or from constants, then ``_restart`` from
-    the testing constant ``c2`` unless ``restart`` is off, and reports
-    ``params`` as ``head`` followed by the keys every bound has.
-    """
-    cfg = sigmas[0].config
-    if warm_start is not None:
-        result = run([gf.values for gf in warm_start])
-    else:
-        result = run([np.ones_like(w.density) for w in sigmas])
-    if restart:
-        result = _restart(run, result, c2, cfg)
-    fs, history, sweeps, converged = result
+            fs, history = fs2, history + h2
+            sweeps, converged = sweeps + s2, conv2
     params = {**head, "depth": cfg.depth, "c2": c2.value, "tol": tol,
               "max_sweeps": max_sweeps}
     return NormEstimate(history[-1], tuple(GridFunction(cfg, f) for f in fs),
@@ -240,9 +240,8 @@ def embed_norm_lower(kernel, sigmas, exponents, *, tol: float = 1e-9,
     ps = check_mlinear_exponents(exponents)
     if len(ps) != len(sigmas):
         raise ValueError("need one exponent per weight")
-    run = _ascend(_mlinear_densities(kernel, sigmas), sigmas, ps, tol,
-                  max_sweeps)
-    return _norm_bound(run, sigmas, fp_constant(kernel, sigmas, ps),
+    return _norm_bound(_mlinear_densities(kernel, sigmas), sigmas, ps,
+                       fp_constant(kernel, sigmas, ps),
                        {"exponents": list(ps)}, tol=tol,
                        max_sweeps=max_sweeps, seed=seed,
                        warm_start=warm_start)
@@ -262,16 +261,14 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
     _check_limits(tol, max_sweeps)
     ec = ExponentConfig(float(alpha), float(p), float(q),
                         mu.config.total_dim)
-    key = form.replace("_", "-")  # ``plan`` refuses an unknown form
-    op, mus, rs = plan(mu, ec.alpha, key), (mu, mu), (ec.p, ec.q_conj)
-    run = _ascend((lambda fs: op.adjoint(fs[1]), lambda fs: op.forward(fs[0])),
-                  mus, rs, tol, max_sweeps)
+    op, mus, rs = plan(mu, ec.alpha, form), (mu, mu), (ec.p, ec.q_conj)
     kernel = RectKernel.hls(mu, ec.alpha) if op.kernel is None else op.kernel
     c2 = fp_constant(kernel, mus, rs)
-    head = {"form": key, "alpha": ec.alpha, "p": ec.p, "q": ec.q}
-    return _norm_bound(run, mus, c2, head, tol=tol, max_sweeps=max_sweeps,
-                       seed=seed, warm_start=warm_start,
-                       restart=key != "kernel")
+    head = {"form": form, "alpha": ec.alpha, "p": ec.p, "q": ec.q}
+    return _norm_bound((lambda fs: op.adjoint(fs[1]),
+                        lambda fs: op.forward(fs[0])), mus, rs, c2, head,
+                       tol=tol, max_sweeps=max_sweeps, seed=seed,
+                       warm_start=warm_start)
 
 
 def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
@@ -310,10 +307,9 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
             phi += float((a_tables[lv] * t[lv] ** q).sum())
         return phi
 
-    run = _ascend((gradient,), (sigma,), (p,), tol, max_sweeps, value)
-    return _norm_bound(run, (sigma,), c2, {"p": p, "q": q}, tol=tol,
-                       max_sweeps=max_sweeps, seed=seed,
-                       warm_start=warm_start)
+    return _norm_bound((gradient,), (sigma,), (p,), c2, {"p": p, "q": q},
+                       tol=tol, max_sweeps=max_sweeps, seed=seed,
+                       warm_start=warm_start, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -364,41 +360,40 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
         if not weights:
             raise ValueError("embed sweeps need weights")
         base_weights = tuple(weights)
-        base_depth = base_weights[0].config.depth
     else:
         if weight is None:
             raise ValueError(f"{task} sweeps need a weight")
         base_weights = (weight,)
-        base_depth = weight.config.depth
+    base_depth = base_weights[0].config.depth
     if depths[-1] > base_depth:
         raise ValueError(
             f"sweep depth {depths[-1]} exceeds the weight depth {base_depth}")
-    if task == "embed":
+    opts = {"tol": tol, "max_sweeps": max_sweeps, "seed": seed}
+    if task == "hls":
+        def bound(ws, warm):
+            ec = ExponentConfig.hls(alpha, p, ws[0].config.total_dim)
+            return operator_norm_lower(ws[0], ec.alpha, ec.p, ec.q, form,
+                                       warm_start=warm, **opts)
+    elif task == "embed":
         # keyed by rectangle identity: the deepest table serves every row
         kern = RectKernel.random_uniform(
             GridConfig(base_weights[0].config.dims, depths[-1]), kernel_seed)
 
+        def bound(ws, warm):
+            return embed_norm_lower(kern.restrict(ws[0].config), ws,
+                                    exponents, warm_start=warm, **opts)
+    else:
+        def bound(ws, warm):
+            return carleson_norm_lower(ws[0], p, q, warm_start=warm, **opts)
+
     rows: list[SweepRow] = []
     warm = None
     for K in depths:
-        ws = tuple(w.coarsen(K) if w.config.depth != K else w
-                   for w in base_weights)
+        ws = tuple(w.coarsen(K) for w in base_weights)
         if warm is not None:
             warm = tuple(m.refine(K) for m in warm)
         t0 = time.perf_counter()
-        if task == "hls":
-            ec = ExponentConfig.hls(alpha, p, ws[0].config.total_dim)
-            est = operator_norm_lower(ws[0], ec.alpha, ec.p, ec.q, form,
-                                      tol=tol, max_sweeps=max_sweeps,
-                                      seed=seed, warm_start=warm)
-        elif task == "embed":
-            est = embed_norm_lower(kern.restrict(ws[0].config), ws,
-                                   exponents, tol=tol, max_sweeps=max_sweeps,
-                                   seed=seed, warm_start=warm)
-        else:
-            est = carleson_norm_lower(ws[0], p, q, tol=tol,
-                                      max_sweeps=max_sweeps, seed=seed,
-                                      warm_start=warm)
+        est = bound(ws, warm)
         c2 = est.params["c2"]  # the estimator's testing constant
         dt = time.perf_counter() - t0
         warm = est.maximizers

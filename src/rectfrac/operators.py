@@ -153,11 +153,12 @@ def check_mlinear_exponents(ps) -> tuple[float, ...]:
     return ps
 
 
-def _check_alpha(alpha: float, total_dim: int) -> float:
+def _hls_exponent(alpha: float, total_dim: int) -> float:
+    """The HLS kernel exponent alpha/N - 1, for alpha in (0, N)."""
     if not 0.0 < alpha < total_dim:
         raise ExponentError(
             f"alpha must lie in (0, {total_dim}), got {alpha}")
-    return float(alpha)
+    return float(alpha) / total_dim - 1.0
 
 
 def _check_same_grid(*objs) -> GridConfig:
@@ -300,8 +301,7 @@ class RectKernel:
     @classmethod
     def hls(cls, mu: Weight, alpha: float) -> "RectKernel":
         """mu(R)**(alpha/N - 1); zero-mass rectangles get value 0."""
-        N = mu.config.total_dim
-        expo = _check_alpha(alpha, N) / N - 1.0
+        expo = _hls_exponent(alpha, mu.config.total_dim)
         return cls(mu.config, {levels: _neg_power(arr, expo)
                                for levels, arr in mu.mass_tree.items()})
 
@@ -454,7 +454,7 @@ def apply_frac_kernel(mu: Weight, alpha: float, f: GridFunction,
     """
     cfg = _check_same_grid(mu, f)
     N, C = cfg.total_dim, cfg.axis_cells
-    expo = _check_alpha(alpha, N) / N - 1.0
+    expo = _hls_exponent(alpha, N)
     fw = f.values * mu.cell_masses
     out = np.empty_like(f.values)
     zeros = 0
@@ -474,7 +474,7 @@ def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
     so the matrix is exactly symmetric.
     """
     N = mu.config.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
+    expo = _hls_exponent(alpha, N)
     C = mu.config.axis_cells
     count = C ** N
     nbytes = 8 * count * count
@@ -536,19 +536,16 @@ def _strip_product(strips: list[np.ndarray], arr: np.ndarray,
 
     With the axis in front and the rest flattened, strip ``S`` of rows
     b0:b1 adds ``S @ v[b0:]`` to rows b0:b1 and, as the factor's lower
-    half, its transpose beyond the diagonal block to rows b1 on; the
-    first strip writes every row.  Both products take views, so no
-    strip is copied.
+    half, its transpose beyond the diagonal block to rows b1 on.  The
+    sum starts from zeros, and 0 + x is x, so the first strip's terms
+    land unchanged.  Both products take views, so no strip is copied.
     """
     v = np.moveaxis(arr, ax, 0)
     shape = v.shape
     v = v.reshape(shape[0], -1)
-    out = np.empty_like(v)
-    n = len(strips[0])
-    np.matmul(strips[0], v, out=out[:n])
-    np.matmul(strips[0][:, n:].T, v[:n], out=out[n:])
-    b0 = n
-    for S in strips[1:]:
+    out = np.zeros_like(v)
+    b0 = 0
+    for S in strips:
         b1 = b0 + len(S)
         out[b0:b1] += S @ v[b0:]
         out[b1:] += S[:, b1 - b0:].T @ v[b0:b1]
@@ -653,7 +650,7 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
         raise ValueError(f"unknown operator form {form!r}; "
                          f"choose from {OPERATOR_FORMS}")
     cfg, cm, N = mu.config, mu.cell_masses, mu.config.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
+    expo = _hls_exponent(alpha, N)
     if form == "dyadic":
         tau = (0,) * N if tau is None else tuple(int(t) for t in tau)
         if len(tau) != N or any(t not in (-1, 0, 1) for t in tau):
@@ -699,8 +696,7 @@ def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:
     ``level_combos`` order and each power is Python's scalar ``pow``,
     so every sum equals the one-pair loop bit for bit.
     """
-    N = mu.config.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
+    expo = _hls_exponent(alpha, mu.config.total_dim)
     X = np.asarray(X, dtype=np.int64)
     depths = triple_depths(mu.config, X, Y)
     totals = np.zeros(len(X))
@@ -723,8 +719,7 @@ def kernel_sum(mu: Weight, alpha: float, x, y) -> float:
 
 def pair_kernel(mu: Weight, alpha: float, x, y) -> float:
     """The closed kernel mu(R(x,y))**(alpha/N - 1); +inf on zero mass."""
-    N = mu.config.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
+    expo = _hls_exponent(alpha, mu.config.total_dim)
     m = mu.mass(min_rect(tuple(x), tuple(y)))
     if m <= 0.0:
         return math.inf

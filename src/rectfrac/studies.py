@@ -20,7 +20,7 @@ import numpy as np
 from .bruteforce import shift_cover_exhaustive
 from .grids import (DyadicCube, GridConfig, cube_box, min_rect,
                     product_minimal, shift_cover, triple, triple_depths)
-from .operators import _check_alpha, kernel_sums, level_combos
+from .operators import _hls_exponent, kernel_sums, level_combos
 from .weights import Weight
 
 
@@ -84,7 +84,7 @@ def kernel_equiv_study(mu: Weight, alpha: float, pairs,
     depends on it.
     """
     N = mu.config.total_dim
-    expo = _check_alpha(alpha, N) / N - 1.0
+    expo = _hls_exponent(alpha, N)
     XY = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, N)
     X, Y = XY[:, 0], XY[:, 1]
     rm = [mu.mass(min_rect(x, y)) for x, y in pairs]

@@ -475,10 +475,12 @@ def _parse_array_doc(doc) -> tuple[GridConfig, np.ndarray, dict]:
     for key in ("version", "dims", "depth", "lattice", "density"):
         if key not in doc:
             raise WeightFormatError(f"missing field {key!r}")
-    if doc["version"] != WEIGHT_SCHEMA_VERSION:
-        raise WeightFormatError(
-            f"unsupported schema version {doc['version']!r}")
-    # type(...) is int, not isinstance: JSON true would pass as 1
+    # type(...) is int, not isinstance: JSON true would pass as 1 (and,
+    # for the version, == alone would pass 1.0)
+    version = doc["version"]
+    if type(version) is not int or version != WEIGHT_SCHEMA_VERSION:
+        raise WeightFormatError(f"version must be the integer "
+                                f"{WEIGHT_SCHEMA_VERSION}, got {version!r}")
     if type(doc["depth"]) is not int:
         raise WeightFormatError(f"depth must be an integer, got "
                                 f"{doc['depth']!r}")
@@ -522,8 +524,6 @@ def load_weight(path, expect_config: GridConfig | None = None) -> Weight:
         raise WeightFormatError(
             f"grid mismatch: file has dims={config.dims} depth={config.depth}, "
             f"expected dims={expect_config.dims} depth={expect_config.depth}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise WeightFormatError("density must be finite and nonnegative")
     factors = doc.get("factors")
     if factors is not None:
         if not isinstance(factors, list) or \

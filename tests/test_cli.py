@@ -1,3 +1,4 @@
+import base64
 import itertools
 import json
 from pathlib import Path
@@ -85,7 +86,8 @@ class TestCheckWeight:
 
     @pytest.mark.parametrize("field,value", [
         ("meta", ["kind", "cascade"]), ("depth", None), ("depth", True),
-        ("lattice", 24), ("dims", "1,1"), ("dims", 2), ("dims", [True, 1])])
+        ("lattice", 24), ("dims", "1,1"), ("dims", 2), ("dims", [True, 1]),
+        ("version", True), ("version", 1.0)])
     def test_malformed_field_is_one_error_line(self, cascade_file, capsys,
                                                field, value):
         doc = json.loads(cascade_file.read_text())
@@ -96,6 +98,20 @@ class TestCheckWeight:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"error: {field} ")
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_bad_density_is_one_error_line(self, cascade_file, capsys, bad):
+        doc = json.loads(cascade_file.read_text())
+        dens = load_weight(cascade_file).density.copy()
+        dens.flat[5] = bad
+        doc["density"] = base64.b64encode(
+            dens.astype("<f8").tobytes()).decode("ascii")
+        cascade_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["check-weight", "--weight", cascade_file])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: density must be finite and nonnegative"]
 
 
 class TestFp:

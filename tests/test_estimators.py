@@ -298,6 +298,26 @@ class TestOperatorNormLower:
         with pytest.raises(ValueError, match="form"):
             operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, "fourier")
 
+    def test_underscore_form_name_refused(self, cascade_square):
+        with pytest.raises(ValueError,
+                           match="^unknown operator form 'shifted_sum'"):
+            operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0,
+                                "shifted_sum")
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_every_form_restarts_by_one_rule(self, cascade_square,
+                                             monkeypatch, form):
+        mu = cascade_square
+        first = operator_norm_lower(mu, 0.5, 4 / 3, 2.0, form, max_sweeps=4)
+        # a testing value no ascent reaches, witnessed by the whole
+        # domain, restarts the ascent from constants: the same run again
+        report = ConstantReport("fp", math.inf, {"rect": rect_to_json(TOP2)},
+                                1, mu.config.depth)
+        monkeypatch.setattr(estimators, "fp_constant", lambda *a: report)
+        est = operator_norm_lower(mu, 0.5, 4 / 3, 2.0, form, max_sweeps=4)
+        assert est.history == first.history * 2
+        assert est.sweeps == 2 * first.sweeps
+
 
 class TestCarlesonNormLower:
     def test_dominates_testing_constant(self):

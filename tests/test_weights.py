@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -214,7 +215,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("field,value", [
         ("meta", ["kind", "cascade"]), ("depth", None), ("depth", True),
-        ("lattice", 24), ("dims", "1,1"), ("dims", 2), ("dims", [True, 1])])
+        ("lattice", 24), ("dims", "1,1"), ("dims", 2), ("dims", [True, 1]),
+        ("version", True), ("version", 1.0)])
     def test_malformed_field_refused(self, cascade_square, tmp_path, field,
                                      value):
         path = tmp_path / "w.json"
@@ -223,6 +225,20 @@ class TestPersistence:
         doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(WeightFormatError, match=field):
+            load_weight(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_bad_density_refused(self, cascade_square, tmp_path, bad):
+        path = tmp_path / "w.json"
+        save_weight(cascade_square, path)
+        doc = json.loads(path.read_text())
+        dens = cascade_square.density.copy()
+        dens.flat[5] = bad
+        doc["density"] = base64.b64encode(
+            dens.astype("<f8").tobytes()).decode("ascii")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFormatError,
+                           match="^density must be finite and nonnegative$"):
             load_weight(path)
 
     def test_non_object_file_refused(self, tmp_path):
