@@ -26,8 +26,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .conditions import (condition_d_constant, doubling_constant,
-                         fp_constant, reverse_doubling_constant)
+from .conditions import (_condition_d, doubling_constant, fp_constant,
+                         reverse_doubling_constant)
 from .estimators import depth_sweep, rows_to_csv
 from .operators import OPERATOR_FORMS, ExponentConfig, RectKernel
 from .studies import (kernel_equiv_study, sample_distinct_pairs, scale_pairs,
@@ -164,7 +164,7 @@ def _cmd_check_weight(args) -> int:
                              margin >= -tol * max(1.0, bound), margin))
     cond = {}
     for eps in _num_list(args.eps):
-        rep = condition_d_constant(w, eps)
+        rep = _condition_d(w, eps, reverse.value)
         cond[repr(eps)] = rep.to_json()
         geom = sum(reverse.value ** (-k * eps) for k in range(cfg.depth + 1))
         margin = geom - rep.value

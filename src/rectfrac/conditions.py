@@ -175,7 +175,7 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
     return ConstantReport(name, best, wit, scanned, K, params)
 
 
-def _reverse_tail_bound(w: Weight, decay_exp: float) -> float | None:
+def _reverse_tail_bound(gamma: float, decay_exp: float) -> float | None:
     """Geometric bound on what levels beyond the truncation could add.
 
     If the measured reverse doubling constant is gamma > 1, each extra
@@ -183,7 +183,6 @@ def _reverse_tail_bound(w: Weight, decay_exp: float) -> float | None:
     scanned ratio, so the dropped tail is bounded by r/(1-r) with
     r = gamma**(-decay_exp).
     """
-    gamma = reverse_doubling_constant(w).value
     if not gamma > 1.0:
         return None
     if math.isinf(gamma):
@@ -194,11 +193,16 @@ def _reverse_tail_bound(w: Weight, decay_exp: float) -> float | None:
 
 def condition_d_constant(w: Weight, eps: float) -> ConstantReport:
     """Summability testing constant with power 1 + eps over descendants."""
+    return _condition_d(w, eps, reverse_doubling_constant(w).value)
+
+
+def _condition_d(w: Weight, eps: float, gamma: float) -> ConstantReport:
+    """``condition_d_constant`` given the reverse doubling constant."""
     if not eps > 0:
         raise ExponentError(f"eps must be positive, got {eps}")
     rep = _descendant_power_scan(w, 1.0 + float(eps), "condition_d",
                                  {"eps": float(eps)})
-    rep.tail_bound = _reverse_tail_bound(w, float(eps))
+    rep.tail_bound = _reverse_tail_bound(gamma, float(eps))
     return rep
 
 
@@ -213,7 +217,8 @@ def _carleson_scan(w: Weight, p: float, q: float) -> ConstantReport:
 def carleson_testing_constant(w: Weight, p: float, q: float) -> ConstantReport:
     """Testing constant with power q/p over descendants, 1 < p < q."""
     rep = _carleson_scan(w, p, q)
-    rep.tail_bound = _reverse_tail_bound(w, q / p - 1.0)
+    rep.tail_bound = _reverse_tail_bound(reverse_doubling_constant(w).value,
+                                         q / p - 1.0)
     return rep
 
 

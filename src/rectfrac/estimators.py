@@ -365,6 +365,8 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
             raise ValueError(f"{task} sweeps need a weight")
         base_weights = (weight,)
     base_depth = base_weights[0].config.depth
+    if depths[0] < 1:
+        raise ValueError(f"sweep depth {depths[0]} is below 1")
     if depths[-1] > base_depth:
         raise ValueError(
             f"sweep depth {depths[-1]} exceeds the weight depth {base_depth}")

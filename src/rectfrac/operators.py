@@ -25,7 +25,8 @@ Kernels on the standard family are tabulated per level combination
 the positive operator and the standard-family plans (the dyadic form
 with tau = 0 and the enlarged-region form) fully vectorized.  The
 shifted and tripled families share one primitive: width-3 window sums
-(``_windows``) over the standard cubes or over the third-cube pyramid.
+(``_windows``) over the zero-bordered standard cubes or third-cube
+pyramid, or over the array itself for the transpose.
 A level-k cube with shift s and index m is the run of three
 third-cubes starting at 3m + s, so along each axis
 
@@ -249,9 +250,13 @@ def _windows(arr: np.ndarray, pad: int) -> np.ndarray:
     onto each third-cube the windows that cover it.  Over standard
     cubes, ``pad=1`` sums each cube with its neighbours, i.e. over its
     triple 3R clipped to the domain; that map is its own transpose.
+    Pad 0 reads ``arr`` in place; the first axis sum is a new array.
     Only additions are used, so no digits cancel.
     """
-    out = np.pad(arr, pad)
+    out = arr
+    if pad:
+        out = np.zeros(tuple(n + 2 * pad for n in arr.shape), arr.dtype)
+        out[(slice(pad, -pad),) * arr.ndim] = arr
     for ax in range(out.ndim):
         n = out.shape[ax] - 2
         sl = [(slice(None),) * ax + (slice(a, a + n),) for a in range(3)]
@@ -322,17 +327,22 @@ class RectKernel:
         """Values iid-uniform in [0,1), keyed by rectangle identity.
 
         Hash-based, so a rectangle keeps its value across different
-        depths: nested truncated families see consistent kernels.
+        depths: nested truncated families see consistent kernels.  The
+        token is ``repr((levels, idx))``, its head hashed once per level.
         """
         keyed = hashlib.blake2b(
             digest_size=8, key=int(seed).to_bytes(8, "little", signed=True))
+        tail = "%d,))" if config.total_dim == 1 else \
+            ", ".join(["%d"] * config.total_dim) + "))"
         tables = {}
         for levels in level_combos(config):
             shape = tuple(1 << k for k in _axis_levels(config, levels))
+            head = keyed.copy()
+            head.update(f"({levels!r}, (".encode())
             digests = bytearray()
             for idx in itertools.product(*map(range, shape)):
-                h = keyed.copy()
-                h.update(repr((levels, idx)).encode())
+                h = head.copy()
+                h.update((tail % idx).encode())
                 digests += h.digest()
             words = np.frombuffer(digests, "<u8")
             tables[levels] = (words / 2.0 ** 64).reshape(shape)

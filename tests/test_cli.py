@@ -69,6 +69,29 @@ class TestCheckWeight:
         assert run(["check-weight", "--weight", cascade_file,
                     "--out", rep]) == 0
 
+    def test_one_halving_scan_per_constant(self, cascade_file, tmp_path,
+                                           monkeypatch):
+        from rectfrac import conditions
+        scans = []
+        halving_scan = conditions._halving_scan
+
+        def counted(w, name, minimize):
+            scans.append(name)
+            return halving_scan(w, name, minimize)
+
+        monkeypatch.setattr(conditions, "_halving_scan", counted)
+        rep = tmp_path / "rep.json"
+        assert run(["check-weight", "--weight", cascade_file,
+                    "--out", rep]) == 0
+        monkeypatch.undo()
+        assert scans == ["doubling", "reverse_doubling"]
+        w = load_weight(cascade_file)
+        cond = json.loads(rep.read_text())["condition_d"]
+        assert list(cond) == ["0.25", "0.5", "1.0"]
+        for eps, doc in cond.items():
+            expect = conditions.condition_d_constant(w, float(eps)).to_json()
+            assert doc == json.loads(json.dumps(expect))
+
     def test_zeroed_cube_reports_infinite_doubling(self, tmp_path):
         from rectfrac import GridConfig, Weight, save_weight
         cfg = GridConfig((1,), 3)

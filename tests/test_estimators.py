@@ -445,6 +445,18 @@ class TestDepthSweep:
                         p=2.0, q=4.0)
 
     @pytest.mark.parametrize("task", ["hls", "embed", "carleson"])
+    def test_depth_below_one_rejected(self, cascade_square, monkeypatch,
+                                      task):
+        def no_coarsen(*args):
+            raise AssertionError("coarsened before refusing the depth")
+
+        monkeypatch.setattr(Weight, "coarsen", no_coarsen)
+        with pytest.raises(ValueError, match="^sweep depth 0 is below 1$"):
+            depth_sweep(task, (0, 2), weight=cascade_square,
+                        weights=(cascade_square, cascade_square),
+                        alpha=0.5, p=4 / 3, q=4.0)
+
+    @pytest.mark.parametrize("task", ["hls", "embed", "carleson"])
     def test_empty_depth_list_rejected(self, cascade_square, task):
         with pytest.raises(ValueError, match="at least one depth"):
             depth_sweep(task, (), weight=cascade_square,

@@ -185,9 +185,10 @@ class TestGather:
 
 
 class TestRandomUniform:
-    @pytest.mark.parametrize("seed", [0, 9, -5])
+    @pytest.mark.parametrize("seed", [0, 9, -5, 2 ** 63 - 1, -2 ** 63])
     @pytest.mark.parametrize("dims,depth", [((1,), 6), ((2,), 3), ((1, 1), 4),
-                                            ((2, 1), 2), ((1, 1, 1), 3)])
+                                            ((2, 1), 2), ((1, 1, 1), 3),
+                                            ((1,), 10)])
     def test_matches_per_cell_hash(self, dims, depth, seed):
         cfg = GridConfig(dims, depth)
         tables = RectKernel.random_uniform(cfg, seed).tables
@@ -405,6 +406,45 @@ def _zero_banded_weight(dims, depth, factored):
     dens[:5, :4] = 0.0  # a corner block, not a product pattern
     dens[9:12, 14:20] = 0.0
     return Weight(cfg, dens)
+
+
+def _padded_windows(arr, pad):
+    """Width-3 window sums over ``np.pad(arr, pad)``: the reference."""
+    out = np.pad(arr, pad)
+    for ax in range(out.ndim):
+        moved = np.moveaxis(out, ax, 0)
+        out = np.moveaxis(moved[:-2] + moved[1:-1] + moved[2:], 0, ax)
+    return out
+
+
+class TestWindows:
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_equals_padded_reference(self, ndim, pad):
+        rng = np.random.default_rng(10 * ndim + pad)
+        for shape in itertools.product(range(3 if pad == 0 else 1, 6),
+                                       repeat=ndim):
+            arr = rng.random(shape) * 10.0 ** rng.integers(-6, 7, shape)
+            arr[rng.random(shape) < 0.25] = 0.0
+            before = arr.copy()
+            out, want = operators._windows(arr, pad), _padded_windows(arr, pad)
+            assert out.dtype == want.dtype and out.shape == want.shape
+            assert np.array_equal(out, want)
+            assert np.array_equal(arr, before)
+            assert not np.shares_memory(out, arr)
+
+    @pytest.mark.parametrize("form,tau", [("perez", None),
+                                          ("shifted-sum", None),
+                                          ("dyadic", (1, -1))])
+    def test_needs_no_pad(self, cascade_square, monkeypatch, form, tau):
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad called")
+
+        monkeypatch.setattr(np, "pad", no_pad)
+        op = plan(cascade_square, 0.5, form, tau)
+        f = random_function(cascade_square.config, np.random.default_rng(8))
+        for apply in (op.forward, op.adjoint):
+            assert np.all(np.isfinite(apply(f.values)))
 
 
 class TestPlan:
