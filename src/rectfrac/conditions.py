@@ -181,12 +181,14 @@ def _reverse_tail_bound(gamma: float, decay_exp: float) -> float | None:
     If the measured reverse doubling constant is gamma > 1, each extra
     relative level contributes at most gamma**(-l * decay_exp) to any
     scanned ratio, so the dropped tail is bounded by r/(1-r) with
-    r = gamma**(-decay_exp).
+    r = gamma**(-decay_exp).  gamma is always finite: the level-0
+    rectangle carries the positive total mass, and the tree builds each
+    parent as the sum of its ``2**d_j`` children in direction j, so the
+    largest child is positive and gives a ratio of at most ``2**d_j``;
+    gamma is the minimum over all ratios.
     """
     if not gamma > 1.0:
         return None
-    if math.isinf(gamma):
-        return 0.0
     r = gamma ** (-decay_exp)
     return r / (1.0 - r)
 

@@ -277,17 +277,14 @@ class RectKernel:
         idx = tuple(m for q in rect.factors for m in q.index)
         return float(self.tables[rect.levels][idx])
 
-    __call__ = value
-
     @staticmethod
     def coerce(obj, config: GridConfig) -> "RectKernel":
-        if isinstance(obj, RectKernel):
-            if obj.config != config:
-                raise ValueError("kernel tabulated on a different grid")
-            return obj
-        if callable(obj):
-            return RectKernel.from_callable(config, obj)
-        raise TypeError(f"cannot use {type(obj).__name__} as a kernel")
+        if not isinstance(obj, RectKernel):
+            raise TypeError(f"cannot use {type(obj).__name__} as a kernel; "
+                            "tabulate it with RectKernel.from_callable")
+        if obj.config != config:
+            raise ValueError("kernel tabulated on a different grid")
+        return obj
 
     @classmethod
     def from_callable(cls, config: GridConfig, fn) -> "RectKernel":
@@ -703,8 +700,9 @@ def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:
     ``grids.triple_depths`` gives, per pair and factor, the levels whose
     cube around x has y in its triple; each level tuple then gathers
     its live pairs' masses from the tree at once.  Terms are added in
-    ``level_combos`` order and each power is Python's scalar ``pow``,
-    so every sum equals the one-pair loop bit for bit.
+    ``level_combos`` order.  Each power is Python's scalar ``pow``, so
+    the sums keep the bits they had before batching and round as libm
+    does, not as numpy's SIMD powers do on some hosts.
     """
     expo = _hls_exponent(alpha, mu.config.total_dim)
     X = np.asarray(X, dtype=np.int64)

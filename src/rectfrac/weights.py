@@ -3,19 +3,20 @@
 A weight is a nonnegative density, piecewise constant on the lattice of
 ``3 * 2**K`` cells per unit axis.  Lattice families are aggregated
 bottom-up by pure additions, so no digits cancel: the mass tree holds
-every standard product dyadic rectangle (O(1) lookup), and the
-third-cube pyramid holds the blocks that one-third shifted cubes and
-tripled cubes are runs of (``operators`` sums the runs).  Both halve
-by strided slice additions along a recipe cached per grid.  Single box
-queries the tree cannot answer -- a shifted or tripled box passed to
-``Weight.mass``, minimal rectangles between lattice points, every
-``integrate`` target -- are direct sums over the cells the box meets
-(``box_sum``), with exact fractional weights for end cells that a
-corner splits.
+every standard product dyadic rectangle and serves the family sums and
+the pair gathers (``tree_masses``); the third-cube pyramid holds the
+blocks that one-third shifted cubes are runs of; tripled cubes 3R are
+width-3 windows over the standard cubes (``operators`` sums the runs
+and windows).  Both aggregates halve by strided slice additions along
+a recipe cached per grid.  Every single box -- ``Weight.mass`` of any
+target, standard rectangles included, and every ``integrate`` target
+-- is a direct sum over the cells the box meets (``box_sum``), with
+exact fractional weights for end cells that a corner splits.
 
-Weights and grid functions are immutable after construction (the
-backing arrays are marked read-only), so they can be shared freely
-across threads.
+Constructors freeze a float64 array in place rather than copy it, so
+an array the caller passes in becomes read-only.  A view's base stays
+writable: writing through it changes the density but not the masses
+already aggregated from it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Box, GridConfig, ProductRect, _as_box
+from .grids import Box, DepthExceededError, GridConfig, _as_box
 
 WEIGHT_SCHEMA_VERSION = 1
 FACTOR_RTOL = 1e-12  # per-axis factors against the density, cell by cell
@@ -303,20 +304,6 @@ class Weight:
         return float(self.mass_tree[(0,) * self.config.n_factors][
             (0,) * self.config.total_dim])
 
-    def _tree_lookup(self, rect: ProductRect) -> float | None:
-        if not rect.is_standard:
-            return None
-        K = self.config.depth
-        idx = []
-        for q in rect.factors:
-            if not 0 <= q.level <= K:
-                return None
-            for m in q.index:
-                if not 0 <= m < (1 << q.level):
-                    return None
-                idx.append(m)
-        return float(self.mass_tree[rect.levels][tuple(idx)])
-
     def tree_masses(self, levels: tuple[int, ...], points) -> np.ndarray:
         """Masses of the standard rectangles at ``levels`` containing each point.
 
@@ -329,10 +316,6 @@ class Weight:
 
     def mass(self, target) -> float:
         """Mass of a product rectangle or lattice-aligned box, clipped to the domain."""
-        if isinstance(target, ProductRect):
-            hit = self._tree_lookup(target)
-            if hit is not None:
-                return hit
         return box_sum(self.cell_masses,
                        _as_box(self.config, target, "measure"))
 
@@ -492,7 +475,13 @@ def _parse_array_doc(doc) -> tuple[GridConfig, np.ndarray, dict]:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise WeightFormatError(f"meta must be an object, got {meta!r}")
-    config = GridConfig(tuple(doc["dims"]), doc["depth"])
+    try:
+        config = GridConfig(tuple(doc["dims"]), doc["depth"])
+    except DepthExceededError as exc:
+        raise WeightFormatError(f"{exc}, got {doc['depth']!r}") from exc
+    except ValueError as exc:
+        raise WeightFormatError(f"dims {doc['dims']!r} refused: {exc}") \
+            from exc
     lattice = doc["lattice"]
     if lattice != [config.axis_cells] * config.total_dim:
         raise WeightFormatError(

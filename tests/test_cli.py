@@ -10,6 +10,24 @@ from rectfrac.cli import main
 from rectfrac.weights import load_weight
 
 
+def _edited(text, key, value=None):
+    """The weight file ``text`` with ``key`` set to ``value``, or dropped."""
+    doc = json.loads(text)
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    return json.dumps(doc)
+
+
+# invalid JSON, an undecodable payload and a missing field, each with the
+# start of its refusal message
+BROKEN_FILES = [
+    (lambda t: t[:len(t) // 2], "malformed weight file"),
+    (lambda t: _edited(t, "density", "not base64!"), "undecodable density"),
+    (lambda t: _edited(t, "lattice"), "missing field 'lattice'")]
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -110,7 +128,8 @@ class TestCheckWeight:
     @pytest.mark.parametrize("field,value", [
         ("meta", ["kind", "cascade"]), ("depth", None), ("depth", True),
         ("lattice", 24), ("dims", "1,1"), ("dims", 2), ("dims", [True, 1]),
-        ("version", True), ("version", 1.0)])
+        ("version", True), ("version", 1.0), ("depth", 13), ("depth", 0),
+        ("dims", [5, 1]), ("dims", []), ("lattice", [1, 1])])
     def test_malformed_field_is_one_error_line(self, cascade_file, capsys,
                                                field, value):
         doc = json.loads(cascade_file.read_text())
@@ -121,6 +140,16 @@ class TestCheckWeight:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith(f"error: {field} ")
+
+    @pytest.mark.parametrize("text,start", BROKEN_FILES)
+    def test_broken_file_is_one_error_line(self, cascade_file, capsys, text,
+                                           start):
+        cascade_file.write_text(text(cascade_file.read_text()))
+        capsys.readouterr()
+        code = run(["check-weight", "--weight", cascade_file])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {start}")
 
     @pytest.mark.parametrize("bad", [np.nan, -1.0])
     def test_bad_density_is_one_error_line(self, cascade_file, capsys, bad):
@@ -213,6 +242,17 @@ class TestSweeps:
         assert lines[0] == "K,c2,c1_hat,ratio,seconds"
         assert len(lines) == 3
         assert Path(str(out) + ".manifest.json").exists()
+
+    def test_kernel_form_checks_positive_estimates(self, cascade_file,
+                                                    tmp_path):
+        rep = tmp_path / "hls.json"
+        assert run(["hls", "--weight", cascade_file, "--alpha", "0.5",
+                    "--p", "4/3", "--form", "kernel", "--depths", "2:3",
+                    "--out", rep]) == 0
+        checks = json.loads(rep.read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            "positive_estimate[K=2]", "positive_estimate[K=3]"]
+        assert all(c["passed"] and c["detail"] > 0 for c in checks)
 
     def test_carleson(self, cascade_file, tmp_path):
         rep = tmp_path / "c.json"
@@ -317,6 +357,35 @@ class TestStudies:
         assert code == 0
         doc = json.loads(rep.read_text())
         assert doc["per_depth"]["4"]["pairs"] == 60
+
+    def test_readme_square_recipe_fails_drift(self, tmp_path, capsys):
+        w, rep = tmp_path / "w.json", tmp_path / "ke.json"
+        assert run(["gen-weight", "--kind", "cascade", "--dims", "1,1",
+                    "--depth", "5", "--rho", "2", "--seed", "7",
+                    "--out", w]) == 0
+        capsys.readouterr()
+        code = run(["kernel-equiv", "--weight", w, "--alpha", "0.5",
+                    "--pairs", "1000", "--depths", "4,5", "--out", rep])
+        assert code == 1
+        assert "failed checks: log_width_drift[K=5]" in \
+            capsys.readouterr().err.splitlines()
+        checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+        assert not checks["log_width_drift[K=5]"]["passed"]
+        assert checks["log_width_drift[K=5]"]["detail"] > 0.2
+
+    def test_readme_line_recipe_passes(self, tmp_path):
+        w, rep = tmp_path / "w.json", tmp_path / "ke.json"
+        assert run(["gen-weight", "--kind", "cascade", "--dims", "1",
+                    "--depth", "6", "--rho", "1.5", "--seed", "7",
+                    "--out", w]) == 0
+        assert run(["kernel-equiv", "--weight", w, "--alpha", "0.5",
+                    "--pairs", "1000", "--depths", "4,5,6", "--seed", "2024",
+                    "--out", rep]) == 0
+        checks = json.loads(rep.read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            "ratio_interval_finite", "log_width_drift[K=5]",
+            "log_width_drift[K=6]"]
+        assert all(c["passed"] for c in checks)
 
 
 class TestDeterminism:

@@ -55,6 +55,11 @@ class TestMlinearForm:
         f = GridFunction.ones(uniform_square.config)
         assert mlinear_form(kern, (uniform_square,) * 2, (f, f)) == 0.0
 
+    def test_plain_callable_refused(self, uniform_square):
+        f = GridFunction.ones(uniform_square.config)
+        with pytest.raises(TypeError, match=r"RectKernel\.from_callable"):
+            mlinear_form(lambda r: 1.0, (uniform_square,) * 2, (f, f))
+
     def test_top_indicator_kernel(self, uniform_square):
         kern = RectKernel.indicator(uniform_square.config, TOP2)
         f = GridFunction.ones(uniform_square.config)

@@ -11,10 +11,28 @@ from rectfrac import (AlignmentError, Box, DyadicCube, GridConfig,
                       integrate, load_weight, lp_norm, mass, replace,
                       save_weight, triple)
 from rectfrac.bruteforce import mass_direct
-from rectfrac.grids import children
+from rectfrac.grids import children, rect_box, standard_rect
 from rectfrac.weights import cell_slices
 
 DATA = Path(__file__).parent / "data"
+
+
+def _edited(text, key, value=None):
+    """The weight file ``text`` with ``key`` set to ``value``, or dropped."""
+    doc = json.loads(text)
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    return json.dumps(doc)
+
+
+# invalid JSON, an undecodable payload and a missing field, each with the
+# start of its refusal message
+BROKEN_FILES = [
+    (lambda t: t[:len(t) // 2], "malformed weight file"),
+    (lambda t: _edited(t, "density", "not base64!"), "undecodable density"),
+    (lambda t: _edited(t, "lattice"), "missing field 'lattice'")]
 
 
 def random_rect(cfg, rng):
@@ -57,6 +75,18 @@ class TestMass:
                 mass_direct(w, rect_box(w.config, rect)), rel=1e-12)
             assert w.mass(box) == pytest.approx(
                 mass_direct(w, box), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_cascade(GridConfig((1, 1), 3), 2.0, 7),
+        lambda: gen_power(GridConfig((2, 1), 2), (1.0, -0.5, 2.0))])
+    def test_tree_entries_match_direct(self, make):
+        w = make()
+        for levels, arr in w.mass_tree.items():
+            for idx in np.ndindex(arr.shape):
+                rect = standard_rect(w.config, levels, idx)
+                direct = mass_direct(w, rect_box(w.config, rect))
+                assert arr[idx] == pytest.approx(direct, rel=1e-12)
+                assert w.mass(rect) == pytest.approx(arr[idx], rel=1e-12)
 
     def test_half_cell_box(self, uniform_line):
         # corners at odd units split cells in half; still exact
@@ -216,7 +246,8 @@ class TestPersistence:
     @pytest.mark.parametrize("field,value", [
         ("meta", ["kind", "cascade"]), ("depth", None), ("depth", True),
         ("lattice", 24), ("dims", "1,1"), ("dims", 2), ("dims", [True, 1]),
-        ("version", True), ("version", 1.0)])
+        ("version", True), ("version", 1.0), ("depth", 13), ("depth", 0),
+        ("dims", [5, 1]), ("dims", []), ("lattice", [1, 1])])
     def test_malformed_field_refused(self, cascade_square, tmp_path, field,
                                      value):
         path = tmp_path / "w.json"
@@ -225,6 +256,14 @@ class TestPersistence:
         doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(WeightFormatError, match=field):
+            load_weight(path)
+
+    @pytest.mark.parametrize("text,match", BROKEN_FILES)
+    def test_broken_file_refused(self, cascade_square, tmp_path, text, match):
+        path = tmp_path / "w.json"
+        save_weight(cascade_square, path)
+        path.write_text(text(path.read_text()))
+        with pytest.raises(WeightFormatError, match=match):
             load_weight(path)
 
     @pytest.mark.parametrize("bad", [np.nan, -1.0])
