@@ -2,16 +2,15 @@
 
 Subcommands generate weights, audit their structural constants, run
 norm-estimation depth sweeps, and verify the grid-covering and
-kernel-equivalence claims.  Everything is seeded and reproducible:
-output files never embed wall-clock data (timings go to standard
-error), and every loop runs in one thread: the thread flag is accepted
-for compatibility and never changes output, so files are
-byte-identical across thread counts.
-
-Each JSON output embeds a manifest (subcommand, parameters, seed, tool
-version, input file hashes); CSV outputs get the same manifest as a
-``<out>.manifest.json`` sidecar.  Exit status is 0 iff every requested
-check passed.
+kernel-equivalence claims.  Each takes only the options it reads:
+``--seed`` where something is drawn (gen-weight, kernel-equiv and the
+sweeps embed-norm, hls and carleson), ``--format json|csv`` on the
+sweeps, ``--threads`` (output never depends on it) and ``--out``
+everywhere.  Output files never embed wall-clock data, so reruns are
+byte-identical; each JSON output embeds a manifest (subcommand,
+parameters, seed, version, input hashes), and a CSV gets it as a
+``<out>.manifest.json`` sidecar.  ``main`` returns 0 iff every check
+passed, 1 if one failed, and 2 for any refusal, the parser's included.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .conditions import (_condition_d, doubling_constant, fp_constant,
-                         reverse_doubling_constant)
+from .conditions import (_condition_d, _positive_eps, doubling_constant,
+                         fp_constant, reverse_doubling_constant)
 from .estimators import depth_sweep, rows_to_csv
 from .operators import OPERATOR_FORMS, ExponentConfig, RectKernel
 from .studies import (kernel_equiv_study, sample_distinct_pairs, scale_pairs,
@@ -66,6 +65,13 @@ def _depth_list(text: str) -> tuple[int, ...]:
     return depths
 
 
+def _load_weights(text: str):
+    """The comma-separated paths and their weights, each file read once."""
+    paths = text.split(",")
+    loaded = {p: load_weight(p) for p in dict.fromkeys(paths)}
+    return paths, [loaded[p] for p in paths]
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -77,12 +83,9 @@ def _manifest(args: argparse.Namespace, inputs) -> dict:
     so reruns of a command with the same seed produce byte-identical
     files; ``main`` logs start and finish times to standard error.
     """
-    skip = {"func", "out", "threads", "format", "command", "out_required"}
-    params = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip or val is None:
-            continue
-        params[key] = str(val) if isinstance(val, Path) else val
+    skip = {"func", "out", "threads", "format", "command"}
+    params = {key: val for key, val in sorted(vars(args).items())
+              if key not in skip and val is not None}
     return {"subcommand": args.command, "params": params,
             "seed": getattr(args, "seed", 0), "version": __version__,
             "input_hashes": {str(p): _sha256(p) for p in inputs}}
@@ -95,23 +98,17 @@ def _emit(args: argparse.Namespace, body: dict, checks: list[dict],
     doc.update(body)
     doc["checks"] = checks
     out = None if to_stdout else args.out
-    if args.format == "csv":
-        if csv_text is None:
-            print("error: csv output is not available for this subcommand",
-                  file=sys.stderr)
-            return 2
+    if csv_text is not None and args.format == "csv":
+        text = csv_text
         if out:
-            Path(out).write_text(csv_text)
             Path(str(out) + ".manifest.json").write_text(
                 json.dumps(doc["manifest"], sort_keys=True, indent=2) + "\n")
-        else:
-            sys.stdout.write(csv_text)
     else:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        if out:
-            Path(out).write_text(text)
-        else:
-            sys.stdout.write(text)
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
     failed = [c["name"] for c in checks if not c["passed"]]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
@@ -144,6 +141,7 @@ def _cmd_gen_weight(args) -> int:
 
 
 def _cmd_check_weight(args) -> int:
+    epsilons = [_positive_eps(e) for e in _num_list(args.eps)]
     w = load_weight(args.weight)
     cfg = w.config
     doubling = doubling_constant(w)
@@ -163,7 +161,7 @@ def _cmd_check_weight(args) -> int:
         checks.append(_check("doubling_from_reverse",
                              margin >= -tol * max(1.0, bound), margin))
     cond = {}
-    for eps in _num_list(args.eps):
+    for eps in epsilons:
         rep = _condition_d(w, eps, reverse.value)
         cond[repr(eps)] = rep.to_json()
         geom = sum(reverse.value ** (-k * eps) for k in range(cfg.depth + 1))
@@ -192,8 +190,7 @@ def _cmd_fp(args) -> int:
     else:
         if not args.weights or not args.exponents:
             raise ValueError("general mode needs --weights and --exponents")
-        paths = args.weights.split(",")
-        ws = [load_weight(p) for p in paths]
+        paths, ws = _load_weights(args.weights)
         kern = RectKernel.random_uniform(ws[0].config, args.kernel_seed)
         rep = fp_constant(kern, ws, _num_list(args.exponents))
         checks.append(_check("value_finite", math.isfinite(rep.value),
@@ -222,21 +219,21 @@ def _rows_json(rows) -> list[dict]:
 
 
 def _sweep_opts(args) -> dict:
-    """A sweep subcommand's ascent options, as ``depth_sweep`` keywords."""
+    """A sweep's depths and ascent options, as ``depth_sweep`` keywords."""
     if args.max_sweeps < 1:
         raise ValueError(
             f"--max-sweeps must be at least 1, got {args.max_sweeps}")
     if not args.tol >= 0:
         raise ValueError(f"--tol must be at least 0, got {args.tol}")
-    return {"tol": args.tol, "max_sweeps": args.max_sweeps,
-            "seed": args.seed, "timing": args.timing}
+    return {"depths": _depth_list(args.depths), "tol": args.tol,
+            "max_sweeps": args.max_sweeps, "seed": args.seed,
+            "timing": args.timing}
 
 
 def _cmd_embed_norm(args) -> int:
     opts = _sweep_opts(args)
-    paths = args.weights.split(",")
-    ws = [load_weight(p) for p in paths]
-    rows = depth_sweep("embed", _depth_list(args.depths), weights=ws,
+    paths, ws = _load_weights(args.weights)
+    rows = depth_sweep("embed", weights=ws,
                        exponents=_num_list(args.exponents),
                        kernel_seed=args.kernel_seed, **opts)
     return _emit(args, {"sweep": _rows_json(rows)},
@@ -248,8 +245,8 @@ def _cmd_hls(args) -> int:
     opts = _sweep_opts(args)
     w = load_weight(args.weight)
     ec = ExponentConfig.hls(args.alpha, args.p, w.config.total_dim)
-    rows = depth_sweep("hls", _depth_list(args.depths), weight=w,
-                       alpha=ec.alpha, p=ec.p, form=args.form, **opts)
+    rows = depth_sweep("hls", weight=w, alpha=ec.alpha, p=ec.p,
+                       form=args.form, **opts)
     checks = _sweep_checks(rows, require_ratio=args.form != "kernel")
     drift = [rows[i + 1].c1_hat / rows[i].c1_hat - 1.0
              for i in range(len(rows) - 1)]
@@ -262,8 +259,7 @@ def _cmd_hls(args) -> int:
 def _cmd_carleson(args) -> int:
     opts = _sweep_opts(args)
     w = load_weight(args.weight)
-    rows = depth_sweep("carleson", _depth_list(args.depths), weight=w,
-                       p=args.p, q=args.q, **opts)
+    rows = depth_sweep("carleson", weight=w, p=args.p, q=args.q, **opts)
     n = w.config.n_factors
     body = {"sweep": _rows_json(rows),
             "c1_over_c2_pow_n": [r.c1_hat / r.c2 ** n for r in rows]}
@@ -274,8 +270,8 @@ def _cmd_carleson(args) -> int:
 def _cmd_kernel_equiv(args) -> int:
     if args.pairs < 1:
         raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
-    w = load_weight(args.weight)
     depths = sorted(set(_depth_list(args.depths)))
+    w = load_weight(args.weight)
     if depths[-1] > w.config.depth:
         raise ValueError(f"depth {depths[-1]} exceeds the weight depth "
                          f"{w.config.depth}")
@@ -286,8 +282,7 @@ def _cmd_kernel_equiv(args) -> int:
     for K in depths:
         wk = w.coarsen(K)
         scaled = scale_pairs(pairs, 1 << (K - depths[0]))
-        stats = kernel_equiv_study(wk, args.alpha, scaled,
-                                   threads=args.threads)
+        stats = kernel_equiv_study(wk, args.alpha, scaled)
         per_depth[str(K)] = stats
         widths.append(stats["kernel_log_width"])
     checks = [_check("ratio_interval_finite",
@@ -309,17 +304,19 @@ def _cmd_shift_cover(args) -> int:
     return _emit(args, {"report": report}, checks)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=0)
+def _add_common(sp: argparse.ArgumentParser,
+                out_help: str | None = None) -> None:
+    """--threads, and --out: required when ``out_help`` names its file."""
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; every loop runs in "
                          "one thread and output never depends on it")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out", type=Path, default=None,
-                    help="output file (default: stdout)")
+    sp.add_argument("--out", type=Path, required=out_help is not None,
+                    help=out_help or "output file (default: stdout)")
 
 
 def _add_sweep_opts(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--max-sweeps", type=int, default=200)
     sp.add_argument("--timing", action="store_true",
@@ -345,10 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="power exponents per axis, each > -1")
     sp.add_argument("--centers", default=None,
                     help="power singularity centers per axis")
-    _add_common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="cascade draw seed")
+    _add_common(sp, out_help="weight file to write")
     sp.set_defaults(func=_cmd_gen_weight)
-    # gen-weight writes the weight itself, so --out is mandatory there
-    sp.set_defaults(out_required=True)
 
     sp = sub.add_parser("check-weight",
                         help="doubling / reverse doubling / summability audit")
@@ -405,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_number, required=True)
     sp.add_argument("--pairs", type=int, default=1000)
     sp.add_argument("--depths", required=True)
+    sp.add_argument("--seed", type=int, default=0, help="pair draw seed")
     _add_common(sp)
     sp.set_defaults(func=_cmd_kernel_equiv)
 
@@ -419,11 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "out_required", False) and args.out is None:
-        print("error: this subcommand requires --out", file=sys.stderr)
-        return 2
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a refusal (2) or --help (0)
+        return exc.code
     started = time.time()
     try:
         code = args.func(args)
@@ -434,6 +430,3 @@ def main(argv=None) -> int:
           f"finished {time.time():.3f} (epoch seconds)", file=sys.stderr)
     return code
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -198,13 +198,18 @@ def condition_d_constant(w: Weight, eps: float) -> ConstantReport:
     return _condition_d(w, eps, reverse_doubling_constant(w).value)
 
 
-def _condition_d(w: Weight, eps: float, gamma: float) -> ConstantReport:
-    """``condition_d_constant`` given the reverse doubling constant."""
+def _positive_eps(eps: float) -> float:
+    """A summability power as a float, refused unless positive."""
     if not eps > 0:
         raise ExponentError(f"eps must be positive, got {eps}")
-    rep = _descendant_power_scan(w, 1.0 + float(eps), "condition_d",
-                                 {"eps": float(eps)})
-    rep.tail_bound = _reverse_tail_bound(gamma, float(eps))
+    return float(eps)
+
+
+def _condition_d(w: Weight, eps: float, gamma: float) -> ConstantReport:
+    """``condition_d_constant`` given the reverse doubling constant."""
+    eps = _positive_eps(eps)
+    rep = _descendant_power_scan(w, 1.0 + eps, "condition_d", {"eps": eps})
+    rep.tail_bound = _reverse_tail_bound(gamma, eps)
     return rep
 
 

@@ -132,7 +132,8 @@ def shift_cover_report(dim: int, max_level: int) -> dict:
     """Exhaustive shift-cover verification over the boundary cube family."""
     if max_level < 0:
         raise ValueError(f"max_level must be at least 0, got {max_level}")
-    config = GridConfig((dim,), 1)
+    # deep enough for integer corners; the checks do not depend on scale
+    config = GridConfig((dim,), min(max(max_level - 1, 1), 12))
     cubes = boundary_cover_cubes(dim, max_level)
     failures = [{"level": cube.level, "index": list(cube.index)}
                 for cube in cubes if not verify_shift_cover(cube, config)]

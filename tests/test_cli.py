@@ -1,11 +1,16 @@
 import base64
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rectfrac
+from rectfrac import cli
 from rectfrac.cli import main
 from rectfrac.weights import load_weight
 
@@ -68,6 +73,26 @@ class TestGenWeight:
         assert run(["gen-weight", "--kind", "uniform", "--dims", "1",
                     "--depth", "3"]) == 2
 
+    def test_format_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "u.json"
+        assert run(["gen-weight", "--kind", "uniform", "--dims", "1",
+                    "--depth", "3", "--out", out, "--format", "csv"]) == 2
+        assert not out.exists()
+        assert "unrecognized arguments: --format csv" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,message", [
+        ("power", "power weights need --exponents"),
+        ("cascade", "cascade weights need --rho")])
+    def test_kind_inputs_required(self, tmp_path, capsys, kind, message):
+        out = tmp_path / "w.json"
+        capsys.readouterr()
+        code = run(["gen-weight", "--kind", kind, "--dims", "1",
+                    "--depth", "3", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestCheckWeight:
     def test_uniform_constants(self, tmp_path):
@@ -109,6 +134,27 @@ class TestCheckWeight:
         for eps, doc in cond.items():
             expect = conditions.condition_d_constant(w, float(eps)).to_json()
             assert doc == json.loads(json.dumps(expect))
+
+    @pytest.mark.parametrize("eps,message", [
+        ("0", "eps must be positive, got 0.0"),
+        ("0.5,-1", "eps must be positive, got -1.0"),
+        ("abc", "Invalid literal for Fraction: 'abc'")])
+    def test_bad_eps_refused_before_any_scan(self, cascade_file, capsys,
+                                             monkeypatch, eps, message):
+        from rectfrac import conditions
+        scans = []
+        halving_scan = conditions._halving_scan
+
+        def counted(w, name, minimize):
+            scans.append(name)
+            return halving_scan(w, name, minimize)
+
+        monkeypatch.setattr(conditions, "_halving_scan", counted)
+        capsys.readouterr()
+        code = run(["check-weight", "--weight", cascade_file, "--eps", eps])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert scans == []
 
     def test_zeroed_cube_reports_infinite_doubling(self, tmp_path):
         from rectfrac import GridConfig, Weight, save_weight
@@ -196,6 +242,33 @@ class TestFp:
         assert code == 2
         assert err == ["error: hls mode needs --weight and --p"]
 
+    @pytest.mark.parametrize("drop", ["--weights", "--exponents"])
+    def test_general_mode_inputs_required(self, cascade_file, capsys, drop):
+        args = {"--weights": f"{cascade_file},{cascade_file}",
+                "--exponents": "2,2"}
+        del args[drop]
+        capsys.readouterr()
+        code = run(["fp", *itertools.chain(*args.items())])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: general mode needs --weights and --exponents"]
+
+    @pytest.mark.parametrize("cmd", [["embed-norm", "--depths", "2:3"],
+                                     ["fp"]])
+    def test_repeated_weight_file_read_once(self, cascade_file, tmp_path,
+                                            monkeypatch, cmd):
+        loads = []
+
+        def counted(path):
+            loads.append(path)
+            return load_weight(path)
+
+        monkeypatch.setattr(cli, "load_weight", counted)
+        assert run([cmd[0], "--weights", f"{cascade_file},{cascade_file}",
+                    "--exponents", "2,2", *cmd[1:],
+                    "--out", tmp_path / "rep.json"]) == 0
+        assert loads == [str(cascade_file)]
+
 
 class TestSweeps:
     def test_embed_ratio_check(self, cascade_file, tmp_path):
@@ -243,6 +316,14 @@ class TestSweeps:
         assert len(lines) == 3
         assert Path(str(out) + ".manifest.json").exists()
 
+    def test_csv_to_stdout(self, cascade_file, capsys):
+        capsys.readouterr()
+        assert run(["hls", "--weight", cascade_file, "--alpha", "0.5",
+                    "--p", "4/3", "--depths", "2:3", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "K,c2,c1_hat,ratio,seconds"
+        assert len(lines) == 3
+
     def test_kernel_form_checks_positive_estimates(self, cascade_file,
                                                     tmp_path):
         rep = tmp_path / "hls.json"
@@ -266,6 +347,13 @@ class TestSweeps:
         assert code == 2
 
 
+EMPTY_RANGES = [
+    (["hls", "--alpha", "0.5", "--p", "4/3"], "5:3"),
+    (["embed-norm", "--exponents", "2,2"], "5:4"),
+    (["carleson", "--p", "2", "--q", "4"], "5:4"),
+    (["kernel-equiv", "--alpha", "0.5"], "5:4")]
+
+
 class TestBadRanges:
     @pytest.fixture()
     def line_file(self, tmp_path):
@@ -275,15 +363,23 @@ class TestBadRanges:
                     "--out", out]) == 0
         return out
 
-    @pytest.mark.parametrize("cmd,depths", [
-        (["hls", "--alpha", "0.5", "--p", "4/3"], "5:3"),
-        (["embed-norm", "--exponents", "2,2"], "5:4"),
-        (["carleson", "--p", "2", "--q", "4"], "5:4"),
-        (["kernel-equiv", "--alpha", "0.5"], "5:4")])
+    @pytest.mark.parametrize("cmd,depths", EMPTY_RANGES)
     def test_empty_depth_range_is_one_error_line(self, line_file, capsys,
                                                  cmd, depths):
         src = ["--weights", f"{line_file},{line_file}"] \
             if cmd[0] == "embed-norm" else ["--weight", line_file]
+        capsys.readouterr()
+        code = run([cmd[0], *src, *cmd[1:], "--depths", depths])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: the depth range '{depths}' is empty"]
+
+    @pytest.mark.parametrize("cmd,depths", EMPTY_RANGES)
+    def test_empty_depth_range_refused_before_reading(self, tmp_path, capsys,
+                                                      cmd, depths):
+        missing = tmp_path / "missing.json"
+        src = ["--weights", f"{missing},{missing}"] \
+            if cmd[0] == "embed-norm" else ["--weight", missing]
         capsys.readouterr()
         code = run([cmd[0], *src, *cmd[1:], "--depths", depths])
         err = capsys.readouterr().err.splitlines()
@@ -320,6 +416,14 @@ class TestBadRanges:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert err == [f"error: {opt} must be at least {least}, got {value}"]
+
+    def test_depth_above_weight_is_one_error_line(self, line_file, capsys):
+        capsys.readouterr()
+        code = run(["kernel-equiv", "--weight", line_file, "--alpha", "0.5",
+                    "--pairs", "10", "--depths", "4:6"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: depth 6 exceeds the weight depth 5"]
 
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_pairs_below_one_refused(self, line_file, capsys, pairs):
@@ -408,3 +512,56 @@ class TestDeterminism:
         assert set(manifest) == {"subcommand", "params", "seed", "version",
                                  "input_hashes"}
         assert manifest["subcommand"] == "check-weight"
+
+
+SEEDED = {"gen-weight", "embed-norm", "hls", "carleson", "kernel-equiv"}
+SWEEPS = {"embed-norm", "hls", "carleson"}
+
+
+class TestParser:
+    @pytest.mark.parametrize("cmd", [
+        "gen-weight", "check-weight", "fp", "embed-norm", "hls", "carleson",
+        "kernel-equiv", "shift-cover"])
+    def test_help_lists_only_the_options_read(self, capsys, cmd):
+        capsys.readouterr()
+        assert run([cmd, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert ("--seed" in out) == (cmd in SEEDED)
+        assert ("--format" in out) == (cmd in SWEEPS)
+        assert "--threads" in out and "--out" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["hls", "--bogus"], ["no-such-command"], [],
+        ["shift-cover", "--dim", "1", "--maxlevel", "1", "--seed", "3"],
+        ["shift-cover", "--dim", "1", "--maxlevel", "1", "--format", "json"],
+        ["shift-cover", "--dim", "x", "--maxlevel", "1"]])
+    def test_refusal_returned_as_2(self, capsys, argv):
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_top_level_help_returns_0(self, capsys):
+        assert run(["--help"]) == 0
+        assert "shift-cover" in capsys.readouterr().out
+
+
+def test_module_entry_point(cascade_file):
+    """``python -m rectfrac`` runs a subcommand and exits with its status."""
+    src = str(Path(rectfrac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "rectfrac", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    done = module("shift-cover", "--dim", "1", "--maxlevel", "1")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["report"]["cubes_checked"] > 0
+    refused = module("check-weight", "--weight", str(cascade_file),
+                     "--format", "csv")
+    assert refused.returncode == 2
+    assert refused.stdout == ""

@@ -191,6 +191,14 @@ class TestFeffermanPhong:
                               (p, q / (q - 1)))
             assert rep.value == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("weights,start", [
+        (lambda w: (w,), "need one exponent per weight"),
+        (lambda w: (w, w.coarsen(2)), "weights live on different grids")])
+    def test_inputs_refused(self, uniform_square, weights, start):
+        kern = RectKernel.from_callable(uniform_square.config, lambda r: 1.0)
+        with pytest.raises(ValueError, match=f"^{start}"):
+            fp_constant(kern, weights(uniform_square), (2.0, 2.0))
+
     def test_zero_kernel(self, uniform_square):
         kern = RectKernel.from_callable(uniform_square.config, lambda r: 0.0)
         assert fp_constant(kern, (uniform_square, uniform_square),

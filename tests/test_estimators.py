@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,13 @@ class TestEmbedNormLower:
                                (2.0, 2.0)).to_json()
         assert set(doc) == {"value", "sweeps", "converged", "history",
                             "seed", "params"}
+
+    def test_one_exponent_per_weight(self, cascade_square):
+        kern = RectKernel.random_uniform(cascade_square.config, 0)
+        with pytest.raises(ValueError,
+                           match="^need one exponent per weight"):
+            embed_norm_lower(kern, (cascade_square, cascade_square),
+                             (2.0, 2.0, 2.0))
 
 
 class TestOperatorNormLower:
@@ -462,6 +470,30 @@ class TestDepthSweep:
             depth_sweep(task, (), weight=cascade_square,
                         weights=(cascade_square, cascade_square),
                         alpha=0.5, p=4 / 3, q=4.0)
+
+
+    @pytest.mark.parametrize("task,inputs,start", [
+        ("bogus", {}, "unknown sweep task 'bogus'"),
+        ("embed", {}, "embed sweeps need weights"),
+        ("hls", {}, "hls sweeps need a weight")])
+    def test_missing_inputs_refused(self, task, inputs, start):
+        with pytest.raises(ValueError, match="^" + re.escape(start)):
+            depth_sweep(task, (2,), **inputs)
+
+    @pytest.mark.parametrize("value,ratio", [(0.0, 0.0), (1.5, math.inf)])
+    def test_zero_testing_constant_ratio(self, cascade_square, monkeypatch,
+                                         value, ratio):
+        bound = estimators.carleson_norm_lower
+
+        def zero_c2(*args, **kwargs):
+            est = bound(*args, **kwargs)
+            return dataclasses.replace(est, value=value,
+                                       params={**est.params, "c2": 0.0})
+
+        monkeypatch.setattr(estimators, "carleson_norm_lower", zero_c2)
+        rows = depth_sweep("carleson", (2, 3), weight=cascade_square,
+                           p=2.0, q=4.0)
+        assert [(r.c2, r.ratio) for r in rows] == [(0.0, ratio)] * 2
 
 
 class TestSweepLimits:

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -411,3 +412,28 @@ class TestExactness:
             GridConfig((5,), 3)
         with pytest.raises(ValueError):
             GridConfig((), 3)
+
+
+# each call on a (1,1) K=3 grid, with its error class and message start
+REFUSALS = [
+    (lambda cfg: DyadicCube(0, (0, 0), (0,)), ValueError,
+     "index and shift must have equal length"),
+    (lambda cfg: DyadicCube(0, (0,), (2,)), ValueError,
+     "shift entries must be -1, 0 or +1 (thirds)"),
+    (lambda cfg: triple(cfg, 3), TypeError, "cannot triple int"),
+    (lambda cfg: minimal_cube(cfg, (0,), (0, 1)), ValueError,
+     "point dimensions differ"),
+    (lambda cfg: minimal_cube(cfg, (0,), (cfg.axis_units,)), ValueError,
+     "coordinates must lie inside [0,1)^d"),
+    (lambda cfg: triple_depths(cfg, [[0]], [[1]]), ValueError,
+     "points must be (P, 2) arrays of equal shape"),
+    (lambda cfg: min_rect((0,), (1, 2)), ValueError,
+     "point dimensions differ"),
+    (lambda cfg: product_minimal(cfg, (0, 1), (0, 2)), DegeneratePairError,
+     "points coincide in factor 0")]
+
+
+@pytest.mark.parametrize("call,exc,start", REFUSALS)
+def test_refused(square_cfg, call, exc, start):
+    with pytest.raises(exc, match="^" + re.escape(start)):
+        call(square_cfg)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,8 +24,8 @@ from rectfrac.bruteforce import (frac_dyadic_direct, mass_direct,
                                  positive_direct)
 import rectfrac
 from rectfrac import operators, weights
-from rectfrac.operators import (KernelBudgetError, kernel_factor,
-                                kernel_matrix, plan)
+from rectfrac.operators import (KernelBudgetError, check_mlinear_exponents,
+                                kernel_factor, kernel_matrix, plan)
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 
@@ -525,6 +526,14 @@ class TestKernelForm:
         assert pair_kernel(w, 0.5, (U // 4,), (3 * U // 4,)) == \
             pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    def test_pair_kernel_zero_mass_is_inf(self):
+        cfg = GridConfig((1,), 3)
+        dens = np.ones(cfg.axis_cells)
+        dens[:6] = 0.0
+        w = Weight(cfg, dens)
+        assert pair_kernel(w, 0.5, (0,), (3,)) == math.inf
+        assert math.isfinite(pair_kernel(w, 0.5, (0,), (13,)))
+
     def test_pair_kernel_symmetric(self, cascade_square):
         rng = np.random.default_rng(16)
         U = cascade_square.config.axis_units
@@ -812,3 +821,36 @@ class TestDeterminism:
         s2 = mlinear_form(RectKernel.random_uniform(cascade_square.config, 1),
                           (cascade_square,) * 2, (f, f))
         assert s1 == s2
+
+
+SHIFTED = ProductRect((DyadicCube(0, (0,), (1,)), DyadicCube(0, (0,))))
+
+
+# each call on a (1,1) K=3 weight, with its error class and message start
+REFUSALS = [
+    (lambda w: ExponentConfig(3.0, 2.0, 4.0, 2), ExponentError,
+     "alpha must lie in (0, 2), got 3.0"),
+    (lambda w: ExponentConfig(0.5, 4.0, 2.0, 2), ExponentError,
+     "need 1 < p < q < inf, got p=4.0, q=2.0"),
+    (lambda w: check_mlinear_exponents((1.0, 2.0)), ExponentError,
+     "every p_k must lie in (1, inf)"),
+    (lambda w: RectKernel.hls(w, 2.5), ExponentError,
+     "alpha must lie in (0, 2), got 2.5"),
+    (lambda w: mlinear_form(RectKernel.hls(w, 0.5), (w, w.coarsen(2)),
+                            (GridFunction.ones(w.config),) * 2),
+     ValueError, "inputs live on different grids"),
+    (lambda w: RectKernel.coerce(RectKernel.hls(w.coarsen(2), 0.5),
+                                 w.config),
+     ValueError, "kernel tabulated on a different grid"),
+    (lambda w: RectKernel.from_callable(w.config, lambda r: -1.0),
+     ValueError, "kernels must be nonnegative"),
+    (lambda w: RectKernel.indicator(w.config, SHIFTED), ValueError,
+     "indicator kernels cover standard rectangles"),
+    (lambda w: mlinear_form(RectKernel.hls(w, 0.5), (w,), ()), ValueError,
+     "need one function per weight")]
+
+
+@pytest.mark.parametrize("call,exc,start", REFUSALS)
+def test_refused(cascade_square, call, exc, start):
+    with pytest.raises(exc, match="^" + re.escape(start)):
+        call(cascade_square)

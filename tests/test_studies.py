@@ -4,7 +4,8 @@ Pinned summaries and a scalar transcription of the one-pair loop guard
 the summation order and the scalar powers of the batched kernel sums;
 oracles check the kernel sums and the minimal-cube masses independently;
 the error behaviour matches the one-pair study.  The batched pair
-draw gives the pairs of the one-pair draw loop.
+draw gives the pairs of the one-pair draw loop.  The shift-cover report
+does not depend on the grid it verifies on.
 """
 
 import itertools
@@ -18,8 +19,9 @@ from rectfrac import (DegeneratePairError, GridConfig, ProductRect,
 from rectfrac.bruteforce import mass_direct, minimal_cube_exhaustive
 from rectfrac.grids import triple_depths
 from rectfrac.operators import kernel_sums
-from rectfrac.studies import (kernel_equiv_study, minimal_cube_masses,
-                              sample_distinct_pairs)
+from rectfrac.studies import (boundary_cover_cubes, kernel_equiv_study,
+                              minimal_cube_masses, sample_distinct_pairs,
+                              shift_cover_report, verify_shift_cover)
 from rectfrac.weights import cell_slices
 
 # Summaries of 500 pairs (seed 11, alpha 0.5) recorded from the one-pair
@@ -200,3 +202,15 @@ def test_pair_draw_equals_one_pair_loop(dims):
         pairs = sample_distinct_pairs(cfg, count, seed)
         assert pairs == _one_pair_draws(cfg, count, seed)
         assert all(type(c) is int for x, y in pairs for c in x + y)
+
+
+@pytest.mark.parametrize("dim,max_level", [(1, 0), (1, 4), (1, 9), (2, 5),
+                                           (3, 3), (2, 7)])
+def test_shift_cover_report_matches_depth_one_grid(dim, max_level):
+    config = GridConfig((dim,), 1)
+    cubes = boundary_cover_cubes(dim, max_level)
+    failures = [{"level": c.level, "index": list(c.index)}
+                for c in cubes if not verify_shift_cover(c, config)]
+    assert shift_cover_report(dim, max_level) == {
+        "dim": dim, "max_level": max_level, "cubes_checked": len(cubes),
+        "failures": failures}

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -391,3 +392,39 @@ class TestResampling:
         rect = ProductRect((DyadicCube(1, (1,)), DyadicCube(0, (0,))))
         sl = cell_slices(square_cfg, rect)
         assert sl == (slice(12, 24), slice(0, 24))
+
+
+def _ones(cfg):
+    return GridFunction(cfg, np.ones((cfg.axis_cells,) * cfg.total_dim))
+
+
+# each call on a (1,1) K=3 weight, with its error class and message start
+REFUSALS = [
+    (lambda w: w.mass(Box((0,), (1,))), ValueError,
+     "box dimension does not match the configuration"),
+    (lambda w: GridFunction(w.config, np.ones(3)), ValueError,
+     "values must have shape (24, 24), got (3,)"),
+    (lambda w: GridFunction(w.config, -np.ones((24, 24))), ValueError,
+     "grid function values must be finite and >= 0"),
+    (lambda w: _ones(w.config).refine(2), ValueError,
+     "refine only goes to deeper lattices"),
+    (lambda w: _ones(w.config).scaled(-1.0), ValueError,
+     "scale factor must be >= 0"),
+    (lambda w: Weight(w.config, np.ones(3)), ValueError,
+     "density must have shape (24, 24), got (3,)"),
+    (lambda w: w.coarsen(4), ValueError,
+     "coarsen target must be a shallower valid depth"),
+    (lambda w: integrate(w, _ones(GridConfig((1, 1), 2)), Box((0, 0), (1, 1))),
+     ValueError, "weight and function live on different grids"),
+    (lambda w: lp_norm(w, _ones(GridConfig((1, 1), 2)), 2.0), ValueError,
+     "weight and function live on different grids"),
+    (lambda w: gen_power(w.config, (1.0,)), ValueError,
+     "need one exponent per axis"),
+    (lambda w: gen_power(w.config, (1.0, 1.0), centers=(0.5,)), ValueError,
+     "need one center per axis")]
+
+
+@pytest.mark.parametrize("call,exc,start", REFUSALS)
+def test_refused(cascade_square, call, exc, start):
+    with pytest.raises(exc, match="^" + re.escape(start)):
+        call(cascade_square)
