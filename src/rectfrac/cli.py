@@ -35,6 +35,8 @@ from .weights import (GridConfig, gen_cascade, gen_power, gen_uniform,
                       load_weight, save_weight)
 
 _IDENTITY_TOL = 1e-9
+_KERNEL_SEED = ("random kernel seed in [-2**63, 2**63); each level's "
+                "table is one draw from its own PCG64 stream")
 
 
 def _number(text: str) -> float:
@@ -190,9 +192,10 @@ def _cmd_fp(args) -> int:
     else:
         if not args.weights or not args.exponents:
             raise ValueError("general mode needs --weights and --exponents")
+        exponents = _num_list(args.exponents)
         paths, ws = _load_weights(args.weights)
         kern = RectKernel.random_uniform(ws[0].config, args.kernel_seed)
-        rep = fp_constant(kern, ws, _num_list(args.exponents))
+        rep = fp_constant(kern, ws, exponents)
         checks.append(_check("value_finite", math.isfinite(rep.value),
                              rep.value))
         inputs = paths
@@ -232,9 +235,9 @@ def _sweep_opts(args) -> dict:
 
 def _cmd_embed_norm(args) -> int:
     opts = _sweep_opts(args)
+    exponents = _num_list(args.exponents)
     paths, ws = _load_weights(args.weights)
-    rows = depth_sweep("embed", weights=ws,
-                       exponents=_num_list(args.exponents),
+    rows = depth_sweep("embed", weights=ws, exponents=exponents,
                        kernel_seed=args.kernel_seed, **opts)
     return _emit(args, {"sweep": _rows_json(rows)},
                  _sweep_checks(rows, require_ratio=True), inputs=paths,
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weights", default=None,
                     help="comma-separated weight files (general mode)")
     sp.add_argument("--exponents", default=None)
-    sp.add_argument("--kernel-seed", type=int, default=0)
+    sp.add_argument("--kernel-seed", type=int, default=0, help=_KERNEL_SEED)
     _add_common(sp)
     sp.set_defaults(func=_cmd_fp)
 
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="testing constant vs ascent bound across depths")
     sp.add_argument("--weights", required=True)
     sp.add_argument("--exponents", required=True)
-    sp.add_argument("--kernel-seed", type=int, default=0)
+    sp.add_argument("--kernel-seed", type=int, default=0, help=_KERNEL_SEED)
     sp.add_argument("--depths", required=True, help="e.g. 3:5 or 3,4,5")
     _add_sweep_opts(sp)
     _add_common(sp)

@@ -195,6 +195,7 @@ def _reverse_tail_bound(gamma: float, decay_exp: float) -> float | None:
 
 def condition_d_constant(w: Weight, eps: float) -> ConstantReport:
     """Summability testing constant with power 1 + eps over descendants."""
+    eps = _positive_eps(eps)  # refused before the reverse doubling scan
     return _condition_d(w, eps, reverse_doubling_constant(w).value)
 
 
@@ -206,8 +207,7 @@ def _positive_eps(eps: float) -> float:
 
 
 def _condition_d(w: Weight, eps: float, gamma: float) -> ConstantReport:
-    """``condition_d_constant`` given the reverse doubling constant."""
-    eps = _positive_eps(eps)
+    """``condition_d_constant`` given gamma and a checked positive eps."""
     rep = _descendant_power_scan(w, 1.0 + eps, "condition_d", {"eps": eps})
     rep.tail_bound = _reverse_tail_bound(gamma, eps)
     return rep

@@ -377,7 +377,7 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
             return operator_norm_lower(ws[0], ec.alpha, ec.p, ec.q, form,
                                        warm_start=warm, **opts)
     elif task == "embed":
-        # keyed by rectangle identity: the deepest table serves every row
+        # tables ignore the depth, so the deepest kernel serves every row
         kern = RectKernel.random_uniform(
             GridConfig(base_weights[0].config.dims, depths[-1]), kernel_seed)
 
@@ -391,7 +391,8 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
     rows: list[SweepRow] = []
     warm = None
     for K in depths:
-        ws = tuple(w.coarsen(K) for w in base_weights)
+        coarse = {w: w.coarsen(K) for w in dict.fromkeys(base_weights)}
+        ws = tuple(coarse[w] for w in base_weights)
         if warm is not None:
             warm = tuple(m.refine(K) for m in warm)
         t0 = time.perf_counter()

@@ -66,7 +66,6 @@ reproducible bit for bit for a fixed input.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -323,26 +322,21 @@ class RectKernel:
     def random_uniform(cls, config: GridConfig, seed: int) -> "RectKernel":
         """Values iid-uniform in [0,1), keyed by rectangle identity.
 
-        Hash-based, so a rectangle keeps its value across different
-        depths: nested truncated families see consistent kernels.  The
-        token is ``repr((levels, idx))``, its head hashed once per level.
+        The table of each level combination is one draw from its own
+        PCG64 stream, ``SeedSequence(seed % 2**64, spawn_key=levels)``,
+        so a table depends on the seed, the levels and the dims but not
+        on the depth: nested truncated families see consistent kernels.
+        Seeds lie in ``[-2**63, 2**63)``; any other is refused.
         """
-        keyed = hashlib.blake2b(
-            digest_size=8, key=int(seed).to_bytes(8, "little", signed=True))
-        tail = "%d,))" if config.total_dim == 1 else \
-            ", ".join(["%d"] * config.total_dim) + "))"
+        seed = int(seed)
+        if not -2 ** 63 <= seed < 2 ** 63:
+            raise ValueError(
+                f"kernel seed must lie in [-2**63, 2**63), got {seed}")
         tables = {}
         for levels in level_combos(config):
             shape = tuple(1 << k for k in _axis_levels(config, levels))
-            head = keyed.copy()
-            head.update(f"({levels!r}, (".encode())
-            digests = bytearray()
-            for idx in itertools.product(*map(range, shape)):
-                h = head.copy()
-                h.update((tail % idx).encode())
-                digests += h.digest()
-            words = np.frombuffer(digests, "<u8")
-            tables[levels] = (words / 2.0 ** 64).reshape(shape)
+            stream = np.random.SeedSequence(seed % 2 ** 64, spawn_key=levels)
+            tables[levels] = np.random.default_rng(stream).random(shape)
         return cls(config, tables)
 
     def restrict(self, config: GridConfig) -> "RectKernel":

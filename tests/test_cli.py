@@ -269,6 +269,17 @@ class TestFp:
                     "--out", tmp_path / "rep.json"]) == 0
         assert loads == [str(cascade_file)]
 
+    @pytest.mark.parametrize("cmd", [["embed-norm", "--depths", "2:3"],
+                                     ["fp"]])
+    def test_exponents_parsed_before_reading(self, tmp_path, capsys, cmd):
+        missing = tmp_path / "missing.json"
+        capsys.readouterr()
+        code = run([cmd[0], "--weights", f"{missing},{missing}",
+                    "--exponents", "abc", *cmd[1:]])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["error: Invalid literal for Fraction: 'abc'"]
+
 
 class TestSweeps:
     def test_embed_ratio_check(self, cascade_file, tmp_path):
@@ -284,6 +295,25 @@ class TestSweeps:
                                 "sweeps", "converged"}
             assert isinstance(row["sweeps"], int) and row["sweeps"] >= 1
             assert isinstance(row["converged"], bool)
+
+    def test_repeated_weight_coarsened_once(self, tmp_path, monkeypatch):
+        from rectfrac import weights
+        w = tmp_path / "c.json"
+        assert run(["gen-weight", "--kind", "cascade", "--dims", "1,1",
+                    "--depth", "5", "--rho", "2", "--seed", "7",
+                    "--out", w]) == 0
+        built = []
+        build = weights.build_mass_tree
+
+        def counted(cfg, cell_masses):
+            built.append(cfg.depth)
+            return build(cfg, cell_masses)
+
+        monkeypatch.setattr(weights, "build_mass_tree", counted)
+        assert run(["embed-norm", "--weights", f"{w},{w}", "--exponents",
+                    "2,2", "--depths", "3:5", "--max-sweeps", "2",
+                    "--out", tmp_path / "em.json"]) == 0
+        assert built == [5, 3, 4]  # the load, then one copy per depth
 
     def test_dense_kernel_budget_is_one_error_line(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -534,10 +564,14 @@ class TestParser:
         ["hls", "--bogus"], ["no-such-command"], [],
         ["shift-cover", "--dim", "1", "--maxlevel", "1", "--seed", "3"],
         ["shift-cover", "--dim", "1", "--maxlevel", "1", "--format", "json"],
-        ["shift-cover", "--dim", "x", "--maxlevel", "1"]])
-    def test_refusal_returned_as_2(self, capsys, argv):
+        ["shift-cover", "--dim", "x", "--maxlevel", "1"],
+        ["embed-norm", "--weights", "{w},{w}", "--exponents", "2,2",
+         "--depths", "2:3", "--kernel-seed", "-99999999999999999999"],
+        ["fp", "--weights", "{w},{w}", "--exponents", "2,2",
+         "--kernel-seed", "99999999999999999999"]])
+    def test_refusal_returned_as_2(self, cascade_file, capsys, argv):
         capsys.readouterr()
-        assert run(argv) == 2
+        assert run([a.format(w=cascade_file) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err

@@ -110,6 +110,22 @@ class TestConditionD:
         with pytest.raises(ExponentError):
             condition_d_constant(uniform_line, 0.0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_nonpositive_eps_refused_before_any_scan(self, cascade_square,
+                                                     monkeypatch, eps):
+        from rectfrac import conditions
+        scans = []
+        halving_scan = conditions._halving_scan
+
+        def counted(w, name, minimize):
+            scans.append(name)
+            return halving_scan(w, name, minimize)
+
+        monkeypatch.setattr(conditions, "_halving_scan", counted)
+        with pytest.raises(ExponentError, match="eps must be positive"):
+            condition_d_constant(cascade_square, eps)
+        assert scans == []
+
     def test_monotone_in_depth(self):
         w = gen_cascade(GridConfig((1, 1), 4), 2.0, 13)
         shallow = condition_d_constant(w.coarsen(3), 0.5).value

@@ -18,6 +18,8 @@ from rectfrac.grids import rect_to_json
 from rectfrac.operators import _upsample
 from rectfrac.weights import gen_power
 
+from kernel_reference import _per_cell_random_uniform
+
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 FORMS = ("dyadic", "perez", "shifted-sum", "kernel")
 
@@ -113,7 +115,8 @@ class TestEmbedNormLower:
         monkeypatch.setattr(estimators, "build_mass_tree", counted)
         cfg = GridConfig((1, 1), 5)
         ws = tuple(gen_cascade(cfg, 2.0, seed) for seed in (1, 2, 3))
-        kern = RectKernel.random_uniform(cfg, 9)
+        # the keyed-hash kernel of seed 9 the history was recorded with
+        kern = RectKernel(cfg, _per_cell_random_uniform(cfg, 9))
         est = embed_norm_lower(kern, ws, (2.0, 3.0, 3.0), max_sweeps=8)
         assert est.sweeps == 8
         assert len(built) <= 27  # 48 when every step rebuilt both others
@@ -373,6 +376,18 @@ class TestDepthSweep:
         vals = [r.c1_hat for r in rows]
         assert vals == sorted(vals)
         assert all(r.ratio >= 1 - 1e-9 for r in rows)
+
+    def test_shared_weight_rows_equal_distinct_copies(self):
+        # one coarsened copy serves both arguments; a second, equal
+        # weight object gets its own copy, and the rows keep their bits
+        cfg = GridConfig((1, 1), 5)
+        w = gen_cascade(cfg, 2.0, 41)
+        twin = Weight(cfg, w.density.copy(), w.meta, w.factors)
+        opts = {"exponents": (2.0, 3.0, 3.0), "kernel_seed": 4,
+                "max_sweeps": 6}
+        shared = depth_sweep("embed", (3, 4, 5), weights=(w, w, w), **opts)
+        assert shared == depth_sweep("embed", (3, 4, 5),
+                                     weights=(w, twin, w), **opts)
 
     def test_hls_uniform_row_matches_series(self):
         w = gen_uniform(GridConfig((1,), 4))

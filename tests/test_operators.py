@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import itertools
 import math
 import os
@@ -115,21 +114,6 @@ def _block_arrays(cfg, blocks, rng):
     return arrs
 
 
-def _per_cell_random_uniform(cfg, seed):
-    """One keyed hash per table entry: the reference for random_uniform."""
-    key = int(seed).to_bytes(8, "little", signed=True)
-    tables = {}
-    for levels in operators.level_combos(cfg):
-        shape = tuple(1 << k for k in operators._axis_levels(cfg, levels))
-        arr = np.empty(shape)
-        for idx in np.ndindex(shape):
-            token = repr((levels, idx)).encode()
-            h = hashlib.blake2b(token, digest_size=8, key=key).digest()
-            arr[idx] = int.from_bytes(h, "little") / 2.0 ** 64
-        tables[levels] = arr
-    return tables
-
-
 class TestSpread:
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("dims,depth", SPREAD_CASES)
@@ -190,18 +174,67 @@ class TestGather:
                                 _reshape_sum_tree(cfg, cm))
 
 
+KERNEL_SEEDS = [0, 9, -5, 2 ** 63 - 1, -2 ** 63]
+
+
 class TestRandomUniform:
-    @pytest.mark.parametrize("seed", [0, 9, -5, 2 ** 63 - 1, -2 ** 63])
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
     @pytest.mark.parametrize("dims,depth", [((1,), 6), ((2,), 3), ((1, 1), 4),
                                             ((2, 1), 2), ((1, 1, 1), 3),
                                             ((1,), 10)])
-    def test_matches_per_cell_hash(self, dims, depth, seed):
+    def test_tables_uniform_and_distinct(self, dims, depth, seed):
         cfg = GridConfig(dims, depth)
         tables = RectKernel.random_uniform(cfg, seed).tables
-        expect = _per_cell_random_uniform(cfg, seed)
-        assert list(tables) == list(expect)
-        for lv, arr in expect.items():
-            assert np.array_equal(tables[lv], arr)
+        again = RectKernel.random_uniform(cfg, seed).tables
+        assert list(tables) == list(operators.level_combos(cfg))
+        for lv, arr in tables.items():
+            shape = tuple(1 << k for k in operators._axis_levels(cfg, lv))
+            assert arr.shape == shape and arr.dtype == np.float64
+            assert np.all((arr >= 0.0) & (arr < 1.0))
+            assert np.array_equal(again[lv], arr)
+        # levels fix the shape, so compare tables of equal size: no two
+        # levels share a stream
+        flat = list(tables.values())
+        for a, b in itertools.combinations(flat, 2):
+            if a.size == b.size:
+                assert not np.array_equal(a.ravel(), b.ravel())
+
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_table_independent_of_depth(self, seed):
+        kerns = [RectKernel.random_uniform(GridConfig((1,), depth), seed)
+                 for depth in range(1, 13)]
+        deepest = kerns[-1].tables
+        for kern in kerns:
+            for lv, arr in kern.tables.items():
+                assert np.array_equal(arr, deepest[lv])
+
+    @pytest.mark.parametrize("dims,depth", [((1,), 6), ((2,), 3), ((1, 1), 4),
+                                            ((2, 1), 2), ((1, 1, 1), 3)])
+    def test_seeds_draw_different_tables(self, dims, depth):
+        cfg = GridConfig(dims, depth)
+        kerns = [RectKernel.random_uniform(cfg, s) for s in KERNEL_SEEDS]
+        for a, b in itertools.combinations(kerns, 2):
+            for lv in a.tables:
+                assert not np.array_equal(a.tables[lv], b.tables[lv])
+
+    @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1, 10 ** 20])
+    def test_seed_outside_domain_refused(self, seed):
+        message = f"kernel seed must lie in [-2**63, 2**63), got {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RectKernel.random_uniform(GridConfig((1,), 2), seed)
+
+    def test_pinned_values(self):
+        # the PCG64 stream is integer arithmetic, so these hold on every
+        # host and every supported numpy
+        tables = RectKernel.random_uniform(GridConfig((1, 1), 1), 9).tables
+        assert {lv: arr.ravel().tolist() for lv, arr in tables.items()} == {
+            (0, 0): [0.1684261959492388],
+            (0, 1): [0.765138509211493, 0.5532621129061753],
+            (1, 0): [0.7376240445106731, 0.6786350678629385],
+            (1, 1): [0.2986548988513432, 0.017425250900940714,
+                     0.2606291035571038, 0.5512919316249881]}
+        low = RectKernel.random_uniform(GridConfig((2,), 1), -2 ** 63).tables
+        assert low[(0,)].tolist() == [[0.563463187348521]]
 
     def test_restricted_equals_fresh(self):
         deep = RectKernel.random_uniform(GridConfig((1, 1), 4), -5)
