@@ -205,20 +205,18 @@ def minimal_cube_exhaustive(config: GridConfig, u, v) -> DyadicCube:
     return best
 
 
-def shift_cover_exhaustive(cube: DyadicCube) -> list[tuple[tuple[int, ...],
-                                                           DyadicCube]]:
-    """All shifted cubes of 8x side containing the triple of a standard cube.
+def shift_cover_candidates(cube: DyadicCube) -> list[list[tuple[int, int]]]:
+    """Per axis, every ``(s, mp)`` whose shifted 8x interval holds the triple.
 
-    Enumerates every per-axis shift pattern and every candidate index in
-    a window around the cube, filtering by exact containment: for the
-    triple [m-1, m+2) (units of the side) and a candidate at coarse
-    index mp with shift s, containment means
+    Scans every shift and every candidate index in a window around the
+    cube, filtering by exact containment: for the triple [m-1, m+2)
+    (units of the side) and a candidate at coarse index mp with shift
+    s, containment means
     24*mp + 8*s <= 3*(m-1) and 3*(m+2) <= 24*mp + 8*s + 24.
     """
     if not cube.is_standard:
         raise ValueError("exhaustive cover is defined for standard cubes")
-    d = cube.dim
-    per_axis: list[list[tuple[int, int]]] = []
+    per_axis = []
     for m in cube.index:
         found = []
         for s in (-1, 0, 1):
@@ -227,8 +225,18 @@ def shift_cover_exhaustive(cube: DyadicCube) -> list[tuple[tuple[int, ...],
                         3 * (m + 2) <= 24 * mp + 8 * s + 24:
                     found.append((s, mp))
         per_axis.append(found)
+    return per_axis
+
+
+def shift_cover_exhaustive(cube: DyadicCube) -> list[tuple[tuple[int, ...],
+                                                           DyadicCube]]:
+    """All shifted cubes of 8x side containing the triple of a standard cube.
+
+    Every combination of the per-axis ``shift_cover_candidates``, the
+    last axis fastest.
+    """
     results = []
-    for combo in itertools.product(*per_axis):
+    for combo in itertools.product(*shift_cover_candidates(cube)):
         taus = tuple(s for s, _ in combo)
         idx = tuple(mp for _, mp in combo)
         results.append((taus, DyadicCube(cube.level - 3, idx, taus)))

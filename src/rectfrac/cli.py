@@ -52,6 +52,15 @@ def _num_list(text: str) -> tuple[float, ...]:
     return tuple(_number(t) for t in text.split(","))
 
 
+def _kernel_seed(text: str) -> int:
+    """Parse a random kernel seed, refusing one outside [-2**63, 2**63)."""
+    seed = int(text)
+    if not -2 ** 63 <= seed < 2 ** 63:
+        raise argparse.ArgumentTypeError(
+            f"kernel seed must lie in [-2**63, 2**63), got {seed}")
+    return seed
+
+
 def _depth_list(text: str) -> tuple[int, ...]:
     """Parse '3:6' (inclusive range) or '3,4,6'; every depth is >= 1."""
     if ":" not in text:
@@ -364,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weights", default=None,
                     help="comma-separated weight files (general mode)")
     sp.add_argument("--exponents", default=None)
-    sp.add_argument("--kernel-seed", type=int, default=0, help=_KERNEL_SEED)
+    sp.add_argument("--kernel-seed", type=_kernel_seed, default=0,
+                    help=_KERNEL_SEED)
     _add_common(sp)
     sp.set_defaults(func=_cmd_fp)
 
@@ -372,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="testing constant vs ascent bound across depths")
     sp.add_argument("--weights", required=True)
     sp.add_argument("--exponents", required=True)
-    sp.add_argument("--kernel-seed", type=int, default=0, help=_KERNEL_SEED)
+    sp.add_argument("--kernel-seed", type=_kernel_seed, default=0,
+                    help=_KERNEL_SEED)
     sp.add_argument("--depths", required=True, help="e.g. 3:5 or 3,4,5")
     _add_sweep_opts(sp)
     _add_common(sp)

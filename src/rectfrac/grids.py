@@ -358,6 +358,30 @@ def product_minimal(config: GridConfig, x: tuple[int, ...],
     return ProductRect(tuple(cubes))
 
 
+def product_minimal_boxes(config: GridConfig, X, Y):
+    """Corners ``(lo, hi)`` of ``product_minimal`` for every pair of rows.
+
+    ``X`` and ``Y`` are ``(P, N)`` integer arrays of points in global
+    units, inside the domain and distinct in every factor
+    (``triple_depths`` checks both).  Runs ``minimal_cube``'s predicate
+    on the whole arrays: per factor, s grows from 0 while some axis of
+    the factor fails it.  The corners count quarters of the global
+    unit, in which cubes down to level depth + 3 have integer corners:
+    the cube's lower corner is ``3 * (U >> s) << s`` and its side
+    ``3 << s``.
+    """
+    U = 4 * np.asarray(X, dtype=np.int64) // 3
+    V = 4 * np.asarray(Y, dtype=np.int64) // 3
+    s = np.zeros_like(U)
+    axes = [list(config.factor_axes(i)) for i in range(config.n_factors)]
+    for _ in range(config.depth + 3):  # s = depth + 3, level 0, passes
+        fails = np.abs((U >> s) - (V >> s)) > 1
+        for ax in axes:
+            s[:, ax] += fails[:, ax].any(axis=1, keepdims=True)
+    lo = (U >> s) * 3 << s
+    return lo, lo + (3 << s)
+
+
 def shift_cover(cube: DyadicCube) -> tuple[tuple[int, ...], DyadicCube]:
     """Cover the triple of a standard cube by one shifted cube of 8x side.
 

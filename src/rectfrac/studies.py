@@ -4,10 +4,13 @@ Pair sampling, the kernel-equivalence ratio study, and the exhaustive
 shift-cover verification.  All randomness flows from one seed through
 numpy's default PCG64 generator.  The kernel-equivalence study works
 on whole ``(P, N)`` int64 pair arrays: kernel sums and minimal-cube
-masses take one mass-tree gather per level tuple, and only the
-minimal-rectangle masses stay one ``box_sum`` per pair.  Everything
-runs in one thread; the ``threads`` argument of ``kernel_equiv_study``
-is accepted for compatibility and never changes the results.
+masses take one mass-tree gather per level tuple, and the
+minimal-rectangle masses, with the minimal cubes below the depth, one
+``box_sums`` batch each, bit for bit the masses of one box at a time.
+The shift-cover check tests each axis of a cover against that axis's
+exhaustive candidates.  Everything runs in one thread; the ``threads``
+argument of ``kernel_equiv_study`` is accepted for compatibility and
+never changes the results.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import math
 
 import numpy as np
 
-from .bruteforce import shift_cover_exhaustive
-from .grids import (DyadicCube, GridConfig, cube_box, min_rect,
-                    product_minimal, shift_cover, triple, triple_depths)
+from .bruteforce import shift_cover_candidates
+from .grids import (DegeneratePairError, DyadicCube, GridConfig, cube_box,
+                    product_minimal_boxes, shift_cover, triple,
+                    triple_depths)
 from .operators import _hls_exponent, kernel_sums, level_combos
-from .weights import Weight
+from .weights import Weight, box_sums
 
 
 def sample_distinct_pairs(config: GridConfig, count: int,
@@ -56,7 +60,9 @@ def minimal_cube_masses(mu: Weight, X, Y) -> np.ndarray:
 
     Where no factor's minimal cube lies below the configured depth, the
     rectangle is in the mass tree: one gather per level tuple.  The
-    other pairs take the one-pair ``product_minimal`` path.
+    other pairs have cubes down to level depth + 3, whose corners are
+    whole quarters of a unit (``product_minimal_boxes``): one
+    ``box_sums`` batch in quarter units.
     """
     cfg = mu.config
     X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
@@ -65,9 +71,9 @@ def minimal_cube_masses(mu: Weight, X, Y) -> np.ndarray:
     for levels in level_combos(cfg):
         sel = np.flatnonzero((depths == levels).all(axis=1))
         out[sel] = mu.tree_masses(levels, X[sel])
-    for i in np.flatnonzero((depths > cfg.depth).any(axis=1)):
-        rect = product_minimal(cfg, tuple(X[i].tolist()), tuple(Y[i].tolist()))
-        out[i] = mu.mass(rect)
+    deep = np.flatnonzero((depths > cfg.depth).any(axis=1))
+    lo, hi = product_minimal_boxes(cfg, X[deep], Y[deep])
+    out[deep] = box_sums(mu.cell_masses, lo, hi, denom=4)
     return out
 
 
@@ -78,16 +84,22 @@ def kernel_equiv_study(mu: Weight, alpha: float, pairs,
     For each pair also compares the mass of the product of factor-wise
     minimal cubes with the mass of the minimal rectangle itself.  The
     kernel sums and the minimal-cube masses are gathered from the mass
-    tree over the whole pair array.  The minimal-rectangle mass is one
-    ``box_sum`` per pair and serves both the closed kernel and the mass
-    ratio.  ``threads`` is accepted and ignored; the result never
-    depends on it.
+    tree over the whole pair array.  The minimal rectangles
+    ``[min(x, y), max(x, y))`` take one ``box_sums`` batch, equal bit
+    for bit to ``mu.mass(min_rect(x, y))``; their masses serve both the
+    closed kernel and the mass ratio.  A pair sharing a coordinate
+    raises ``DegeneratePairError``.  ``threads`` is accepted and
+    ignored; the result never depends on it.
     """
     N = mu.config.total_dim
     expo = _hls_exponent(alpha, N)
     XY = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, N)
     X, Y = XY[:, 0], XY[:, 1]
-    rm = [mu.mass(min_rect(x, y)) for x, y in pairs]
+    shared = np.argwhere(X == Y)  # (pair, axis), first pair first
+    if len(shared):
+        raise DegeneratePairError(
+            f"coincident coordinate on axis {shared[0, 1]}")
+    rm = box_sums(mu.cell_masses, np.minimum(X, Y), np.maximum(X, Y)).tolist()
     summed = kernel_sums(mu, alpha, X, Y).tolist()
     r0 = minimal_cube_masses(mu, X, Y).tolist()
     kernel_ratios = [s / (m ** expo if m > 0 else math.inf)
@@ -123,9 +135,11 @@ def verify_shift_cover(cube: DyadicCube, config: GridConfig) -> bool:
         return False
     if not pbox.contains_box(triple(config, qbox)):
         return False
-    if P.shift != tau:
+    if P.shift != tau or P.level != cube.level - 3:
         return False
-    return (tau, P) in shift_cover_exhaustive(cube)
+    # the exhaustive covers are the product of the per-axis candidates
+    return all(pair in found for pair, found in
+               zip(zip(tau, P.index), shift_cover_candidates(cube)))
 
 
 def shift_cover_report(dim: int, max_level: int) -> dict:

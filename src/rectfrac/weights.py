@@ -11,7 +11,9 @@ and windows).  Both aggregates halve by strided slice additions along
 a recipe cached per grid.  Every single box -- ``Weight.mass`` of any
 target, standard rectangles included, and every ``integrate`` target
 -- is a direct sum over the cells the box meets (``box_sum``), with
-exact fractional weights for end cells that a corner splits.
+exact fractional weights for end cells that a corner splits;
+``box_sums`` does the same for a whole array of boxes, with the same
+bits.
 
 Constructors freeze a float64 array in place rather than copy it, so
 an array the caller passes in becomes read-only.  A view's base stays
@@ -36,6 +38,7 @@ from .grids import Box, DepthExceededError, GridConfig, _as_box
 
 WEIGHT_SCHEMA_VERSION = 1
 FACTOR_RTOL = 1e-12  # per-axis factors against the density, cell by cell
+BOX_ROWS = 256  # boxes per block of box_sums: bounds its temporaries
 
 
 class AlignmentError(ValueError):
@@ -134,46 +137,67 @@ def build_prefix(cell_masses: np.ndarray) -> np.ndarray:
     return out
 
 
-def _axis_weights(lo, hi, cells: int) -> tuple[int, np.ndarray] | None:
-    """First cell and per-cell overlap fractions of [lo, hi) on one axis.
+def box_sums(arr: np.ndarray, lo, hi, denom: int = 1) -> np.ndarray:
+    """Integrals of per-cell values over ``P`` boxes in global units, clipped.
 
-    Cells are 2 units wide; an end cell that a corner splits gets its
-    exact overlap fraction.  Accepts int or Fraction endpoints; floats
-    are rejected (they cannot express the lattice exactly).
+    ``lo`` and ``hi`` are ``(P, N)`` integer corner arrays counted in
+    ``1/denom`` of the global unit, so a cell is ``2 * denom`` wide.
+    Each box's first cell, cell count and two end fractions per axis
+    come from whole-array arithmetic, ``BOX_ROWS`` boxes at a time:
+    interior cells weigh one and an end cell that a corner splits gets
+    its exact overlap fraction.  Each box's slab is then contracted
+    axis by axis, last axis first, with one ``@`` per axis.  Every mass
+    is a sum of nonnegative terms for nonnegative cells, so no digits
+    cancel however small it is; the relative error is about
+    ``n_1 + ... + n_N`` unit roundoffs, with ``n_a`` the cells the box
+    meets on axis a.  A box that misses the domain on some axis has
+    mass 0.
     """
-    for c in (lo, hi):
-        if not isinstance(c, (int, np.integer, Fraction)):
-            raise AlignmentError(
-                f"box corner {c!r} is not an exact lattice coordinate")
-    a, b = max(lo, 0), min(hi, 2 * cells)
-    if b <= a:
-        return None
-    first, last = a // 2, -(-b // 2)
-    weights = np.ones(last - first)
-    weights[0] = (min(b, 2 * first + 2) - a) / 2
-    weights[-1] = (b - max(a, 2 * last - 2)) / 2
-    return first, weights
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    if lo.ndim != 2 or lo.shape[1] != arr.ndim or hi.shape != lo.shape:
+        raise ValueError("box dimension does not match the configuration")
+    width = 2 * denom
+    end = width * np.array(arr.shape, dtype=np.int64)
+    axes = range(arr.ndim - 1, -1, -1)
+    ones = np.ones(max(arr.shape))
+    out = np.zeros(len(lo))
+    for c in range(0, len(lo), BOX_ROWS):
+        a = np.maximum(lo[c:c + BOX_ROWS], 0)
+        b = np.minimum(hi[c:c + BOX_ROWS], end)
+        first = a // width
+        last = -(-b // width)
+        head = (np.minimum(b, width * first + width) - a) / width
+        tail = (b - np.maximum(a, width * last - width)) / width
+        rows = zip(first.tolist(), last.tolist(), head.tolist(),
+                   tail.tolist())
+        for p, (starts, stops, heads, tails) in enumerate(rows, c):
+            if min(heads) <= 0:  # b <= a on some axis
+                continue
+            slab = arr[tuple(map(slice, starts, stops))]
+            for ax in axes:
+                w = ones[:stops[ax] - starts[ax]].copy()
+                w[0] = heads[ax]
+                w[-1] = tails[ax]
+                slab = slab @ w
+            out[p] = slab
+    return out
 
 
 def box_sum(arr: np.ndarray, box: Box) -> float:
-    """Integral of per-cell values over a box in global units, clipped.
+    """``box_sums`` of one box, whose corners may be ints or Fractions.
 
-    Slices the cells the box meets and contracts each axis with its
-    overlap fractions, so the result is a sum of nonnegative terms for
-    nonnegative cells: no digits cancel, however small the mass.  The
-    relative error is about ``n_1 + ... + n_N`` unit roundoffs, with
-    ``n_a`` the cells the box meets on axis a.
+    The corners are brought to their least common denominator; floats
+    are rejected (they cannot express the lattice exactly).
     """
-    if box.dim != arr.ndim:
-        raise ValueError("box dimension does not match the configuration")
-    per_axis = [_axis_weights(lo, hi, n)
-                for lo, hi, n in zip(box.lo, box.hi, arr.shape)]
-    if any(p is None for p in per_axis):
-        return 0.0
-    out = arr[tuple(slice(first, first + len(w)) for first, w in per_axis)]
-    for _, w in reversed(per_axis):
-        out = out @ w
-    return float(out)
+    corners = box.lo + box.hi
+    for c in corners:
+        if not isinstance(c, (int, np.integer, Fraction)):
+            raise AlignmentError(
+                f"box corner {c!r} is not an exact lattice coordinate")
+    denom = math.lcm(*(c.denominator for c in corners))
+    scaled = np.array([int(c * denom) for c in corners], dtype=np.int64)
+    return float(box_sums(arr, scaled[None, :box.dim],
+                          scaled[None, box.dim:], denom)[0])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

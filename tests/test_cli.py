@@ -11,7 +11,7 @@ import pytest
 
 import rectfrac
 from rectfrac import cli
-from rectfrac.cli import main
+from rectfrac.cli import build_parser, main
 from rectfrac.weights import load_weight
 
 
@@ -575,6 +575,29 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["fp", "--weights", "{m},{m}", "--exponents", "2,2"],
+        ["embed-norm", "--weights", "{m},{m}", "--exponents", "2,2",
+         "--depths", "2:3"]])
+    @pytest.mark.parametrize("seed", ["99999999999999999999",
+                                      str(2 ** 63), str(-2 ** 63 - 1)])
+    def test_kernel_seed_refused_before_reading(self, tmp_path, capsys,
+                                                argv, seed):
+        missing = tmp_path / "missing.json"
+        capsys.readouterr()
+        assert run([a.format(m=missing) for a in argv] +
+                   [f"--kernel-seed={seed}"]) == 2
+        err = capsys.readouterr().err
+        assert f"kernel seed must lie in [-2**63, 2**63), got {seed}" in err
+        assert "missing.json" not in err
+
+    @pytest.mark.parametrize("seed", [-2 ** 63, 2 ** 63 - 1])
+    def test_kernel_seed_domain_ends_parsed(self, seed):
+        args = build_parser().parse_args(
+            ["fp", "--weights", "w.json", "--exponents", "2,2",
+             f"--kernel-seed={seed}"])
+        assert args.kernel_seed == seed
 
     def test_top_level_help_returns_0(self, capsys):
         assert run(["--help"]) == 0

@@ -13,7 +13,7 @@ from rectfrac import (Box, DegeneratePairError, DepthExceededError,
                       parent, product_minimal, rect_box, replace,
                       shift_cover, triple)
 from rectfrac.bruteforce import minimal_cube_exhaustive, shift_cover_exhaustive
-from rectfrac.grids import triple_depths
+from rectfrac.grids import product_minimal_boxes, triple_depths
 
 CFG = GridConfig((1,), 4)
 CFG2 = GridConfig((2,), 4)
@@ -314,6 +314,29 @@ class TestProductMinimal:
         rect = product_minimal(cfg, x, y)
         assert rect_box(cfg, rect).contains_point(x)
         assert triple(cfg, rect).contains_point(y)
+
+    @pytest.mark.parametrize("dims,depth", [((1,), 4), ((1, 1), 3),
+                                            ((2, 1), 2), ((2, 2), 2)])
+    def test_boxes_on_whole_arrays(self, dims, depth):
+        cfg = GridConfig(dims, depth)
+        rng = np.random.default_rng(3)
+        U, N = cfg.axis_units, cfg.total_dim
+        X = rng.integers(0, U, (400, N))
+        near = np.clip(X + rng.choice((-2, -1, 1, 2), X.shape), 0, U - 1)
+        Y = np.where(rng.random((400, 1)) < 0.5, near,
+                     rng.integers(0, U, X.shape))
+        keep = (X != Y).all(axis=1)
+        X, Y = X[keep], Y[keep]
+        lo, hi = product_minimal_boxes(cfg, X, Y)
+        levels = set()
+        for x, y, a, b in zip(X.tolist(), Y.tolist(), lo.tolist(),
+                              hi.tolist()):
+            rect = product_minimal(cfg, tuple(x), tuple(y))
+            levels.update(rect.levels)
+            box = rect_box(cfg, rect)
+            assert [Fraction(c, 4) for c in a] == list(box.lo)
+            assert [Fraction(c, 4) for c in b] == list(box.hi)
+        assert {1, depth + 3} <= levels
 
 
 class TestShiftCover:

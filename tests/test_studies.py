@@ -3,26 +3,39 @@
 Pinned summaries and a scalar transcription of the one-pair loop guard
 the summation order and the scalar powers of the batched kernel sums;
 oracles check the kernel sums and the minimal-cube masses independently;
-the error behaviour matches the one-pair study.  The batched pair
-draw gives the pairs of the one-pair draw loop.  The shift-cover report
-does not depend on the grid it verifies on.
+the error behaviour matches the one-pair study.  The batched box
+masses of the minimal rectangles and of the minimal cubes below the
+depth equal a one-box transcription bit for bit, and the summaries do
+not depend on the BLAS thread count.  The batched pair draw gives the
+pairs of the one-pair draw loop.  The shift-cover report does not
+depend on the grid it verifies on, and its per-axis verdicts equal the
+check against the whole exhaustive cover list.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rectfrac import (DegeneratePairError, GridConfig, ProductRect,
-                      enumerate_rects, gen_cascade, gen_power, kernel_sum,
-                      rect_box, triple)
-from rectfrac.bruteforce import mass_direct, minimal_cube_exhaustive
-from rectfrac.grids import triple_depths
+import rectfrac
+from rectfrac import (DegeneratePairError, DyadicCube, GridConfig,
+                      ProductRect, enumerate_rects, gen_cascade, gen_power,
+                      kernel_sum, rect_box, triple)
+from rectfrac import studies
+from rectfrac.bruteforce import (mass_direct, minimal_cube_exhaustive,
+                                 shift_cover_candidates,
+                                 shift_cover_exhaustive)
+from rectfrac.grids import (cube_box, min_rect, product_minimal, shift_cover,
+                            triple_depths)
 from rectfrac.operators import kernel_sums
 from rectfrac.studies import (boundary_cover_cubes, kernel_equiv_study,
                               minimal_cube_masses, sample_distinct_pairs,
                               shift_cover_report, verify_shift_cover)
-from rectfrac.weights import cell_slices
+from rectfrac.weights import box_sums, cell_slices
 
 # Summaries of 500 pairs (seed 11, alpha 0.5) recorded from the one-pair
 # study loop.  Exact equality: a different summation order moves the
@@ -154,6 +167,92 @@ def test_minimal_cube_masses_match_exhaustive(dims, depth):
                                        rel=1e-12)
 
 
+BATCH_CASES = [((1,), 8), ((1, 1), 5), ((2, 1), 3), ((1, 1, 1), 3),
+               ((2, 2), 2)]
+
+
+def _edge_pairs(cfg, seed):
+    """Seeded pairs plus pairs on the domain edges and one unit apart."""
+    U, N = cfg.axis_units, cfg.total_dim
+    pairs = sample_distinct_pairs(cfg, 40, seed)
+    for x0, y0 in ((0, U - 1), (U - 1, 0), (0, 1), (U - 2, U - 1)):
+        pairs.append(((x0,) * N, (y0,) * N))
+        pairs.append((tuple(x0 if a % 2 else y0 for a in range(N)),
+                      tuple(y0 if a % 2 else x0 for a in range(N))))
+    pairs += [(tuple(np.clip(np.array(x) + d, 0, U - 1).tolist()), x)
+              for x, _ in pairs[:12] for d in ((1,) * N, (-1,) * N)
+              if all(0 < c < U - 1 for c in x)]
+    return pairs
+
+
+def _case_weights(cfg):
+    return [gen_cascade(cfg, 2.0, 5),
+            gen_power(cfg, (2,) * cfg.total_dim,
+                      centers=(0.5,) * cfg.total_dim)]
+
+
+def _one_box_sum(arr, box):
+    """The one-box overlap rule and contraction, corner by corner."""
+    per_axis = []
+    for lo, hi, cells in zip(box.lo, box.hi, arr.shape):
+        a, b = max(lo, 0), min(hi, 2 * cells)
+        if b <= a:
+            return 0.0
+        first, last = a // 2, -(-b // 2)
+        w = np.ones(last - first)
+        w[0] = (min(b, 2 * first + 2) - a) / 2
+        w[-1] = (b - max(a, 2 * last - 2)) / 2
+        per_axis.append((first, w))
+    out = arr[tuple(slice(first, first + len(w)) for first, w in per_axis)]
+    for _, w in reversed(per_axis):
+        out = out @ w
+    return float(out)
+
+
+@pytest.mark.parametrize("dims,depth", BATCH_CASES)
+def test_min_rect_batch_equals_mass(dims, depth):
+    cfg = GridConfig(dims, depth)
+    pairs = _edge_pairs(cfg, 9)
+    X, Y = (np.array(v) for v in zip(*pairs))
+    for w in _case_weights(cfg):
+        got = box_sums(w.cell_masses, np.minimum(X, Y), np.maximum(X, Y))
+        expect = [w.mass(min_rect(x, y)) for x, y in pairs]
+        assert got.tolist() == expect == [
+            _one_box_sum(w.cell_masses, min_rect(x, y)) for x, y in pairs]
+        for p in (0, len(pairs) - 1):  # one pair at a time
+            assert box_sums(w.cell_masses, np.minimum(X, Y)[p:p + 1],
+                            np.maximum(X, Y)[p:p + 1]).tolist() == [expect[p]]
+
+
+@pytest.mark.parametrize("dims,depth", BATCH_CASES)
+def test_minimal_cubes_below_depth_equal_mass(dims, depth):
+    cfg = GridConfig(dims, depth)
+    pairs = _edge_pairs(cfg, 10)
+    X, Y = (np.array(v) for v in zip(*pairs))
+    deep = (triple_depths(cfg, X, Y) > depth).any(axis=1)
+    levels = set()
+    for w in _case_weights(cfg):
+        got = minimal_cube_masses(w, X, Y)
+        for p in np.flatnonzero(deep):
+            rect = product_minimal(cfg, pairs[p][0], pairs[p][1])
+            levels.update(rect.levels)
+            assert got[p] == w.mass(rect) == _one_box_sum(
+                w.cell_masses, rect_box(cfg, rect))
+    # quarter and half unit corners both occur
+    assert {depth + 2, depth + 3} <= levels
+
+
+def test_box_sums_empty_and_outside():
+    w = gen_cascade(GridConfig((1, 1), 3), 2.0, 5)
+    U = w.config.axis_units
+    assert box_sums(w.cell_masses, np.empty((0, 2)),
+                    np.empty((0, 2))).shape == (0,)
+    lo = np.array([[-U, 3], [U, 3], [5, 7], [-4, -4]])
+    hi = np.array([[-1, 9], [2 * U, 9], [5, 9], [2 * U, 2 * U]])
+    assert box_sums(w.cell_masses, lo, hi).tolist() == [
+        0.0, 0.0, 0.0, w.total_mass]
+
+
 class TestErrors:
     CFG = GridConfig((1, 1), 3)
 
@@ -164,6 +263,15 @@ class TestErrors:
     def test_shared_coordinate_is_degenerate(self, w):
         with pytest.raises(DegeneratePairError):
             kernel_equiv_study(w, 0.5, [((3, 5), (9, 7)), ((3, 5), (9, 5))])
+
+    def test_first_shared_pair_named_like_min_rect(self, w):
+        U = self.CFG.axis_units
+        pairs = [((0, 5), (U - 1, 7)), ((U - 1, 0), (4, 0)),
+                 ((3, 5), (3, 7))]
+        with pytest.raises(DegeneratePairError) as err:
+            min_rect(*pairs[1])
+        with pytest.raises(DegeneratePairError, match=str(err.value)):
+            kernel_equiv_study(w, 0.5, pairs)
 
     def test_point_outside_domain(self, w):
         U = self.CFG.axis_units
@@ -214,3 +322,76 @@ def test_shift_cover_report_matches_depth_one_grid(dim, max_level):
     assert shift_cover_report(dim, max_level) == {
         "dim": dim, "max_level": max_level, "cubes_checked": len(cubes),
         "failures": failures}
+
+
+def _reference_verdict(cube, config, tau, P):
+    """The shift-cover check against the whole exhaustive cover list."""
+    pbox = cube_box(config, P)
+    qbox = cube_box(config, cube)
+    if pbox.hi[0] - pbox.lo[0] != 8 * (qbox.hi[0] - qbox.lo[0]):
+        return False
+    if not pbox.contains_box(triple(config, qbox)):
+        return False
+    if P.shift != tau:
+        return False
+    return (tau, P) in shift_cover_exhaustive(cube)
+
+
+def _other_covers(cube):
+    """The constructed cover, other exhaustive covers and near misses."""
+    tau, P = shift_cover(cube)
+    covers = [(tau, P)] + shift_cover_exhaustive(cube)[::3]
+    last = P.dim - 1
+    nudged = P.index[:last] + (P.index[last] + 1,)
+    flipped = P.shift[:last] + (-P.shift[last] or 1,)
+    covers += [(tau, DyadicCube(P.level, nudged, P.shift)),
+               (tau, DyadicCube(P.level + 1, P.index, P.shift)),
+               (flipped, DyadicCube(P.level, P.index, flipped)),
+               (tau, DyadicCube(P.level, P.index, flipped))]
+    return covers
+
+
+@pytest.mark.parametrize("dim,max_level", [(1, 9), (2, 5), (3, 3)])
+def test_shift_cover_verdicts_match_exhaustive_list(dim, max_level,
+                                                    monkeypatch):
+    config = GridConfig((dim,), min(max(max_level - 1, 1), 12))
+    for cube in boundary_cover_cubes(dim, max_level):
+        assert list(itertools.product(*shift_cover_candidates(cube))) == [
+            tuple(zip(t, P.index)) for t, P in shift_cover_exhaustive(cube)]
+        for tau, P in _other_covers(cube):
+            monkeypatch.setattr(studies, "shift_cover",
+                                lambda c, cover=(tau, P): cover)
+            assert verify_shift_cover(cube, config) == \
+                _reference_verdict(cube, config, tau, P)
+        monkeypatch.undo()
+        assert verify_shift_cover(cube, config)
+
+
+STUDY_RUN = """
+import json
+from rectfrac import GridConfig, gen_cascade, gen_power
+from rectfrac.studies import kernel_equiv_study, sample_distinct_pairs
+for w in (gen_cascade(GridConfig((1, 1), 6), 2.0, 7),
+          gen_power(GridConfig((1, 1), 6), (2, 2), centers=(0.5, 0.5)),
+          gen_cascade(GridConfig((2, 2), 3), 2.0, 7)):
+    pairs = sample_distinct_pairs(w.config, 2000, 11)
+    print(json.dumps({k: repr(v) for k, v in
+                      kernel_equiv_study(w, 0.5, pairs).items()}))
+"""
+
+
+def _study_run(threads):
+    """Study summaries from a fresh process with ``threads`` BLAS threads."""
+    src = str(Path(rectfrac.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", STUDY_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_study_identical_across_blas_threads():
+    runs = [_study_run(threads) for threads in (1, 2)]
+    assert runs[0] == runs[1]
