@@ -27,7 +27,7 @@ from pathlib import Path
 from . import __version__
 from .conditions import (_condition_d, _positive_eps, doubling_constant,
                          fp_constant, reverse_doubling_constant)
-from .estimators import depth_sweep, rows_to_csv
+from .estimators import _ratio, depth_sweep, rows_to_csv
 from .operators import OPERATOR_FORMS, ExponentConfig, RectKernel
 from .studies import (kernel_equiv_study, sample_distinct_pairs, scale_pairs,
                       shift_cover_report)
@@ -260,8 +260,8 @@ def _cmd_hls(args) -> int:
     rows = depth_sweep("hls", weight=w, alpha=ec.alpha, p=ec.p,
                        form=args.form, **opts)
     checks = _sweep_checks(rows, require_ratio=args.form != "kernel")
-    drift = [rows[i + 1].c1_hat / rows[i].c1_hat - 1.0
-             for i in range(len(rows) - 1)]
+    drift = [_ratio(b.c1_hat, a.c1_hat, both_zero=1.0) - 1.0
+             for a, b in zip(rows, rows[1:])]
     body = {"sweep": _rows_json(rows), "q": ec.q,
             "successive_change": drift}
     return _emit(args, body, checks, inputs=[args.weight],

@@ -335,6 +335,17 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ratio(num: float, den: float, both_zero: float = 0.0) -> float:
+    """num / den, with ``both_zero`` for 0 / 0 and inf for a positive num / 0.
+
+    The sweep rows' ``ratio`` and the ``hls`` report's successive change
+    both read their quotients of bounds through this rule.
+    """
+    if den > 0:
+        return num / den
+    return both_zero if num == 0 else math.inf
+
+
 def depth_sweep(task: str, depths, *, weight: Weight | None = None,
                 weights=None, alpha: float | None = None,
                 p: float | None = None, q: float | None = None,
@@ -400,11 +411,7 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
         c2 = est.params["c2"]  # the estimator's testing constant
         dt = time.perf_counter() - t0
         warm = est.maximizers
-        if c2 > 0:
-            ratio = est.value / c2
-        else:
-            ratio = 0.0 if est.value == 0 else math.inf
-        rows.append(SweepRow(K, c2, est.value, ratio,
+        rows.append(SweepRow(K, c2, est.value, _ratio(est.value, c2),
                              dt if timing else 0.0, est.sweeps,
                              est.converged))
     return rows

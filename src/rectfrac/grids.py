@@ -25,6 +25,7 @@ are -1/3 cubes of the next level), which is what makes the split exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
@@ -69,13 +70,21 @@ class GridConfig:
     depth: int
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(map(operator.index, self.dims))
+        except TypeError:
+            raise ValueError("factor dimensions must be integers") from None
+        try:
+            depth = operator.index(self.depth)
+        except TypeError:
+            raise DepthExceededError("depth must be an integer") from None
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "depth", depth)
         if len(dims) < 1:
             raise ValueError("need at least one factor")
         if any(d < 1 or d > 4 for d in dims):
             raise ValueError("factor dimensions must lie in 1..4")
-        if not 1 <= int(self.depth) <= 12:
+        if not 1 <= depth <= 12:
             raise DepthExceededError("depth must lie in 1..12")
 
     @property
@@ -299,6 +308,24 @@ def minimal_cube(config: GridConfig, u: tuple[int, ...],
     return DyadicCube(config.depth + 3 - s, tuple(a >> s for a in U))
 
 
+def _minimal_shifts(config: GridConfig, X, Y):
+    """``U = 4*X // 3`` and, per pair and axis, minimal_cube's least s.
+
+    Runs ``minimal_cube``'s predicate on the whole ``(P, N)`` arrays:
+    per factor, s grows from 0 while some axis of the factor fails it,
+    so every axis of a factor carries the factor's s.
+    """
+    U = 4 * np.asarray(X, dtype=np.int64) // 3
+    V = 4 * np.asarray(Y, dtype=np.int64) // 3
+    s = np.zeros_like(U)
+    axes = [list(config.factor_axes(i)) for i in range(config.n_factors)]
+    for _ in range(config.depth + 3):  # s = depth + 3, level 0, passes
+        fails = np.abs((U >> s) - (V >> s)) > 1
+        for ax in axes:
+            s[:, ax] += fails[:, ax].any(axis=1, keepdims=True)
+    return U, s
+
+
 def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
     """Per pair and factor, minimal_cube's level, capped at depth + 1.
 
@@ -306,10 +333,9 @@ def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
     units.  Entry ``[p, i]`` is the deepest level k <= depth + 1 (the
     finest level whose cube corners are whole units) at which the
     level-k standard cube containing ``X[p]`` in factor i has ``Y[p]``
-    in its triple.  It runs ``minimal_cube``'s predicate at s = 2 ..
-    depth + 3, the levels depth + 1 .. 0, and counts the levels at which
-    every axis of the factor passes; by monotonicity those are exactly
-    the levels 0..k.  Raises like ``kernel_sum``:
+    in its triple.  By monotonicity of ``minimal_cube``'s predicate
+    those levels are exactly 0..k, so k is ``depth + 3 - s`` at the
+    factor's least passing s, capped.  Raises like ``kernel_sum``:
     points outside [0,1)^N first, then a pair coinciding in a whole
     factor.
     """
@@ -320,17 +346,13 @@ def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
     units = config.axis_units
     if ((X < 0) | (X >= units) | (Y < 0) | (Y >= units)).any():
         raise ValueError("points must lie inside [0,1)^N")
-    axes = [list(config.factor_axes(i)) for i in range(config.n_factors)]
-    for i, ax in enumerate(axes):
+    for i in range(config.n_factors):
+        ax = list(config.factor_axes(i))
         if (X[:, ax] == Y[:, ax]).all(axis=1).any():
             raise DegeneratePairError(f"points coincide in factor {i}")
-    U, V = 4 * X // 3, 4 * Y // 3
-    depths = np.full((len(X), len(axes)), -1)
-    for s in range(2, K + 4):
-        inside = np.abs((U >> s) - (V >> s)) <= 1
-        for i, ax in enumerate(axes):
-            depths[:, i] += inside[:, ax].all(axis=1)
-    return depths
+    firsts = [config.factor_axes(i)[0] for i in range(config.n_factors)]
+    s = _minimal_shifts(config, X, Y)[1][:, firsts]
+    return np.minimum(K + 3 - s, K + 1)
 
 
 def min_rect(x: tuple[int, ...], y: tuple[int, ...]) -> Box:
@@ -363,21 +385,13 @@ def product_minimal_boxes(config: GridConfig, X, Y):
 
     ``X`` and ``Y`` are ``(P, N)`` integer arrays of points in global
     units, inside the domain and distinct in every factor
-    (``triple_depths`` checks both).  Runs ``minimal_cube``'s predicate
-    on the whole arrays: per factor, s grows from 0 while some axis of
-    the factor fails it.  The corners count quarters of the global
+    (``triple_depths`` checks both).  The shifts s come from
+    ``_minimal_shifts``.  The corners count quarters of the global
     unit, in which cubes down to level depth + 3 have integer corners:
     the cube's lower corner is ``3 * (U >> s) << s`` and its side
     ``3 << s``.
     """
-    U = 4 * np.asarray(X, dtype=np.int64) // 3
-    V = 4 * np.asarray(Y, dtype=np.int64) // 3
-    s = np.zeros_like(U)
-    axes = [list(config.factor_axes(i)) for i in range(config.n_factors)]
-    for _ in range(config.depth + 3):  # s = depth + 3, level 0, passes
-        fails = np.abs((U >> s) - (V >> s)) > 1
-        for ax in axes:
-            s[:, ax] += fails[:, ax].any(axis=1, keepdims=True)
+    U, s = _minimal_shifts(config, X, Y)
     lo = (U >> s) * 3 << s
     return lo, lo + (3 << s)
 

@@ -369,13 +369,26 @@ def mlinear_form(kernel, sigmas, fs) -> float:
     return total
 
 
+def _rect_sum(sigma: Weight, tables: dict, term) -> Callable:
+    """The map f -> sum_R term(tables, int_R f dsigma) over standard R.
+
+    ``term`` combines a level combination's coefficient table with its
+    table of integrals; the terms are scattered by ``_spread``.
+    """
+    cfg, cm = sigma.config, sigma.cell_masses
+
+    def apply(fv):
+        tree = build_mass_tree(cfg, cm * fv)
+        return _spread(term(tables[lv], tree[lv]) for lv in level_combos(cfg))
+    return apply
+
+
 def apply_positive(kernel, sigma: Weight, f: GridFunction) -> GridFunction:
     """The positive operator sum_R K(R) 1_R int_R f dsigma on cells."""
     cfg = _check_same_grid(sigma, f)
     kernel = RectKernel.coerce(kernel, cfg)
-    tree = build_mass_tree(cfg, sigma.cell_masses * f.values)
-    return GridFunction(cfg, _upsample(cfg, _spread(
-        kernel.tables[lv] * tree[lv] for lv in level_combos(cfg))))
+    apply = _rect_sum(sigma, kernel.tables, np.multiply)
+    return GridFunction(cfg, _upsample(cfg, apply(f.values)))
 
 
 def _report(cfg: GridConfig, values, skipped, excluded, return_diagnostics):
@@ -386,6 +399,15 @@ def _report(cfg: GridConfig, values, skipped, excluded, return_diagnostics):
     return (gf, diag) if return_diagnostics else gf
 
 
+def _apply(mu: Weight, alpha: float, f: GridFunction, form: str, tau,
+           return_diagnostics: bool):
+    """The forward map of ``plan(mu, alpha, form, tau)`` on f, on cells."""
+    cfg = _check_same_grid(mu, f)
+    op = plan(mu, alpha, form, tau)
+    return _report(cfg, op.forward(f.values), op.skipped_terms,
+                   op.excluded_pairs, return_diagnostics)
+
+
 def apply_frac_dyadic(mu: Weight, alpha: float, f: GridFunction, tau=None,
                       return_diagnostics: bool = False):
     """Fractional rectangle sum over one shifted family.
@@ -394,19 +416,13 @@ def apply_frac_dyadic(mu: Weight, alpha: float, f: GridFunction, tau=None,
     mass, and only rectangles meeting the domain are summed.  Zero-mass
     rectangles are skipped and counted in the diagnostics.
     """
-    cfg = _check_same_grid(mu, f)
-    op = plan(mu, alpha, "dyadic", tau)
-    return _report(cfg, op.forward(f.values), op.skipped_terms,
-                   op.excluded_pairs, return_diagnostics)
+    return _apply(mu, alpha, f, "dyadic", tau, return_diagnostics)
 
 
 def apply_perez(mu: Weight, alpha: float, f: GridFunction,
                 return_diagnostics: bool = False):
     """Fractional sum over standard rectangles with integration over 3R."""
-    cfg = _check_same_grid(mu, f)
-    op = plan(mu, alpha, "perez")
-    return _report(cfg, op.forward(f.values), op.skipped_terms,
-                   op.excluded_pairs, return_diagnostics)
+    return _apply(mu, alpha, f, "perez", None, return_diagnostics)
 
 
 def _outward_cumsum(h: np.ndarray, ax: int, xi: int) -> np.ndarray:
@@ -446,12 +462,14 @@ def _kernel_rows(mu: Weight):
 
 def apply_frac_kernel(mu: Weight, alpha: float, f: GridFunction,
                       return_diagnostics: bool = False):
-    """Kernel form by cell-center quadrature.
+    """Kernel form by cell-center quadrature, row by row.
 
     For every cell center x, sums mu(R(x,y))**(alpha/N-1) f(y) mu(cell_y)
     over cell centers y that differ from x in every coordinate; pairs
     sharing a coordinate are excluded (the minimal rectangle degenerates
-    there) and counted.
+    there) and counted.  This loop shares no code with the plan's
+    factors and strips, so it is the reference that kernel-form bounds
+    are checked against; it needs memory for one row at a time.
     """
     cfg = _check_same_grid(mu, f)
     N, C = cfg.total_dim, cfg.axis_cells
@@ -650,7 +668,7 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
     if form not in OPERATOR_FORMS:
         raise ValueError(f"unknown operator form {form!r}; "
                          f"choose from {OPERATOR_FORMS}")
-    cfg, cm, N = mu.config, mu.cell_masses, mu.config.total_dim
+    N = mu.config.total_dim
     expo = _hls_exponent(alpha, N)
     if form == "dyadic":
         tau = (0,) * N if tau is None else tuple(int(t) for t in tau)
@@ -668,24 +686,16 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
         return _window_plan(mu, expo, tuple(slice((s + 2) % 3, None, 3)
                                             for s in tau))
     kernel = RectKernel.hls(mu, alpha)
-    hls = kernel.tables
     skipped = sum(int((m <= 0).sum()) for m in mu.mass_tree.values())
-
-    def rect_sum(term):
-        def apply(fv):
-            tree = build_mass_tree(cfg, cm * fv)
-            return _spread(term(hls[lv], tree[lv])
-                           for lv in level_combos(cfg))
-        return apply
-
     if form == "dyadic":
-        dyadic = rect_sum(np.multiply)
+        dyadic = _rect_sum(mu, kernel.tables, np.multiply)
         return FormPlan(dyadic, dyadic, skipped, kernel=kernel)
     # integrating f over 3R is the width-3 window over the standard
     # cubes; the adjoint spreads each cube's term over 3R the same way
-    return FormPlan(rect_sum(lambda c, m: c * _windows(m, 1)),
-                    rect_sum(lambda c, m: _windows(c * m, 1)), skipped,
-                    kernel=kernel)
+    return FormPlan(
+        _rect_sum(mu, kernel.tables, lambda c, m: c * _windows(m, 1)),
+        _rect_sum(mu, kernel.tables, lambda c, m: _windows(c * m, 1)),
+        skipped, kernel=kernel)
 
 
 def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:

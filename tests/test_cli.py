@@ -1,6 +1,7 @@
 import base64
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -364,6 +365,27 @@ class TestSweeps:
         assert [c["name"] for c in checks] == [
             "positive_estimate[K=2]", "positive_estimate[K=3]"]
         assert all(c["passed"] and c["detail"] > 0 for c in checks)
+
+    @pytest.mark.parametrize("cells,drift,zero_at", [
+        ((5,), [0.0, 0.0], [2, 3, 4]), ((4, 5), [0.0, math.inf], [2, 3])])
+    def test_hls_zero_bound_is_reported(self, tmp_path, capsys, cells,
+                                        drift, zero_at):
+        from rectfrac import GridConfig, Weight, save_weight
+        cfg = GridConfig((1,), 4)
+        dens = np.zeros(cfg.axis_cells)
+        # all mass in one cell, or in two that share a cell up to K=3
+        dens[list(cells)] = cfg.axis_cells / len(cells)
+        wfile, rep = tmp_path / "w.json", tmp_path / "hls.json"
+        save_weight(Weight(cfg, dens), wfile)
+        code = run(["hls", "--weight", wfile, "--alpha", "0.5", "--p", "4/3",
+                    "--form", "kernel", "--depths", "2:4", "--out", rep])
+        assert code == 1
+        doc = json.loads(rep.read_text())
+        assert doc["successive_change"] == drift
+        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert failed == [f"positive_estimate[K={K}]" for K in zero_at]
+        assert "failed checks: positive_estimate[K=2]" in \
+            capsys.readouterr().err
 
     def test_carleson(self, cascade_file, tmp_path):
         rep = tmp_path / "c.json"

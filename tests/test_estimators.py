@@ -8,9 +8,9 @@ import pytest
 
 from rectfrac import (ConstantReport, DyadicCube, ExponentConfig,
                       GridConfig, GridFunction, ProductRect, RectKernel,
-                      Weight, apply_frac_dyadic,
-                      apply_frac_kernel, apply_perez, carleson_norm_lower,
-                      carleson_testing_constant, depth_sweep,
+                      Weight, apply_frac_dyadic, apply_perez,
+                      carleson_norm_lower, carleson_testing_constant,
+                      depth_sweep,
                       embed_norm_lower, estimators, fp_constant, gen_cascade,
                       gen_uniform, lp_norm, mlinear_form, operator_norm_lower,
                       rows_to_csv)
@@ -18,7 +18,8 @@ from rectfrac.grids import rect_to_json
 from rectfrac.operators import _upsample
 from rectfrac.weights import gen_power
 
-from kernel_reference import _per_cell_random_uniform
+from kernel_reference import (_per_cell_random_uniform, dense_kernel_form,
+                              pair_loop)
 
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 FORMS = ("dyadic", "perez", "shifted-sum", "kernel")
@@ -241,7 +242,12 @@ class TestOperatorNormLower:
             if form == "perez":
                 tf = apply_perez(mu, 0.5, f).values
             elif form == "kernel":
-                tf = apply_frac_kernel(mu, 0.5, f).values
+                # the dense matrix of the unfactored twin, its first and
+                # last rows checked by the plain pair loop
+                tf = dense_kernel_form(mu, 0.5, f)
+                for r, (total, _, _) in pair_loop(mu, 0.5, f,
+                                                  [0, tf.size - 1]).items():
+                    assert tf.flat[r] == pytest.approx(total, rel=1e-12)
             else:
                 tf = sum(apply_frac_dyadic(mu, 0.5, f, tau).values
                          for tau in itertools.product((-1, 0, 1), repeat=2))

@@ -316,7 +316,8 @@ class TestProductMinimal:
         assert triple(cfg, rect).contains_point(y)
 
     @pytest.mark.parametrize("dims,depth", [((1,), 4), ((1, 1), 3),
-                                            ((2, 1), 2), ((2, 2), 2)])
+                                            ((2, 1), 2), ((2, 2), 2),
+                                            ((1, 1, 1), 2)])
     def test_boxes_on_whole_arrays(self, dims, depth):
         cfg = GridConfig(dims, depth)
         rng = np.random.default_rng(3)
@@ -328,14 +329,17 @@ class TestProductMinimal:
         keep = (X != Y).all(axis=1)
         X, Y = X[keep], Y[keep]
         lo, hi = product_minimal_boxes(cfg, X, Y)
+        # the same shift loop gives the levels, capped at depth + 1
+        depths = triple_depths(cfg, X, Y)
         levels = set()
-        for x, y, a, b in zip(X.tolist(), Y.tolist(), lo.tolist(),
-                              hi.tolist()):
+        for x, y, a, b, k in zip(X.tolist(), Y.tolist(), lo.tolist(),
+                                 hi.tolist(), depths.tolist()):
             rect = product_minimal(cfg, tuple(x), tuple(y))
             levels.update(rect.levels)
             box = rect_box(cfg, rect)
             assert [Fraction(c, 4) for c in a] == list(box.lo)
             assert [Fraction(c, 4) for c in b] == list(box.hi)
+            assert k == [min(v, depth + 1) for v in rect.levels]
         assert {1, depth + 3} <= levels
 
 
@@ -436,6 +440,13 @@ class TestExactness:
         with pytest.raises(ValueError):
             GridConfig((), 3)
 
+    def test_config_stores_plain_ints(self):
+        cfg = GridConfig([np.int64(1), np.int32(2)], np.int64(3))
+        assert cfg == GridConfig((1, 2), 3)
+        assert hash(cfg) == hash(GridConfig((1, 2), 3))
+        assert type(cfg.depth) is int
+        assert all(type(d) is int for d in cfg.dims)
+
 
 # each call on a (1,1) K=3 grid, with its error class and message start
 REFUSALS = [
@@ -453,7 +464,15 @@ REFUSALS = [
     (lambda cfg: min_rect((0,), (1, 2)), ValueError,
      "point dimensions differ"),
     (lambda cfg: product_minimal(cfg, (0, 1), (0, 2)), DegeneratePairError,
-     "points coincide in factor 0")]
+     "points coincide in factor 0"),
+    (lambda cfg: GridConfig((1,), 5.5), DepthExceededError,
+     "depth must be an integer"),
+    (lambda cfg: GridConfig((1,), "3"), DepthExceededError,
+     "depth must be an integer"),
+    (lambda cfg: GridConfig((1.7,), 3), ValueError,
+     "factor dimensions must be integers"),
+    (lambda cfg: GridConfig((1, 2.0), 3), ValueError,
+     "factor dimensions must be integers")]
 
 
 @pytest.mark.parametrize("call,exc,start", REFUSALS)

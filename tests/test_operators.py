@@ -26,6 +26,8 @@ from rectfrac import operators, weights
 from rectfrac.operators import (KernelBudgetError, check_mlinear_exponents,
                                 kernel_factor, kernel_matrix, plan)
 
+from kernel_reference import _unfactored, dense_kernel_form, pair_loop
+
 TOP2 = ProductRect((DyadicCube(0, (0,)), DyadicCube(0, (0,))))
 
 
@@ -447,6 +449,20 @@ def _zero_banded_weight(dims, depth, factored):
     return Weight(cfg, dens)
 
 
+def _loop_rows(arr, rng, every_row=False):
+    """Flat anchor cells of ``arr`` for ``pair_loop``.
+
+    All of them, or the first, the last, the centre cell and four drawn
+    from ``rng``.
+    """
+    if every_row:
+        return list(range(arr.size))
+    centre = np.ravel_multi_index(tuple(n // 2 for n in arr.shape), arr.shape)
+    rows = {0, arr.size - 1, int(centre)}
+    rows |= {int(r) for r in rng.integers(0, arr.size, 4)}
+    return sorted(rows)
+
+
 def _padded_windows(arr, pad):
     """Width-3 window sums over ``np.pad(arr, pad)``: the reference."""
     out = np.pad(arr, pad)
@@ -510,6 +526,30 @@ class TestPlan:
             assert set(diag) == {"skipped_terms", "excluded_pairs",
                                  "truncation_depth"}
 
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_every_apply_is_its_plan(self, cascade_square, factored):
+        # apply_frac_kernel is the row-by-row reference: it agrees with
+        # its plan to rounding, and the plan users agree bit for bit
+        mu = cascade_square if factored else _unfactored(cascade_square)
+        cfg = mu.config
+        f = random_function(cfg, np.random.default_rng(54))
+        calls = [(apply_frac_dyadic, "dyadic", tau) for tau in
+                 [None, *itertools.product((-1, 0, 1), repeat=2)]]
+        calls += [(apply_perez, "perez", None),
+                  (apply_frac_kernel, "kernel", None)]
+        for apply, form, tau in calls:
+            extra = () if tau is None else (tau,)
+            got, diag = apply(mu, 0.5, f, *extra, return_diagnostics=True)
+            op = plan(mu, 0.5, form, tau)
+            want = operators._upsample(cfg, op.forward(f.values))
+            if form == "kernel":
+                np.testing.assert_allclose(got.values, want, rtol=1e-12)
+            else:
+                assert np.array_equal(got.values, want)
+            assert diag == {"skipped_terms": op.skipped_terms,
+                            "excluded_pairs": op.excluded_pairs,
+                            "truncation_depth": cfg.depth}
+
     @pytest.mark.parametrize("dims,depth,factored", [
         ((1, 1), 3, True), ((1,), 5, True), ((1, 1, 1), 2, True),
         ((1, 1), 3, False)])
@@ -517,16 +557,37 @@ class TestPlan:
                                                monkeypatch):
         w = _zero_banded_weight(dims, depth, factored)
         assert (w.factors is not None) == factored
+        rng = np.random.default_rng(53)
+        f = random_function(w.config, rng)
+        A = kernel_matrix(_unfactored(w), 0.5)
         if factored:
             _no_dense_matrix(monkeypatch)
-        f = random_function(w.config, np.random.default_rng(53))
         op = plan(w, 0.5, "kernel")
-        ref, diag = apply_frac_kernel(w, 0.5, f, return_diagnostics=True)
-        assert diag["skipped_terms"] > 0
-        assert op.skipped_terms == diag["skipped_terms"]
-        assert op.excluded_pairs == diag["excluded_pairs"]
-        np.testing.assert_allclose(op.forward(f.values), ref.values,
+        got = op.forward(f.values)
+        np.testing.assert_allclose(got.ravel(),
+                                   A @ (f.values * w.cell_masses).ravel(),
                                    rtol=1e-12)
+        # every zero of the dense twin is an excluded or a zero-mass pair
+        assert op.skipped_terms > 0
+        assert op.skipped_terms + op.excluded_pairs == \
+            A.size - np.count_nonzero(A)
+        # the plain pair loop on every row, or on rows in and out of the
+        # zero runs, counts the same pairs row by row
+        rows = _loop_rows(got, rng, every_row=dims == (1,))
+        counts = {"excluded": 0, "zero": 0}
+        for r, (total, excluded, zeros) in pair_loop(w, 0.5, f,
+                                                     rows).items():
+            assert got.flat[r] == pytest.approx(total, rel=1e-12)
+            assert excluded + zeros == A[r].size - np.count_nonzero(A[r])
+            counts["excluded"] += excluded
+            counts["zero"] += zeros
+        assert counts["zero"] > 0
+        if len(rows) == got.size:
+            assert counts == {"excluded": op.excluded_pairs,
+                              "zero": op.skipped_terms}
+        else:
+            assert counts["excluded"] * got.size == \
+                op.excluded_pairs * len(rows)
 
     def test_counts_of_the_window_forms(self, line_cfg):
         dens = np.ones(line_cfg.axis_cells)
@@ -609,11 +670,6 @@ class TestKernelForm:
             pair_kernel(cascade_square, 0.5, (3, 5), (9, 5))
 
 
-def _unfactored(w):
-    """The same density as a hand-made weight, with no per-axis factors."""
-    return Weight(w.config, w.density)
-
-
 def _no_dense_matrix(monkeypatch):
     def refuse(mu, alpha):
         raise AssertionError("the factored path built a dense matrix")
@@ -682,29 +738,21 @@ class TestKernelFactors:
                                             monkeypatch):
         w = _factored_weight(kind, dims, depth)
         assert w.factors is not None
-        _no_dense_matrix(monkeypatch)
         rng = np.random.default_rng(41)
         f = random_function(w.config, rng)
-        got = plan(w, 0.5, "kernel").forward(f.values)
-        np.testing.assert_allclose(got, apply_frac_kernel(w, 0.5, f).values,
-                                   rtol=1e-12)
+        dense = dense_kernel_form(w, 0.5, f)
+        _no_dense_matrix(monkeypatch)
+        op = plan(w, 0.5, "kernel")
+        got = op.forward(f.values)
+        np.testing.assert_allclose(got, dense, rtol=1e-12)
         # the plain pair loop on a few rows, the centre cell included
-        cells = w.config.axis_cells
-        shape = (cells,) * w.config.total_dim
-        rows = {0, got.size - 1,
-                int(np.ravel_multi_index((cells // 2,) * len(shape), shape))}
-        rows |= {int(r) for r in rng.integers(0, got.size, 4)}
-        for r in sorted(rows):
-            i = np.unravel_index(r, shape)
-            x = tuple(2 * int(a) + 1 for a in i)
-            total = 0.0
-            for j in np.ndindex(shape):
-                if any(a == b for a, b in zip(i, j)):
-                    continue
-                y = tuple(2 * b + 1 for b in j)
-                total += pair_kernel(w, 0.5, x, y) * f.values[j] * \
-                    w.cell_masses[j]
-            assert got[i] == pytest.approx(total, rel=1e-12)
+        rows = _loop_rows(got, rng)
+        per_row = op.excluded_pairs // got.size
+        assert op.skipped_terms == 0
+        for r, (total, excluded, zeros) in pair_loop(w, 0.5, f,
+                                                     rows).items():
+            assert got.flat[r] == pytest.approx(total, rel=1e-12)
+            assert (excluded, zeros) == (per_row, 0)
 
     def test_factors_and_dense_matrix_exactly_symmetric(self):
         power = gen_power(GridConfig((1,), 10), (6,), centers=(0.5,))
@@ -756,6 +804,20 @@ class TestKernelMatrixBudget:
             finally:
                 tracemalloc.stop()
             assert peak < 16_000
+
+    def test_unfactored_reference_streams_past_the_budget(self,
+                                                          monkeypatch):
+        # the row-by-row reference holds one row at a time, so it runs
+        # where the dense matrix is refused
+        w = _unfactored(gen_cascade(GridConfig((1, 1), 2), 2.0, 3))
+        f = random_function(w.config, np.random.default_rng(55))
+        want = dense_kernel_form(w, 0.5, f)
+        monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", 1000)
+        with pytest.raises(KernelBudgetError):
+            plan(w, 0.5, "kernel")
+        got = apply_frac_kernel(w, 0.5, f)
+        np.testing.assert_allclose(
+            got.values, operators._upsample(w.config, want), rtol=1e-12)
 
     @pytest.mark.parametrize("cells", [1, 127, 128, 129, 144, 300])
     def test_factor_states_its_strip_bytes(self, cells, monkeypatch):
