@@ -3,14 +3,17 @@
 Subcommands generate weights, audit their structural constants, run
 norm-estimation depth sweeps, and verify the grid-covering and
 kernel-equivalence claims.  Each takes only the options it reads:
-``--seed`` where something is drawn (gen-weight, kernel-equiv and the
-sweeps embed-norm, hls and carleson), ``--format json|csv`` on the
-sweeps, ``--threads`` (output never depends on it) and ``--out``
-everywhere.  Output files never embed wall-clock data, so reruns are
-byte-identical; each JSON output embeds a manifest (subcommand,
-parameters, seed, version, input hashes), and a CSV gets it as a
-``<out>.manifest.json`` sidecar.  ``main`` returns 0 iff every check
-passed, 1 if one failed, and 2 for any refusal, the parser's included.
+``--seed`` on gen-weight and kernel-equiv, which draw from it, and on
+the sweeps embed-norm, hls and carleson, which draw nothing from it and
+record it as each bound's ``seed`` and in the manifest; ``--format
+json|csv`` on the sweeps, ``--threads`` (output never depends on it)
+and ``--out`` everywhere.  Output files never embed wall-clock data, so
+reruns are byte-identical; each JSON output embeds a manifest
+(subcommand, parameters, seed, version, input hashes), and a CSV gets
+it as a ``<out>.manifest.json`` sidecar.  JSON is strict RFC 8259: an
+infinite value is written as the string "inf" or "-inf".  ``main``
+returns 0 iff every check passed, 1 if one failed, and 2 for any
+refusal, the parser's included.
 """
 
 from __future__ import annotations
@@ -102,6 +105,23 @@ def _manifest(args: argparse.Namespace, inputs) -> dict:
             "input_hashes": {str(p): _sha256(p) for p in inputs}}
 
 
+def _finite(obj):
+    """``obj`` with every infinite float written as "inf" or "-inf"."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {key: _finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(val) for val in obj]
+    return obj
+
+
+def _json(doc) -> str:
+    """Strict RFC 8259 JSON: a NaN left in ``doc`` raises ValueError."""
+    return json.dumps(_finite(doc), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
+
+
 def _emit(args: argparse.Namespace, body: dict, checks: list[dict],
           inputs=(), csv_text: str | None = None,
           to_stdout: bool = False) -> int:
@@ -112,10 +132,9 @@ def _emit(args: argparse.Namespace, body: dict, checks: list[dict],
     if csv_text is not None and args.format == "csv":
         text = csv_text
         if out:
-            Path(str(out) + ".manifest.json").write_text(
-                json.dumps(doc["manifest"], sort_keys=True, indent=2) + "\n")
+            Path(str(out) + ".manifest.json").write_text(_json(doc["manifest"]))
     else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _json(doc)
     if out:
         Path(out).write_text(text)
     else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import DyadicCube, cube_to_json, rect_to_json, standard_rect
-from .operators import ExponentError, RectKernel, _neg_power, \
+from .operators import ExponentError, RectKernel, _neg_power, _powers, \
     check_mlinear_exponents, level_combos
 from .weights import Weight, _sum_blocks
 
@@ -152,7 +152,7 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
     """
     cfg = w.config
     K, n = cfg.depth, cfg.n_factors
-    powered = {lv: arr ** expo for lv, arr in w.mass_tree.items()}
+    powered = _powers(w.mass_tree, expo)
 
     def ratios():
         for levels in level_combos(cfg):

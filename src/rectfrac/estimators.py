@@ -19,17 +19,16 @@ Every run also scans indicator test functions of single rectangles,
 which realize the single-rectangle testing value exactly; when that
 beats the ascent, the ascent runs again from the extremal indicator
 and that run is kept when it ends no lower, so reported values never
-fall below the testing constant.  A multilinear density keeps each
-argument's mass tree between steps and rebuilds it whenever that
-argument is a new array, so a restarted run reads no tree of the run
-before.  (The cell-quadrature kernel form excludes same-coordinate
-pairs, so the indicator identity does not transfer to it: its testing
-constant is the dyadic form's and does not bound it.  It restarts by
-the same rule; a restart is kept only when it ends no lower, so its
-bound stays a certified lower bound and can only rise, though not
-necessarily to the testing constant.)
-The Carleson bound keeps the tree of its f the same way, for its value
-and its next gradient.
+fall below the testing constant.  The multilinear densities and the
+Carleson bound keep their mass trees in one ``_tree_cache``: the tree
+of sigma_k * f_k is rebuilt only when f_k is a new array, so a
+restarted run reads no tree of the run before, and the Carleson value
+and its next gradient read one tree.  (The cell-quadrature kernel
+form excludes same-coordinate pairs, so the indicator identity does
+not transfer to it: its testing constant is the dyadic form's and does
+not bound it.  It restarts by the same rule; a restart is kept only
+when it ends no lower, so its bound stays a certified lower bound and
+can only rise, though not necessarily to the testing constant.)
 
 Every operator form, the dyadic one included, ascends ``<Tf, g>``
 with the ``forward`` and ``adjoint`` maps of one ``operators.plan``,
@@ -68,7 +67,7 @@ import numpy as np
 from .conditions import _carleson_scan, fp_constant
 from .grids import GridConfig, rect_from_json
 from .operators import (ExponentConfig, RectKernel, _check_same_grid,
-                        _neg_power, _paired, _spread, _upsample,
+                        _paired, _powers, _spread, _terms, _upsample,
                         check_mlinear_exponents, level_combos, plan)
 from .weights import GridFunction, Weight, build_mass_tree
 
@@ -188,35 +187,39 @@ def _norm_bound(densities, sigmas, rs, c2, head, *, tol, max_sweeps, seed,
                         sweeps, converged, history, seed, params)
 
 
+def _tree_cache(sigmas):
+    """``tree(k, f)``, the mass tree of sigma_k * f, and the dict it keeps.
+
+    The dict maps k to the f its tree was built from and that tree; a
+    tree is rebuilt only when f is a new array, so a restarted run reads
+    no tree of the run before.
+    """
+    cfg = sigmas[0].config
+    cache = {}
+
+    def tree(k, f):
+        if k not in cache or cache[k][0] is not f:
+            cache.pop(k, None)  # freed before its successor is built
+            cache[k] = (f, build_mass_tree(cfg, sigmas[k].cell_masses * f))
+        return cache[k][1]
+    return tree, cache
+
+
 def _mlinear_densities(kernel: RectKernel, sigmas):
     """The multilinear form's density in each argument, as maps of all fs.
 
-    The maps share the arguments' mass trees: a tree is rebuilt only
-    when its argument is a new array.  The steps run in cyclic order,
+    The maps share one ``_tree_cache``.  The steps run in cyclic order,
     and step j + 1 replaces its argument without reading that
     argument's tree, so step j drops it: at M = 2 no tree outlives the
     step that built it.
     """
-    cfg = sigmas[0].config
-    combos = list(level_combos(cfg))
-    cache = {}  # k -> (the f_k the tree was built from, the tree)
-
-    def tree(k, f):
-        if k not in cache or cache[k][0] is not f:
-            cache[k] = (f, build_mass_tree(cfg, sigmas[k].cell_masses * f))
-        return cache[k][1]
-
-    def term(lv, trees):
-        arr = kernel.tables[lv].copy()
-        for t in trees:
-            arr *= t[lv]
-        return arr
+    tree, cache = _tree_cache(sigmas)
 
     def density_in(j):
         def density(fs):
             trees = [tree(k, f) for k, f in enumerate(fs) if k != j]
             cache.pop((j + 1) % len(fs), None)
-            return _spread(term(lv, trees) for lv in combos)
+            return _spread(_terms(kernel.config, kernel.tables, trees))
         return density
 
     return [density_in(j) for j in range(len(sigmas))]
@@ -285,24 +288,16 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
     _check_limits(tol, max_sweeps)
     p, q = float(p), float(q)
     c2 = _carleson_scan(sigma, p, q)  # refuses exponents outside 1 < p < q
-    cfg, cm = sigma.config, sigma.cell_masses
-    combos = list(level_combos(cfg))
-    a_tables = {lv: _neg_power(sigma.mass_tree[lv], q / p - q)
-                for lv in combos}
-    kept = []  # the f the tree was built from and its tree, once built
-
-    def tree(f):
-        if not kept or kept[0] is not f:
-            kept.clear()
-            kept.extend((f, build_mass_tree(cfg, cm * f)))
-        return kept[1]
+    combos = list(level_combos(sigma.config))
+    a_tables = _powers(sigma.mass_tree, q / p - q)
+    tree, _ = _tree_cache((sigma,))
 
     def gradient(fs):
-        t = tree(fs[0])
+        t = tree(0, fs[0])
         return _spread(a_tables[lv] * t[lv] ** (q - 1.0) for lv in combos)
 
     def value(fs):
-        t, phi = tree(fs[0]), 0.0
+        t, phi = tree(0, fs[0]), 0.0
         for lv in combos:
             phi += float((a_tables[lv] * t[lv] ** q).sum())
         return phi

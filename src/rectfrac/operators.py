@@ -21,12 +21,19 @@ a plan and apply its forward map (``apply_frac_kernel`` stays the
 row-by-row reference), and the estimators ascend with its two maps.
 
 Kernels on the standard family are tabulated per level combination
-(``RectKernel``) on the mass tree, which keeps the multilinear form,
-the positive operator and the standard-family plans (the dyadic form
-with tau = 0 and the enlarged-region form) fully vectorized.  The
-shifted and tripled families share one primitive: width-3 window sums
-(``_windows``) over the zero-bordered standard cubes or third-cube
-pyramid, or over the array itself for the transpose.
+(``RectKernel``) on the mass tree, and each rule over such tables is
+written once: ``_powers`` raises every level of a tree to a power (the
+HLS kernel, the Carleson coefficients and the descendant scans of
+``conditions``); ``_terms`` yields the multilinear level terms
+K(R) * prod_k int_R f_k dsigma_k (the multilinear form and its
+densities); ``_rect_sum`` is the family sum f -> sum_R term(c_R,
+int_R f dsigma) over the aggregates of the builder it is passed,
+``build_mass_tree`` for the positive operator and the standard-family
+plans (the dyadic form with tau = 0 and the enlarged-region form) and
+``build_pyramid`` for the window families.  The shifted and tripled
+families share one primitive: width-3 window sums (``_windows``) over
+the zero-bordered standard cubes or third-cube pyramid, or over the
+array itself for the transpose.
 A level-k cube with shift s and index m is the run of three
 third-cubes starting at 3m + s, so along each axis
 
@@ -227,17 +234,20 @@ def _spread(arrs) -> np.ndarray:
     return out
 
 
-def _axis_levels(config: GridConfig, levels: tuple[int, ...]) -> list[int]:
-    flat = []
-    for i, k in enumerate(levels):
-        flat.extend([k] * config.dims[i])
-    return flat
+def _table_shape(config: GridConfig, levels: tuple[int, ...]) -> tuple:
+    """The shape of a level combination's table: 2**k cubes per axis."""
+    return tuple(1 << k for k, d in zip(levels, config.dims) for _ in range(d))
 
 
 def _neg_power(masses: np.ndarray, expo: float) -> np.ndarray:
     """masses**expo where the mass is positive, 0 where it vanishes."""
     pos = masses > 0
     return np.where(pos, np.where(pos, masses, 1.0) ** expo, 0.0)
+
+
+def _powers(tree: dict, expo: float) -> dict:
+    """``_neg_power`` of every level table of a mass tree."""
+    return {lv: _neg_power(arr, expo) for lv, arr in tree.items()}
 
 
 def _windows(arr: np.ndarray, pad: int) -> np.ndarray:
@@ -289,7 +299,7 @@ class RectKernel:
     def from_callable(cls, config: GridConfig, fn) -> "RectKernel":
         tables = {}
         for levels in level_combos(config):
-            shape = tuple(1 << k for k in _axis_levels(config, levels))
+            shape = _table_shape(config, levels)
             arr = np.empty(shape)
             for idx in np.ndindex(shape):
                 val = float(fn(standard_rect(config, levels, idx)))
@@ -303,8 +313,7 @@ class RectKernel:
     def hls(cls, mu: Weight, alpha: float) -> "RectKernel":
         """mu(R)**(alpha/N - 1); zero-mass rectangles get value 0."""
         expo = _hls_exponent(alpha, mu.config.total_dim)
-        return cls(mu.config, {levels: _neg_power(arr, expo)
-                               for levels, arr in mu.mass_tree.items()})
+        return cls(mu.config, _powers(mu.mass_tree, expo))
 
     @classmethod
     def indicator(cls, config: GridConfig, rect: ProductRect) -> "RectKernel":
@@ -312,8 +321,7 @@ class RectKernel:
             raise ValueError("indicator kernels cover standard rectangles")
         tables = {}
         for levels in level_combos(config):
-            shape = tuple(1 << k for k in _axis_levels(config, levels))
-            tables[levels] = np.zeros(shape)
+            tables[levels] = np.zeros(_table_shape(config, levels))
         idx = tuple(m for q in rect.factors for m in q.index)
         tables[rect.levels][idx] = 1.0
         return cls(config, tables)
@@ -334,7 +342,7 @@ class RectKernel:
                 f"kernel seed must lie in [-2**63, 2**63), got {seed}")
         tables = {}
         for levels in level_combos(config):
-            shape = tuple(1 << k for k in _axis_levels(config, levels))
+            shape = _table_shape(config, levels)
             stream = np.random.SeedSequence(seed % 2 ** 64, spawn_key=levels)
             tables[levels] = np.random.default_rng(stream).random(shape)
         return cls(config, tables)
@@ -360,26 +368,36 @@ def mlinear_form(kernel, sigmas, fs) -> float:
     kernel = RectKernel.coerce(kernel, cfg)
     trees = [build_mass_tree(cfg, w.cell_masses * f.values)
              for w, f in zip(sigmas, fs)]
-    total = 0.0
-    for levels in level_combos(cfg):
-        arr = kernel.tables[levels].copy()
+    return sum(float(arr.sum()) for arr in _terms(cfg, kernel.tables, trees))
+
+
+def _terms(config: GridConfig, tables: dict, trees):
+    """Yield K(R) * prod_k int_R f_k dsigma_k per level combination.
+
+    Each term is a copy of the kernel table multiplied in place by each
+    tree's table, in ``level_combos`` order.
+    """
+    for lv in level_combos(config):
+        arr = tables[lv].copy()
         for t in trees:
-            arr *= t[levels]
-        total += float(arr.sum())
-    return total
+            arr *= t[lv]
+        yield arr
 
 
-def _rect_sum(sigma: Weight, tables: dict, term) -> Callable:
-    """The map f -> sum_R term(tables, int_R f dsigma) over standard R.
+def _rect_sum(sigma: Weight, build, tables: dict, term) -> Callable:
+    """The map f -> sum_R term(tables, int_R f dsigma) over a family.
 
-    ``term`` combines a level combination's coefficient table with its
-    table of integrals; the terms are scattered by ``_spread``.
+    ``build(config, sigma * f)`` aggregates f per level combination:
+    ``build_mass_tree`` over the standard cubes, ``build_pyramid`` over
+    the third-cubes.  ``term`` combines a level combination's
+    coefficient table with its aggregate; the terms are scattered by
+    ``_spread``.
     """
     cfg, cm = sigma.config, sigma.cell_masses
 
     def apply(fv):
-        tree = build_mass_tree(cfg, cm * fv)
-        return _spread(term(tables[lv], tree[lv]) for lv in level_combos(cfg))
+        agg = build(cfg, cm * fv)
+        return _spread(term(tables[lv], agg[lv]) for lv in level_combos(cfg))
     return apply
 
 
@@ -387,7 +405,7 @@ def apply_positive(kernel, sigma: Weight, f: GridFunction) -> GridFunction:
     """The positive operator sum_R K(R) 1_R int_R f dsigma on cells."""
     cfg = _check_same_grid(sigma, f)
     kernel = RectKernel.coerce(kernel, cfg)
-    apply = _rect_sum(sigma, kernel.tables, np.multiply)
+    apply = _rect_sum(sigma, build_mass_tree, kernel.tables, np.multiply)
     return GridFunction(cfg, _upsample(cfg, apply(f.values)))
 
 
@@ -601,19 +619,14 @@ def _window_plan(mu: Weight, expo: float, family) -> FormPlan:
     Only those windows get a coefficient; the others carry 0 into the
     array that the pad-0 window transposes.
     """
-    cfg = mu.config
     coeffs, skipped = {}, 0
-    for lv, third in build_pyramid(cfg, mu.cell_masses).items():
+    for lv, third in build_pyramid(mu.config, mu.cell_masses).items():
         masses = _windows(third, 2)
         coeffs[lv] = np.zeros_like(masses)
         coeffs[lv][family] = _neg_power(masses[family], expo)
         skipped += int((masses[family] <= 0).sum())
-
-    def apply(fv):
-        pyr = build_pyramid(cfg, mu.cell_masses * fv)
-        return _spread(_windows(coeffs[lv] * _windows(pyr[lv], 2), 0)
-                       for lv in level_combos(cfg))
-
+    apply = _rect_sum(mu, build_pyramid, coeffs,
+                      lambda c, m: _windows(c * _windows(m, 2), 0))
     return FormPlan(apply, apply, skipped)
 
 
@@ -688,13 +701,15 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
     kernel = RectKernel.hls(mu, alpha)
     skipped = sum(int((m <= 0).sum()) for m in mu.mass_tree.values())
     if form == "dyadic":
-        dyadic = _rect_sum(mu, kernel.tables, np.multiply)
+        dyadic = _rect_sum(mu, build_mass_tree, kernel.tables, np.multiply)
         return FormPlan(dyadic, dyadic, skipped, kernel=kernel)
     # integrating f over 3R is the width-3 window over the standard
     # cubes; the adjoint spreads each cube's term over 3R the same way
     return FormPlan(
-        _rect_sum(mu, kernel.tables, lambda c, m: c * _windows(m, 1)),
-        _rect_sum(mu, kernel.tables, lambda c, m: _windows(c * m, 1)),
+        _rect_sum(mu, build_mass_tree, kernel.tables,
+                  lambda c, m: c * _windows(m, 1)),
+        _rect_sum(mu, build_mass_tree, kernel.tables,
+                  lambda c, m: _windows(c * m, 1)),
         skipped, kernel=kernel)
 
 

@@ -88,9 +88,12 @@ def kernel_equiv_study(mu: Weight, alpha: float, pairs,
     ``[min(x, y), max(x, y))`` take one ``box_sums`` batch, equal bit
     for bit to ``mu.mass(min_rect(x, y))``; their masses serve both the
     closed kernel and the mass ratio.  A pair sharing a coordinate
-    raises ``DegeneratePairError``.  ``threads`` is accepted and
-    ignored; the result never depends on it.
+    raises ``DegeneratePairError``, and an empty pair list
+    ``ValueError``.  ``threads`` is accepted and ignored; the result
+    never depends on it.
     """
+    if len(pairs) == 0:
+        raise ValueError("kernel_equiv_study needs at least one pair")
     N = mu.config.total_dim
     expo = _hls_exponent(alpha, N)
     XY = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, N)

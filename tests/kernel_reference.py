@@ -22,7 +22,8 @@ def _per_cell_random_uniform(cfg, seed):
     key = int(seed).to_bytes(8, "little", signed=True)
     tables = {}
     for levels in operators.level_combos(cfg):
-        shape = tuple(1 << k for k in operators._axis_levels(cfg, levels))
+        shape = tuple(1 << k for k, d in zip(levels, cfg.dims)
+                      for _ in range(d))
         arr = np.empty(shape)
         for idx in np.ndindex(shape):
             token = repr((levels, idx)).encode()

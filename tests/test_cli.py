@@ -38,6 +38,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def _refuse(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: NaN and Infinity are refused."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 @pytest.fixture()
 def cascade_file(tmp_path):
     out = tmp_path / "w.json"
@@ -165,7 +174,7 @@ class TestCheckWeight:
         save_weight(Weight(cfg, dens), tmp_path / "z.json")
         rep = tmp_path / "rep.json"
         run(["check-weight", "--weight", tmp_path / "z.json", "--out", rep])
-        doc = json.loads(rep.read_text())
+        doc = strict_json(rep.read_text())
         assert doc["doubling"]["value"] == "inf"
         assert doc["doubling"]["witness"] is not None
 
@@ -367,7 +376,7 @@ class TestSweeps:
         assert all(c["passed"] and c["detail"] > 0 for c in checks)
 
     @pytest.mark.parametrize("cells,drift,zero_at", [
-        ((5,), [0.0, 0.0], [2, 3, 4]), ((4, 5), [0.0, math.inf], [2, 3])])
+        ((5,), [0.0, 0.0], [2, 3, 4]), ((4, 5), [0.0, "inf"], [2, 3])])
     def test_hls_zero_bound_is_reported(self, tmp_path, capsys, cells,
                                         drift, zero_at):
         from rectfrac import GridConfig, Weight, save_weight
@@ -380,12 +389,26 @@ class TestSweeps:
         code = run(["hls", "--weight", wfile, "--alpha", "0.5", "--p", "4/3",
                     "--form", "kernel", "--depths", "2:4", "--out", rep])
         assert code == 1
-        doc = json.loads(rep.read_text())
+        doc = strict_json(rep.read_text())
         assert doc["successive_change"] == drift
         failed = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failed == [f"positive_estimate[K={K}]" for K in zero_at]
         assert "failed checks: positive_estimate[K=2]" in \
             capsys.readouterr().err
+
+    def test_infinities_written_as_strings(self, tmp_path):
+        rep = tmp_path / "r.json"
+        args = build_parser().parse_args(
+            ["shift-cover", "--dim", "1", "--maxlevel", "0", "--out", str(rep)])
+        body = {"a": [math.inf, (-math.inf, 1.5)],
+                "b": {"c": np.float64(math.inf)}}
+        assert cli._emit(args, body, []) == 0
+        doc = strict_json(rep.read_text())
+        assert doc["a"] == ["inf", ["-inf", 1.5]] and doc["b"] == {"c": "inf"}
+        rep.unlink()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit(args, {"a": [math.nan]}, [])
+        assert not rep.exists()
 
     def test_carleson(self, cascade_file, tmp_path):
         rep = tmp_path / "c.json"

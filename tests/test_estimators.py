@@ -365,6 +365,22 @@ class TestCarlesonNormLower:
             5.513958698842868, 5.834186330724673, 6.2414950830713085,
             6.860085630991607, 7.530317811594731, 7.929199500533869]
 
+    def test_tree_kept_between_value_and_gradient(self, monkeypatch):
+        built = []
+        build = estimators.build_mass_tree
+
+        def counted(cfg, cell_masses):
+            built.append(1)
+            return build(cfg, cell_masses)
+
+        monkeypatch.setattr(estimators, "build_mass_tree", counted)
+        w = gen_cascade(GridConfig((1, 1), 4), 2.0, 1)
+        est = carleson_norm_lower(w, 2.0, 4.0, tol=0.0, max_sweeps=6)
+        assert (est.sweeps, est.converged) == (6, False)  # no restart
+        # one tree for the start and one per sweep: each sweep's value
+        # reads the tree its next gradient reuses (12 when both rebuilt)
+        assert len(built) == est.sweeps + 1
+
     def test_growth_against_testing_power(self):
         w = gen_cascade(GridConfig((1, 1), 4), 2.0, 31)
         est = carleson_norm_lower(w, 2.0, 4.0)

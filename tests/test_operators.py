@@ -111,7 +111,7 @@ def _block_arrays(cfg, blocks, rng):
     """
     arrs = []
     for lv in operators.level_combos(cfg):
-        shape = [blocks << k for k in operators._axis_levels(cfg, lv)]
+        shape = [blocks << k for k, d in zip(lv, cfg.dims) for _ in range(d)]
         arrs.append(rng.random(shape) * 10.0 ** rng.integers(-6, 7, shape))
     return arrs
 
@@ -190,7 +190,8 @@ class TestRandomUniform:
         again = RectKernel.random_uniform(cfg, seed).tables
         assert list(tables) == list(operators.level_combos(cfg))
         for lv, arr in tables.items():
-            shape = tuple(1 << k for k in operators._axis_levels(cfg, lv))
+            shape = tuple(1 << k for k, d in zip(lv, cfg.dims)
+                          for _ in range(d))
             assert arr.shape == shape and arr.dtype == np.float64
             assert np.all((arr >= 0.0) & (arr < 1.0))
             assert np.array_equal(again[lv], arr)

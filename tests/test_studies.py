@@ -281,6 +281,16 @@ class TestErrors:
         with pytest.raises(ValueError, match="inside"):
             kernel_sums(w, 0.5, [(3, -1)], [(9, 7)])
 
+    def test_empty_pair_list_refused_before_any_work(self, w, monkeypatch):
+        calls = []
+        for name in ("box_sums", "kernel_sums", "minimal_cube_masses"):
+            monkeypatch.setattr(studies, name,
+                                lambda *a, name=name: calls.append(name))
+        for empty in ([], np.zeros((0, 2, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match="at least one pair"):
+                kernel_equiv_study(w, 0.5, empty)
+        assert calls == []
+
     def test_kernel_sum_needs_distinct_factors(self):
         w = gen_cascade(GridConfig((2,), 3), 2.0, 7)
         assert kernel_sum(w, 0.5, (3, 5), (3, 9)) > 0
