@@ -260,6 +260,7 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
     from ``adjoint(g)`` on the unit ball of L^p, then g from
     ``forward(f)`` on that of L^q'.  For the dyadic form these are the
     steps of ``embed_norm_lower`` with the HLS kernel, bit for bit.
+    ``params["factor"]`` is the plan's ``factor`` report.
     """
     _check_limits(tol, max_sweeps)
     ec = ExponentConfig(float(alpha), float(p), float(q),
@@ -267,7 +268,8 @@ def operator_norm_lower(mu: Weight, alpha: float, p: float, q: float,
     op, mus, rs = plan(mu, ec.alpha, form), (mu, mu), (ec.p, ec.q_conj)
     kernel = RectKernel.hls(mu, ec.alpha) if op.kernel is None else op.kernel
     c2 = fp_constant(kernel, mus, rs)
-    head = {"form": form, "alpha": ec.alpha, "p": ec.p, "q": ec.q}
+    head = {"form": form, "alpha": ec.alpha, "p": ec.p, "q": ec.q,
+            "factor": op.factor}
     return _norm_bound((lambda fs: op.adjoint(fs[1]),
                         lambda fs: op.forward(fs[0])), mus, rs, c2, head,
                        tol=tol, max_sweeps=max_sweeps, seed=seed,

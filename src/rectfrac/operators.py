@@ -57,9 +57,12 @@ cumulative sums of half-pair cell sums running outward from the anchor
 cell.  For a weight with per-axis factors, mu(R(x,y)) is the product
 of per-axis interval masses, so the kernel is the Kronecker product of
 one symmetric C x C factor per axis (``kernel_factor``).  Each factor
-is stored once, as strips of its upper triangle, and the kernel plan
-applies it as one mode product per axis, each strip standing for
-itself and its mirror: no C**N x C**N matrix is built.  Any other
+is stored as a HODLR tree: dense blocks of at most ``LEAF_CELLS`` cells
+a side on and next to the diagonal, and low-rank blocks, built by
+cross approximation from O((m + n) r) entries and checked entry by
+entry, further out.  The kernel plan applies it as one mode product
+per axis, each block standing for itself and its mirror: neither the
+factor nor a C**N x C**N matrix is built.  Any other
 weight falls back to the dense ``kernel_matrix``, filled one anchor
 cell at a time (``_kernel_rows``), powered on its upper triangle and
 mirrored, so it is exactly symmetric.  Either is refused before it is
@@ -86,7 +89,7 @@ from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 
 EXPONENT_TOL = 1e-12
 KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a kernel matrix or factor may take
-FACTOR_ROWS = 128  # rows of a kernel factor strip, summed and powered at once
+LEAF_CELLS = 96  # most cells a side of a kernel factor's dense blocks
 OPERATOR_FORMS = ("dyadic", "perez", "kernel", "shifted-sum")
 
 
@@ -240,7 +243,12 @@ def _table_shape(config: GridConfig, levels: tuple[int, ...]) -> tuple:
 
 
 def _neg_power(masses: np.ndarray, expo: float) -> np.ndarray:
-    """masses**expo where the mass is positive, 0 where it vanishes."""
+    """masses**expo where the mass is positive, 0 where it vanishes.
+
+    A positive exponent needs no mask, since 0.0**expo is 0 then.
+    """
+    if expo > 0:
+        return masses ** expo
     pos = masses > 0
     return np.where(pos, np.where(pos, masses, 1.0) ** expo, 0.0)
 
@@ -486,7 +494,7 @@ def apply_frac_kernel(mu: Weight, alpha: float, f: GridFunction,
     over cell centers y that differ from x in every coordinate; pairs
     sharing a coordinate are excluded (the minimal rectangle degenerates
     there) and counted.  This loop shares no code with the plan's
-    factors and strips, so it is the reference that kernel-form bounds
+    factors, so it is the reference that kernel-form bounds
     are checked against; it needs memory for one row at a time.
     """
     cfg = _check_same_grid(mu, f)
@@ -519,8 +527,8 @@ def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
         raise KernelBudgetError(
             f"the dense kernel matrix of {count} cells needs {nbytes} bytes, "
             f"over the budget of {KERNEL_MATRIX_BUDGET} bytes; a weight with "
-            f"per-axis factors takes one {C} x {C} factor per axis, under the "
-            f"same budget")
+            f"per-axis factors takes one compressed {C} x {C} factor per "
+            f"axis, under the same budget")
     A = np.empty((count, count))
     for r, (_, masses) in enumerate(_kernel_rows(mu)):
         A[r, r:] = _neg_power(masses.ravel()[r:], expo)
@@ -528,65 +536,138 @@ def kernel_matrix(mu: Weight, alpha: float) -> np.ndarray:
     return A
 
 
-def kernel_factor(masses: np.ndarray, expo: float) -> list[np.ndarray]:
+def _low_rank(a: np.ndarray, b: np.ndarray, expo: float):
+    """``(U, V)`` with ``U @ V.T`` the block ``(a_i + b_j)**expo``, or None.
+
+    ``a`` and ``b`` are positive, with ``b[0]`` the smallest.  Adaptive
+    cross approximation with partial pivoting (Bebendorf, Numer. Math.
+    86, 2000) runs on the block scaled by ``(a_i + b_0)**(-expo/2)`` and
+    ``(a_last + b_j)**(-expo/2)``, whose entries lie in (0, 1], and
+    stops at rank 48; QR and SVD then recompress it.  None when the
+    result is off by more than 1e-13 of an exact entry in one of about
+    16 rows and 16 columns, at geometric distances from the corner
+    next to the diagonal up to the far edge: on rough masses the error
+    gathers in a few entries near that corner, which a sample spread
+    evenly missed.  The scaled entries next to the diagonal are 1, but
+    the far ones are smaller (0.1 on a rho 2 cascade at K = 8), and
+    their relative error comes out near that tolerance, so a few
+    blocks fail.
+    """
+    # no block up to K = 12 needs a rank above 31
+    (m,), (n,), top = a.shape, b.shape, min(len(a), len(b), 48)
+    r, c = a ** (-expo / 2), (a[-1] + b) ** (-expo / 2)
+    U, V = np.empty((m, top), order="F"), np.empty((n, top), order="F")
+    free, i, k, frob = np.ones(m, bool), m - 1, 0, 0.0
+    while k < top:
+        free[i] = False
+        row = (a[i] + b) ** expo * (r[i] * c) - V[:, :k] @ U[i, :k]
+        j = int(np.argmax(np.abs(row)))
+        if row[j] == 0:  # rows whose masses round alike leave exact zeros
+            break
+        V[:, k] = row / row[j]
+        U[:, k] = (a + b[j]) ** expo * (r * c[j]) - U[:, :k] @ V[j, :k]
+        step = np.linalg.norm(U[:, k]) * np.linalg.norm(V[:, k])
+        frob, k = frob + step * step, k + 1
+        if step <= 1e-14 * math.sqrt(frob):
+            break
+        i = int(np.argmax(np.where(free, np.abs(U[:, k - 1]), -1.0)))
+    (qu, ru), (qv, rv) = np.linalg.qr(U[:, :k]), np.linalg.qr(V[:, :k])
+    w, s, zt = np.linalg.svd(ru @ rv.T)
+    rank = int(np.count_nonzero(s > 1e-15 * s[0]))
+    U = qu @ (w[:, :rank] * s[:rank]) / r[:, None]
+    V = qv @ zt[:rank].T / c[:, None]
+    # geometric distances from the corner next to the diagonal, where
+    # the masses vary most, to the far edge
+    near = [np.unique(np.geomspace(1, x, 16).astype(int) - 1) for x in (m, n)]
+    rows, cols = m - 1 - near[0], near[1]
+    ok = all(np.all(np.abs(got - want) <= 1e-13 * want) for got, want in (
+        (U[rows] @ V.T, (a[rows, None] + b) ** expo),
+        (U @ V[cols].T, (a[:, None] + b[cols]) ** expo)))
+    return (U, V) if ok else None  # NaN fails too
+
+
+def kernel_factor(masses: np.ndarray, expo: float) -> list[tuple]:
     """mass(I(x_i, x_j))**expo between the cell centres of one axis.
 
-    ``masses`` are the axis's cell masses.  The factor F is exactly
-    symmetric with a zero diagonal, so only its upper half is stored: a
-    list of strips of ``FACTOR_ROWS`` rows, the strip of rows b0:b1
-    holding ``F[b0:b1, b0:]``.  Row i from column i on is the outward
-    cumulative sum of the half-pair sums, as in ``_kernel_rows``; the
-    rows of a strip are summed and powered together, and its leading
-    square block, which holds the diagonal, gets its lower triangle by
-    mirroring.  Given the cell masses of a one-axis weight, the strips
-    assembled are its ``kernel_matrix`` bit for bit.  Refuses with
-    ``KernelBudgetError`` before it allocates when the strips would take
-    more than ``KERNEL_MATRIX_BUDGET`` bytes.
+    ``masses`` are the axis's cell masses.  The factor F is symmetric
+    with a zero diagonal and is stored as a HODLR tree (Hackbusch,
+    Computing 62, 1999): blocks ``(I, J, U, V)`` of index slices on or
+    above the diagonal, each standing for ``F[I, J] = U @ V.T`` (``U``
+    alone when ``V`` is None) and, off the diagonal, for its mirror
+    ``F[J, I]``.  Every block is split 2 x 2, the part below the
+    diagonal dropped, until it is kept.  A diagonal block of at most
+    ``LEAF_CELLS`` cells is dense: its strict upper triangle, each row
+    grown as the outward cumulative sum of the half-pair sums as in
+    ``_kernel_rows``, is powered and mirrored, so it is exactly
+    symmetric.  Off the diagonal the mass is ``a_i + b_j``, with ``a``
+    summing outward from the end of I (the gap to J included) and ``b``
+    from the start of J, so only additions are used.  Such a block is
+    dense once no side exceeds a leaf, and otherwise kept as
+    ``_low_rank`` gives it, where that succeeds.  Up to K = 5 (96
+    cells) the factor is one leaf, equal to the axis's
+    ``kernel_matrix`` bit for bit.  Refuses with ``KernelBudgetError``
+    when the blocks kept so far and the next one would take more than
+    ``KERNEL_MATRIX_BUDGET`` bytes, before a dense block is allocated.
     """
     C = len(masses)
-    bounds = [(b0, min(b0 + FACTOR_ROWS, C))
-              for b0 in range(0, C, FACTOR_ROWS)]
-    nbytes = 8 * sum((b1 - b0) * (C - b0) for b0, b1 in bounds)
-    if nbytes > KERNEL_MATRIX_BUDGET:
-        raise KernelBudgetError(
-            f"the kernel factor of {C} cells needs {nbytes} bytes, over "
-            f"the budget of {KERNEL_MATRIX_BUDGET} bytes")
     h = (masses[:-1] + masses[1:]) / 2
-    strips = []
-    for b0, b1 in bounds:
-        S = np.zeros((b1 - b0, C - b0))
-        # entry (i, k) of the block is F[b0 + i, b0 + 1 + k]
-        blk = S[:, 1:]
-        upper = np.arange(C - 1 - b0) >= np.arange(b1 - b0)[:, None]
-        np.copyto(blk, h[b0:], where=upper)
-        np.cumsum(blk, axis=1, out=blk)
-        np.power(blk, expo, out=blk, where=blk > 0)
-        diag = S[:, :b1 - b0]
-        diag += diag.T  # one of each mirrored pair is still 0
-        strips.append(S)
-    return strips
+    blocks, held, todo = [], 0, [(0, C, 0, C)]
+
+    def keep(I, J, nbytes, make):
+        nonlocal held
+        held += nbytes
+        if held > KERNEL_MATRIX_BUDGET:
+            raise KernelBudgetError(
+                f"the kernel factor of {C} cells needs at least {held} "
+                f"bytes, over the budget of {KERNEL_MATRIX_BUDGET} bytes")
+        U, V = make()
+        if V is None:  # masses, powered here; a leaf's upper half mirrored
+            U = _neg_power(U + U.T if I == J else U, expo)
+        blocks.append((I, J, U, V))
+
+    while todo:  # depth first, upper left first
+        i0, i1, j0, j1 = todo.pop()
+        I, J, off = slice(i0, i1), slice(j0, j1), i0 < j0
+        # off the diagonal, the mass of (i0 + i, j0 + j) is a[i] + b[j]
+        a = np.cumsum(h[i0:i1][::-1])[::-1] + h[i1:j0].sum()
+        b = np.r_[0.0, np.cumsum(h[j0:j1 - 1])]
+        if not off and i1 - i0 <= LEAF_CELLS:
+            # row i sums h[i0 + i:] from column i + 1 on, as in _kernel_rows
+            g = np.broadcast_to(np.r_[0.0, h[i0:i1 - 1]], (i1 - i0,) * 2)
+            keep(I, J, g.nbytes, lambda: (np.triu(g, 1).cumsum(1), None))
+        elif off and max(a.size, b.size) <= LEAF_CELLS:
+            keep(I, J, a.nbytes * b.size, lambda: (a[:, None] + b, None))
+        elif off and a[-1] > 0 and (UV := _low_rank(a, b, expo)) is not None:
+            keep(I, J, UV[0].nbytes + UV[1].nbytes, lambda: UV)
+        else:
+            im, jm = (i0 + i1) // 2, (j0 + j1) // 2
+            todo += [(p, q, s, t) for p, q in ((im, i1), (i0, im))
+                     for s, t in ((jm, j1), (j0, jm)) if p <= s]
+    return blocks
 
 
-def _strip_product(strips: list[np.ndarray], arr: np.ndarray,
-                   ax: int) -> np.ndarray:
-    """The mode product of the factor stored as ``strips`` with ``arr``.
+def _factor_product(blocks: list[tuple], arr: np.ndarray,
+                    ax: int) -> np.ndarray:
+    """The mode product of the factor stored as ``blocks`` with ``arr``.
 
-    With the axis in front and the rest flattened, strip ``S`` of rows
-    b0:b1 adds ``S @ v[b0:]`` to rows b0:b1 and, as the factor's lower
-    half, its transpose beyond the diagonal block to rows b1 on.  The
-    sum starts from zeros, and 0 + x is x, so the first strip's terms
-    land unchanged.  Both products take views, so no strip is copied.
+    With the axis in front and the rest flattened, each block off the
+    diagonal adds ``U (V^T v[J])`` to rows I and ``V (U^T v[I])`` to
+    rows J (``U v[J]`` and ``U^T v[I]`` for a dense one), so the factor
+    applied is exactly symmetric; a leaf adds ``U v[I]``.
     """
-    v = np.moveaxis(arr, ax, 0)
+    # one copy with the axis in front, so every block reads whole rows
+    v = np.ascontiguousarray(np.moveaxis(arr, ax, 0))
     shape = v.shape
     v = v.reshape(shape[0], -1)
     out = np.zeros_like(v)
-    b0 = 0
-    for S in strips:
-        b1 = b0 + len(S)
-        out[b0:b1] += S @ v[b0:]
-        out[b1:] += S[:, b1 - b0:].T @ v[b0:b1]
-        b0 = b1
+    for I, J, U, V in blocks:
+        if V is None:
+            out[I] += U @ v[J]
+            if I != J:
+                out[J] += U.T @ v[I]
+        else:
+            out[I] += U @ (V.T @ v[J])
+            out[J] += V @ (U.T @ v[I])
     return np.moveaxis(out.reshape(shape), 0, ax)
 
 
@@ -604,6 +685,9 @@ class FormPlan:
     ``excluded_pairs`` the kernel form's pairs that share a coordinate.
     ``kernel`` holds the ``RectKernel.hls`` coefficients of the forms
     that sum over the standard family, and is None for the others.
+    ``factor`` describes the kernel form's per-axis factors together:
+    their bytes, largest rank and counts of low-rank and dense blocks;
+    it is None for the other forms and for a weight without factors.
     """
 
     forward: Callable[[np.ndarray], np.ndarray]
@@ -611,6 +695,7 @@ class FormPlan:
     skipped_terms: int
     excluded_pairs: int = 0
     kernel: RectKernel | None = None
+    factor: dict | None = None
 
 
 def _window_plan(mu: Weight, expo: float, family) -> FormPlan:
@@ -633,10 +718,10 @@ def _window_plan(mu: Weight, expo: float, family) -> FormPlan:
 def _kernel_plan(mu: Weight, alpha: float, expo: float) -> FormPlan:
     """The kernel form, by Kronecker factors when the weight has them.
 
-    Each factor is kept as the upper-triangle strips of
-    ``kernel_factor`` and applied by ``_strip_product``, one mode
-    product per axis; the factors are symmetric, so the forward map is
-    its own adjoint.  Counts come without a pass over a factor: the
+    Each factor is kept as the HODLR blocks of ``kernel_factor`` and
+    applied by ``_factor_product``, one mode product per axis; the
+    factors are symmetric, so the forward map is its own adjoint.
+    Counts come without a pass over a factor: the
     excluded pairs by their closed form, and, per axis, the centres
     i < j whose interval mass is 0 -- those with no positive half-pair
     sum between them, where the running count of positive ones ties at
@@ -660,11 +745,16 @@ def _kernel_plan(mu: Weight, alpha: float, expo: float) -> FormPlan:
 
     def forward(fv):
         out = fv * cm
-        for ax, strips in enumerate(factors):
-            out = _strip_product(strips, out, ax)
+        for ax, blocks in enumerate(factors):
+            out = _factor_product(blocks, out, ax)
         return out
 
-    return FormPlan(forward, forward, skipped, excluded)
+    ranks = [V.shape[1] for f in factors for *_, V in f if V is not None]
+    factor = {"bytes": sum(x.nbytes for f in factors for blk in f
+                           for x in blk[2:] if x is not None),
+              "max_rank": max(ranks, default=0), "low_rank_blocks": len(ranks),
+              "dense_blocks": sum(map(len, factors)) - len(ranks)}
+    return FormPlan(forward, forward, skipped, excluded, factor=factor)
 
 
 def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:

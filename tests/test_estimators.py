@@ -258,11 +258,19 @@ class TestOperatorNormLower:
     def test_params_have_one_shape(self, cascade_square, form):
         est = operator_norm_lower(cascade_square, 0.5, 4 / 3, 2.0, form,
                                   max_sweeps=7)
-        assert set(est.params) == {"form", "alpha", "p", "q", "depth", "c2",
-                                   "tol", "max_sweeps"}
+        assert set(est.params) == {"form", "alpha", "p", "q", "factor",
+                                   "depth", "c2", "tol", "max_sweeps"}
         assert est.params["form"] == form
         assert est.params["max_sweeps"] == 7
         assert isinstance(est.params["c2"], float)
+        if form == "kernel":
+            # at this depth each axis's factor is one dense leaf
+            C = cascade_square.config.axis_cells
+            assert est.params["factor"] == {
+                "bytes": 2 * 8 * C * C, "max_rank": 0, "low_rank_blocks": 0,
+                "dense_blocks": 2}
+        else:
+            assert est.params["factor"] is None
 
     def test_one_forward_and_one_adjoint_per_sweep(self, cascade_square,
                                                    monkeypatch):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectfrac import (DegeneratePairError, DyadicCube, ExponentConfig,
                       ExponentError, GridConfig, GridFunction, ProductRect,
@@ -693,17 +695,20 @@ def _factored_weight(kind, dims, depth):
     return gen_power(cfg, (6,), centers=(0.5,))
 
 
-def _assembled(strips):
-    """The full factor from its upper-triangle strips."""
-    C = strips[0].shape[1]
-    F = np.empty((C, C))
-    b0 = 0
-    for S in strips:
-        b1 = b0 + len(S)
-        F[b0:b1, b0:] = S
-        F[b1:, b0:b1] = S[:, b1 - b0:].T
-        b0 = b1
+def _assembled(blocks, cells):
+    """The full factor: its HODLR blocks and, off the diagonal, mirrors."""
+    F = np.zeros((cells, cells))
+    for I, J, U, V in blocks:
+        B = U if V is None else U @ V.T
+        F[I, J] += B
+        if I != J:
+            F[J, I] += B.T
     return F
+
+
+def _factor_bytes(blocks):
+    return sum(x.nbytes for *_, U, V in blocks for x in (U, V)
+               if x is not None)
 
 
 THREAD_RUN = """
@@ -721,13 +726,29 @@ for dims, depth in (((1,), 8), ((1, 1), 4), ((1, 1, 1), 3)):
 """
 
 
-def _thread_run(threads):
-    """Kernel bounds from a fresh process with ``threads`` BLAS threads."""
+CAPACITY_RUN = """
+from rectfrac import (ExponentConfig, GridConfig, gen_cascade,
+                      operator_norm_lower)
+w = gen_cascade(GridConfig((1,), 12), 2.0, 1)
+ec = ExponentConfig.hls(0.5, 4 / 3, 1)
+est = operator_norm_lower(w, ec.alpha, ec.p, ec.q, "kernel", tol=0,
+                          max_sweeps=20)
+assert est.sweeps == 20 and est.value > 0
+# the peak of this process's own memory: ru_maxrss would count the
+# memory of the process that started it, which exec carries over
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")))
+"""
+
+
+def _thread_run(threads, script=THREAD_RUN):
+    """``script``'s output from a fresh process with ``threads`` BLAS threads."""
     src = str(Path(rectfrac.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", THREAD_RUN], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -757,14 +778,23 @@ class TestKernelFactors:
 
     def test_factors_and_dense_matrix_exactly_symmetric(self):
         power = gen_power(GridConfig((1,), 10), (6,), centers=(0.5,))
-        strips = kernel_factor(power.cell_masses, -0.5)
-        F = _assembled(strips)
-        # at N = 1 the factor is the dense matrix of the same weight
-        assert np.array_equal(F, kernel_matrix(power, 0.5))
-        for S in strips:
-            diag = S[:, :len(S)]
-            assert np.array_equal(diag, diag.T)
+        blocks = kernel_factor(power.cell_masses, -0.5)
+        # every pair is stored once: symmetric leaves on the diagonal,
+        # whole blocks above it, some of them compressed
+        for I, J, U, V in blocks:
+            assert (I == J and np.array_equal(U, U.T)) or I.stop <= J.start
+        assert any(V is not None for *_, V in blocks)
+        F = _assembled(blocks, power.config.axis_cells)
+        assert np.array_equal(F, F.T)
         assert not F.diagonal().any()
+        # at N = 1 the factor is the dense matrix of the same weight,
+        # entry by entry, and bit for bit where it is one leaf
+        np.testing.assert_allclose(F, kernel_matrix(power, 0.5), rtol=1e-12,
+                                   atol=0)
+        power = gen_power(GridConfig((1,), 5), (6,), centers=(0.5,))
+        assert np.array_equal(
+            _assembled(kernel_factor(power.cell_masses, -0.5), 96),
+            kernel_matrix(power, 0.5))
         for cfg in (GridConfig((1,), 6), GridConfig((1, 1), 3)):
             A = kernel_matrix(gen_cascade(cfg, 2.0, 5), 0.5)
             assert np.array_equal(A, A.T)
@@ -781,6 +811,54 @@ class TestKernelFactors:
         assert a.value == pytest.approx(b.value, rel=1e-12)
         assert (a.sweeps, a.converged) == (b.sweeps, b.converged)
 
+    @pytest.mark.parametrize("kind", ["cascade", "cascade4", "power12"])
+    @pytest.mark.parametrize("dims,depth,leaf", [
+        ((1,), 3, 6), ((1,), 4, 6), ((1, 1), 3, 6), ((1, 1), 4, 6),
+        ((2, 1), 2, 3)])
+    def test_compressed_blocks_against_dense(self, kind, dims, depth, leaf,
+                                             monkeypatch):
+        # with small leaves the tier-1 sizes have low-rank blocks; at
+        # (2, 1), where the dense matrix fits only to K = 2, leaves of 6
+        # would leave every block dense
+        cfg = GridConfig(dims, depth)
+        w = {"cascade": lambda: gen_cascade(cfg, 2.0, 3),
+             "cascade4": lambda: gen_cascade(cfg, 4.0, 3),
+             "power12": lambda: gen_power(cfg, (12,) * cfg.total_dim)}[kind]()
+        f = random_function(cfg, np.random.default_rng(depth))
+        dense = dense_kernel_form(w, 0.5, f)
+        _no_dense_matrix(monkeypatch)
+        monkeypatch.setattr(operators, "LEAF_CELLS", leaf)
+        op = plan(w, 0.5, "kernel")
+        assert op.factor["low_rank_blocks"] > 0
+        np.testing.assert_allclose(op.forward(f.values), dense, rtol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(depth=st.integers(3, 5), alpha=st.sampled_from([0.25, 0.5, 0.75]),
+           data=st.data())
+    def test_apply_accurate_over_twelve_decades(self, depth, alpha, data):
+        # cell masses 10**-12 to 1 in any order; on nonnegative input
+        # each entry of the apply is within 1e-12 of the dense product
+        cfg = GridConfig((1,), depth)
+        C = cfg.axis_cells
+        decades = data.draw(st.lists(st.floats(-12, 0), min_size=C,
+                                     max_size=C))
+        density = 10.0 ** np.array(decades) * C
+        w = Weight(cfg, density, factors=[density])
+        fv = np.array(data.draw(st.lists(st.floats(0, 1), min_size=C,
+                                         max_size=C)))
+        want = dense_kernel_form(w, alpha, GridFunction(cfg, fv))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "LEAF_CELLS", 6)
+            got = plan(w, alpha, "kernel").forward(fv)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="reads the peak memory from /proc")
+    def test_depth_twelve_bound_under_100_mb(self):
+        # the 20-sweep (1,) K=12 bound took 619 MB with the factor's
+        # upper triangle stored in full; VmHWM is in KiB
+        assert int(_thread_run(1, CAPACITY_RUN)) < 100 * 1024
+
     def test_kernel_form_beyond_dense_reach(self, monkeypatch):
         # 147456 cells: a dense matrix would take 174 GB
         w = gen_cascade(GridConfig((1, 1), 7), 2.0, 1)
@@ -792,10 +870,11 @@ class TestKernelFactors:
 class TestKernelMatrixBudget:
     def test_refuses_before_allocating(self, monkeypatch):
         w = gen_cascade(GridConfig((1, 1), 2), 2.0, 3)  # 144 cells, 165888 B
-        masses = w.cell_masses.ravel()  # one axis of 144 cells: 149504 B
+        masses = w.cell_masses.ravel()  # one axis of 144 cells
         monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", 1000)
+        # the factor's first block is the leaf of cells 0-71: 41472 B
         for build, nbytes in ((lambda: kernel_matrix(w, 0.5), 165888),
-                              (lambda: kernel_factor(masses, -0.75), 149504)):
+                              (lambda: kernel_factor(masses, -0.75), 41472)):
             tracemalloc.start()
             try:
                 with pytest.raises(KernelBudgetError,
@@ -822,18 +901,23 @@ class TestKernelMatrixBudget:
 
     @pytest.mark.parametrize("cells", [1, 127, 128, 129, 144, 300])
     def test_factor_states_its_strip_bytes(self, cells, monkeypatch):
+        # the running count crosses a budget one byte short at the last
+        # block, so the refusal states the factor's bytes
         masses = np.random.default_rng(cells).random(cells)
-        nbytes = sum(S.nbytes for S in kernel_factor(masses, -0.5))
+        nbytes = _factor_bytes(kernel_factor(masses, -0.5))
         monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", nbytes - 1)
-        with pytest.raises(KernelBudgetError, match=f"needs {nbytes} bytes"):
+        with pytest.raises(KernelBudgetError,
+                           match=f"needs at least {nbytes} bytes"):
             kernel_factor(masses, -0.5)
 
     def test_depth_twelve_factor_within_budget(self, monkeypatch):
         masses = np.full(3 << 12, 1 / (3 << 12))  # one axis at K = 12
-        nbytes = 610271232  # the upper-triangle strips; the full F: 1.21 GB
-        assert nbytes <= operators.KERNEL_MATRIX_BUDGET
+        nbytes = _factor_bytes(kernel_factor(masses, -0.5))
+        # the upper-triangle strips took 610271232 B, the full F 1.21 GB
+        assert nbytes < 40_000_000
         monkeypatch.setattr(operators, "KERNEL_MATRIX_BUDGET", nbytes - 1)
-        with pytest.raises(KernelBudgetError, match=f"needs {nbytes} bytes"):
+        with pytest.raises(KernelBudgetError,
+                           match=f"needs at least {nbytes} bytes"):
             kernel_factor(masses, -0.5)
 
     def test_unfactored_depth_six_refused(self, monkeypatch):
