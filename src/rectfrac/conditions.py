@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import DyadicCube, cube_to_json, rect_to_json, standard_rect
-from .operators import ExponentError, RectKernel, _neg_power, _powers, \
-    check_mlinear_exponents, level_combos
+from .operators import ExponentError, RectKernel, _check_pq, _neg_power, \
+    _powers, check_mlinear_exponents, level_combos
 from .weights import Weight, _sum_blocks
 
 
@@ -215,8 +215,7 @@ def _condition_d(w: Weight, eps: float, gamma: float) -> ConstantReport:
 
 def _carleson_scan(w: Weight, p: float, q: float) -> ConstantReport:
     """``carleson_testing_constant`` without its tail bound."""
-    if not (1.0 < p < q < math.inf):
-        raise ExponentError(f"need 1 < p < q < inf, got p={p}, q={q}")
+    _check_pq(p, q)
     return _descendant_power_scan(w, q / p, "carleson_testing",
                                   {"p": float(p), "q": float(q)})
 

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import _carleson_scan, fp_constant
-from .grids import GridConfig, rect_from_json
+from .grids import rect_from_json
 from .operators import (ExponentConfig, RectKernel, _check_same_grid,
                         _paired, _powers, _spread, _terms, _upsample,
                         check_mlinear_exponents, level_combos, plan)
@@ -385,13 +385,12 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
             return operator_norm_lower(ws[0], ec.alpha, ec.p, ec.q, form,
                                        warm_start=warm, **opts)
     elif task == "embed":
-        # tables ignore the depth, so the deepest kernel serves every row
-        kern = RectKernel.random_uniform(
-            GridConfig(base_weights[0].config.dims, depths[-1]), kernel_seed)
-
+        # a table ignores the depth, so each row's draw holds the tables
+        # of the deeper rows' draws on its levels
         def bound(ws, warm):
-            return embed_norm_lower(kern.restrict(ws[0].config), ws,
-                                    exponents, warm_start=warm, **opts)
+            kern = RectKernel.random_uniform(ws[0].config, kernel_seed)
+            return embed_norm_lower(kern, ws, exponents, warm_start=warm,
+                                    **opts)
     else:
         def bound(ws, warm):
             return carleson_norm_lower(ws[0], p, q, warm_start=warm, **opts)

@@ -13,7 +13,11 @@ containment and distance decisions are exact integer comparisons.  The
 one construction that may descend below level K+1, the minimal cube of
 a nearly coincident point pair, stops by level K+3 and counts in
 quarters of the unit, where cubes down to that level have integer
-corners too.
+corners too.  One loop, ``_minimal_shifts``, finds minimal cubes on
+whole arrays of pairs; ``minimal_cube`` is its one-pair call, and
+``product_minimal``, ``triple_depths`` and ``product_minimal_boxes``
+read it too.  One rule, ``_shift_vector``, reads a family's shift
+vector for ``enumerate_rects`` and ``operators.plan``.
 
 The combined per-axis index ``c = 3*m + s`` makes the split algebra
 uniform: the two halves of ``c`` along an axis are ``2*c`` and
@@ -279,17 +283,8 @@ def minimal_cube(config: GridConfig, u: tuple[int, ...],
                  v: tuple[int, ...]) -> DyadicCube:
     """Smallest standard dyadic cube containing u whose triple contains v.
 
-    Counted in quarters of the global unit, a level-k cube has side
-    ``3 * 2**s`` with ``s = depth + 3 - k``.  With ``U = 4*u // 3`` per
-    axis, the level-k cube containing u has index ``U >> s`` (nested
-    floor division), and its triple holds v exactly when
-    ``|(U >> s) - (V >> s)| <= 1`` on every axis.  The predicate is
-    monotone in s (halving keeps neighbours within one) and holds at
-    ``s = depth + 3``, level 0, so the minimal cube has level
-    ``depth + 3 - s`` and index ``U >> s`` at the least passing s >= 0.
-    No pair of distinct lattice points needs more: at level depth + 4
-    the side is 3/8 of a unit, so the triple cannot reach a point one
-    unit away.  The level therefore never exceeds depth + 3.
+    The one-pair call of ``_minimal_shifts``, with every axis in one
+    group: the cube has level ``depth + 3 - s`` and index ``U >> s``.
     """
     d = len(u)
     if len(v) != d:
@@ -299,27 +294,34 @@ def minimal_cube(config: GridConfig, u: tuple[int, ...],
         raise ValueError("coordinates must lie inside [0,1)^d")
     if tuple(u) == tuple(v):
         raise DegeneratePairError("minimal cube of coincident points")
-    U = [4 * c // 3 for c in u]
-    s = 0
-    for a, c in zip(U, v):
-        b = 4 * c // 3
-        while abs((a >> s) - (b >> s)) > 1:
-            s += 1
-    return DyadicCube(config.depth + 3 - s, tuple(a >> s for a in U))
+    U, s = _minimal_shifts(config.depth, [range(d)], [u], [v])
+    return DyadicCube(config.depth + 3 - int(s[0, 0]), (U >> s)[0].tolist())
 
 
-def _minimal_shifts(config: GridConfig, X, Y):
-    """``U = 4*X // 3`` and, per pair and axis, minimal_cube's least s.
+def _minimal_shifts(depth: int, axes, X, Y):
+    """``U = 4*X // 3`` and, per pair and axis, the minimal cube's shift s.
 
-    Runs ``minimal_cube``'s predicate on the whole ``(P, N)`` arrays:
-    per factor, s grows from 0 while some axis of the factor fails it,
-    so every axis of a factor carries the factor's s.
+    ``X`` and ``Y`` are ``(P, N)`` integer arrays of points in global
+    units, and ``axes`` the ranges of axes (factors) that each get one
+    cube.  Counted in quarters of the global unit, a level-k cube has
+    side ``3 * 2**s`` with ``s = depth + 3 - k``.  The level-k cube
+    containing x has index ``U >> s`` per axis (nested floor division),
+    and its triple holds y exactly when ``|(U >> s) - (V >> s)| <= 1``
+    on every axis of the group, with ``V = 4*Y // 3``.  The predicate
+    is monotone in s (halving keeps neighbours within one) and holds at
+    ``s = depth + 3``, level 0, so the minimal cube has level
+    ``depth + 3 - s`` and index ``U >> s`` at the least passing s >= 0.
+    No pair of distinct lattice points needs more: at level depth + 4
+    the side is 3/8 of a unit, so the triple cannot reach a point one
+    unit away.  The level therefore never exceeds depth + 3.  Per
+    group, s grows from 0 while some axis of the group fails, so every
+    axis of a group carries the group's least passing s.
     """
     U = 4 * np.asarray(X, dtype=np.int64) // 3
     V = 4 * np.asarray(Y, dtype=np.int64) // 3
     s = np.zeros_like(U)
-    axes = [list(config.factor_axes(i)) for i in range(config.n_factors)]
-    for _ in range(config.depth + 3):  # s = depth + 3, level 0, passes
+    axes = [slice(ax.start, ax.stop) for ax in axes]  # views, not copies
+    for _ in range(depth + 3):  # s = depth + 3, level 0, passes
         fails = np.abs((U >> s) - (V >> s)) > 1
         for ax in axes:
             s[:, ax] += fails[:, ax].any(axis=1, keepdims=True)
@@ -343,16 +345,20 @@ def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
     X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != N or Y.shape != X.shape:
         raise ValueError(f"points must be (P, {N}) arrays of equal shape")
-    units = config.axis_units
-    if ((X < 0) | (X >= units) | (Y < 0) | (Y >= units)).any():
-        raise ValueError("points must lie inside [0,1)^N")
-    for i in range(config.n_factors):
-        ax = list(config.factor_axes(i))
+    _check_inside(config, X, Y)
+    axes = [config.factor_axes(i) for i in range(config.n_factors)]
+    for i, ax in enumerate(axes):
         if (X[:, ax] == Y[:, ax]).all(axis=1).any():
             raise DegeneratePairError(f"points coincide in factor {i}")
-    firsts = [config.factor_axes(i)[0] for i in range(config.n_factors)]
-    s = _minimal_shifts(config, X, Y)[1][:, firsts]
+    s = _minimal_shifts(K, axes, X, Y)[1][:, [ax[0] for ax in axes]]
     return np.minimum(K + 3 - s, K + 1)
+
+
+def _check_inside(config: GridConfig, *points) -> None:
+    """Refuse points, in global units, outside [0,1)^N."""
+    for P in map(np.asarray, points):
+        if ((P < 0) | (P >= config.axis_units)).any():
+            raise ValueError("points must lie inside [0,1)^N")
 
 
 def min_rect(x: tuple[int, ...], y: tuple[int, ...]) -> Box:
@@ -391,7 +397,8 @@ def product_minimal_boxes(config: GridConfig, X, Y):
     the cube's lower corner is ``3 * (U >> s) << s`` and its side
     ``3 << s``.
     """
-    U, s = _minimal_shifts(config, X, Y)
+    axes = [config.factor_axes(i) for i in range(config.n_factors)]
+    U, s = _minimal_shifts(config.depth, axes, X, Y)
     lo = (U >> s) * 3 << s
     return lo, lo + (3 << s)
 
@@ -434,6 +441,14 @@ def axis_index_range(level: int, s: int) -> range:
     return range(0, top + 1)
 
 
+def _shift_vector(tau, n: int) -> tuple[int, ...]:
+    """A family's per-axis shifts over {-1, 0, +1}; None is the standard one."""
+    tau = (0,) * n if tau is None else tuple(int(t) for t in tau)
+    if len(tau) != n or any(t not in (-1, 0, 1) for t in tau):
+        raise ValueError("tau must assign -1, 0 or +1 per axis")
+    return tau
+
+
 def enumerate_rects(config: GridConfig,
                     tau: tuple[int, ...] | None = None) -> Iterator[ProductRect]:
     """All product cubes with factor levels 0..depth meeting the domain.
@@ -445,15 +460,7 @@ def enumerate_rects(config: GridConfig,
     with the last axis fastest.
     """
     n = config.n_factors
-    if tau is None:
-        tau = (0,) * config.total_dim
-    else:
-        tau = tuple(int(t) for t in tau)
-        if len(tau) != config.total_dim:
-            raise ValueError("tau must have one entry per axis")
-        if any(t not in (-1, 0, 1) for t in tau):
-            raise ValueError("tau entries must be -1, 0 or +1")
-    tau_by_factor = config.split_axes(tau)
+    tau_by_factor = config.split_axes(_shift_vector(tau, config.total_dim))
     for levels in itertools.product(range(config.depth + 1), repeat=n):
         ranges = []
         for i, k in enumerate(levels):

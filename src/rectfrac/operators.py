@@ -68,6 +68,12 @@ cell at a time (``_kernel_rows``), powered on its upper triangle and
 mirrored, so it is exactly symmetric.  Either is refused before it is
 allocated past ``KERNEL_MATRIX_BUDGET`` bytes.
 
+The closed kernel of one pair (``pair_kernel``) refuses points outside
+[0,1)^N with ``kernel_sum``'s check, ``grids._check_inside``.  The
+exponent regime is checked once per rule: 0 < alpha < N by
+``_hls_exponent`` and 1 < p < q < inf by ``_check_pq``, for
+``ExponentConfig`` and ``conditions._carleson_scan`` alike.
+
 Masses and integrals are formed by additions only, so a mass raised
 to the negative power alpha/N - 1 keeps its relative accuracy.
 Everything is a pure function of immutable inputs; outputs are
@@ -83,8 +89,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (GridConfig, ProductRect, min_rect, standard_rect,
-                    triple_depths)
+from .grids import (GridConfig, ProductRect, _check_inside, _shift_vector,
+                    min_rect, standard_rect, triple_depths)
 from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 
 EXPONENT_TOL = 1e-12
@@ -117,11 +123,8 @@ class ExponentConfig:
 
     def __post_init__(self):
         N = self.total_dim
-        if not 0.0 < self.alpha < N:
-            raise ExponentError(f"alpha must lie in (0, {N}), got {self.alpha}")
-        if not (1.0 < self.p < self.q < math.inf):
-            raise ExponentError(
-                f"need 1 < p < q < inf, got p={self.p}, q={self.q}")
+        _hls_exponent(self.alpha, N)
+        _check_pq(self.p, self.q)
         gap = abs(1.0 / self.q - (1.0 / self.p - self.alpha / N))
         if gap > EXPONENT_TOL:
             raise ExponentError(
@@ -161,6 +164,12 @@ def check_mlinear_exponents(ps) -> tuple[float, ...]:
         raise ExponentError(
             f"exponents must satisfy sum(1/p_k) >= 1, got {total}")
     return ps
+
+
+def _check_pq(p: float, q: float) -> None:
+    """Refuse exponents outside 1 < p < q < inf."""
+    if not (1.0 < p < q < math.inf):
+        raise ExponentError(f"need 1 < p < q < inf, got p={p}, q={q}")
 
 
 def _hls_exponent(alpha: float, total_dim: int) -> float:
@@ -341,7 +350,8 @@ class RectKernel:
         The table of each level combination is one draw from its own
         PCG64 stream, ``SeedSequence(seed % 2**64, spawn_key=levels)``,
         so a table depends on the seed, the levels and the dims but not
-        on the depth: nested truncated families see consistent kernels.
+        on the depth: nested truncated families see consistent kernels,
+        and a draw at each depth gives the tables a deeper draw holds.
         Seeds lie in ``[-2**63, 2**63)``; any other is refused.
         """
         seed = int(seed)
@@ -354,18 +364,6 @@ class RectKernel:
             stream = np.random.SeedSequence(seed % 2 ** 64, spawn_key=levels)
             tables[levels] = np.random.default_rng(stream).random(shape)
         return cls(config, tables)
-
-    def restrict(self, config: GridConfig) -> "RectKernel":
-        """The same kernel on the family of a shallower ``config``.
-
-        Meaningful for kernels keyed by rectangle identity
-        (``random_uniform``, ``indicator``), whose values do not depend
-        on the depth.
-        """
-        if config.dims != self.config.dims or config.depth > self.config.depth:
-            raise ValueError("can only restrict to a shallower family")
-        return RectKernel(config, {lv: self.tables[lv]
-                                   for lv in level_combos(config)})
 
 
 def mlinear_form(kernel, sigmas, fs) -> float:
@@ -774,9 +772,7 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
     N = mu.config.total_dim
     expo = _hls_exponent(alpha, N)
     if form == "dyadic":
-        tau = (0,) * N if tau is None else tuple(int(t) for t in tau)
-        if len(tau) != N or any(t not in (-1, 0, 1) for t in tau):
-            raise ValueError("tau must assign -1, 0 or +1 per axis")
+        tau = _shift_vector(tau, N)
     elif tau is not None:
         raise ValueError("only the dyadic form takes a shift tau")
     if form == "kernel":
@@ -835,8 +831,12 @@ def kernel_sum(mu: Weight, alpha: float, x, y) -> float:
 
 
 def pair_kernel(mu: Weight, alpha: float, x, y) -> float:
-    """The closed kernel mu(R(x,y))**(alpha/N - 1); +inf on zero mass."""
+    """The closed kernel mu(R(x,y))**(alpha/N - 1); +inf on zero mass.
+
+    Points outside [0,1)^N are refused as ``kernel_sum`` refuses them.
+    """
     expo = _hls_exponent(alpha, mu.config.total_dim)
+    _check_inside(mu.config, x, y)
     m = mu.mass(min_rect(tuple(x), tuple(y)))
     if m <= 0.0:
         return math.inf

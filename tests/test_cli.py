@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rectfrac
-from rectfrac import cli
+from rectfrac import GridConfig, cli, gen_power
 from rectfrac.cli import build_parser, main
 from rectfrac.weights import load_weight
 
@@ -101,6 +101,28 @@ class TestGenWeight:
                     "--depth", "3", "--out", out])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_power_density_and_factors(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run(["gen-weight", "--kind", "power", "--dims", "1,1",
+                    "--exponents", "2,2", "--centers", "0.5,0.5",
+                    "--depth", "4", "--out", out]) == 0
+        w = load_weight(out)
+        ref = gen_power(GridConfig((1, 1), 4), (2, 2), centers=(0.5, 0.5))
+        assert w.density.tobytes() == ref.density.tobytes()
+        assert len(w.factors) == len(ref.factors) == 2
+        for a, b in zip(w.factors, ref.factors):
+            assert a.tobytes() == b.tobytes()
+
+    def test_power_needs_one_center_per_axis(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        capsys.readouterr()
+        assert run(["gen-weight", "--kind", "power", "--dims", "1,1",
+                    "--exponents", "2,2", "--centers", "0.5",
+                    "--depth", "4", "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: need one center per axis"]
         assert not out.exists()
 
 

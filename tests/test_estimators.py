@@ -14,7 +14,7 @@ from rectfrac import (ConstantReport, DyadicCube, ExponentConfig,
                       embed_norm_lower, estimators, fp_constant, gen_cascade,
                       gen_uniform, lp_norm, mlinear_form, operator_norm_lower,
                       rows_to_csv)
-from rectfrac.grids import rect_to_json
+from rectfrac.grids import rect_from_json, rect_to_json
 from rectfrac.operators import _upsample
 from rectfrac.weights import gen_power
 
@@ -201,6 +201,26 @@ class TestOperatorNormLower:
         if start == "restart":
             half = len(est.history) // 2
             assert est.history == est.history[:half] * 2
+
+    def test_zero_start_restarts_from_the_witness(self, cascade_square):
+        # a zero warm start ends the first run at once, with history [0.0]
+        mu, cfg = cascade_square, cascade_square.config
+        zero = GridFunction(cfg, np.zeros(mu.density.shape))
+        est = operator_norm_lower(mu, 0.5, 4 / 3, 2.0, "dyadic",
+                                  warm_start=(zero, zero))
+        ec = ExponentConfig.hls(0.5, 4 / 3, cfg.total_dim)  # q = 2
+        c2 = fp_constant(RectKernel.hls(mu, ec.alpha), (mu, mu),
+                         (ec.p, ec.q_conj))
+        assert est.params["c2"] == c2.value > 0
+        ind = GridFunction.indicator(cfg, rect_from_json(c2.witness["rect"]))
+        ref = operator_norm_lower(mu, 0.5, 4 / 3, 2.0, "dyadic",
+                                  warm_start=(ind, ind))
+        assert est.history[0] == 0.0
+        assert est.history[1:] == ref.history
+        assert est.value == ref.value
+        assert est.sweeps == ref.sweeps
+        for a, b in zip(est.maximizers, ref.maximizers, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("form", FORMS)
     def test_no_embedding_call(self, cascade_square, monkeypatch, form):
@@ -477,20 +497,21 @@ class TestDepthSweep:
                 c2 = carleson_testing_constant(wk, 2.0, 4.0)
             assert r.c2 == c2.value
 
-    def test_embed_hashes_kernel_once(self, cascade_square, monkeypatch):
-        hashed = []
+    def test_embed_draws_each_row_at_its_depth(self, cascade_square,
+                                               monkeypatch):
+        drawn = []
         random_uniform = RectKernel.random_uniform
 
         def counted(cfg, seed):
-            hashed.append(cfg)
+            drawn.append((cfg, seed))
             return random_uniform(cfg, seed)
 
         monkeypatch.setattr(RectKernel, "random_uniform", counted)
         w = cascade_square
         rows = depth_sweep("embed", (1, 2, 3), weights=(w, w), kernel_seed=7,
                            max_sweeps=3)
-        assert hashed == [GridConfig(w.config.dims, 3)]
-        assert len(rows) == 3
+        assert drawn == [(GridConfig(w.config.dims, K), 7) for K in (1, 2, 3)]
+        assert [r.depth for r in rows] == [1, 2, 3]
 
     def test_depth_beyond_weight_rejected(self, cascade_square):
         with pytest.raises(ValueError, match="depth"):

@@ -329,17 +329,19 @@ class TestProductMinimal:
         keep = (X != Y).all(axis=1)
         X, Y = X[keep], Y[keep]
         lo, hi = product_minimal_boxes(cfg, X, Y)
-        # the same shift loop gives the levels, capped at depth + 1
+        # the same shift loop gives the levels, capped at depth + 1; the
+        # oracle scans every cube with its own arithmetic
         depths = triple_depths(cfg, X, Y)
         levels = set()
         for x, y, a, b, k in zip(X.tolist(), Y.tolist(), lo.tolist(),
                                  hi.tolist(), depths.tolist()):
-            rect = product_minimal(cfg, tuple(x), tuple(y))
-            levels.update(rect.levels)
-            box = rect_box(cfg, rect)
+            cubes = [minimal_cube_exhaustive(cfg, u, v) for u, v in
+                     zip(cfg.split_axes(x), cfg.split_axes(y))]
+            levels.update(q.level for q in cubes)
+            box = rect_box(cfg, ProductRect(tuple(cubes)))
             assert [Fraction(c, 4) for c in a] == list(box.lo)
             assert [Fraction(c, 4) for c in b] == list(box.hi)
-            assert k == [min(v, depth + 1) for v in rect.levels]
+            assert k == [min(q.level, depth + 1) for q in cubes]
         assert {1, depth + 3} <= levels
 
 

@@ -242,21 +242,14 @@ class TestRandomUniform:
         assert low[(0,)].tolist() == [[0.563463187348521]]
 
     def test_restricted_equals_fresh(self):
+        # a table ignores the depth: a deep draw holds every shallower
+        # draw's tables on their levels
         deep = RectKernel.random_uniform(GridConfig((1, 1), 4), -5)
         for depth in (1, 3, 4):
-            cfg = GridConfig((1, 1), depth)
-            small = deep.restrict(cfg)
-            fresh = RectKernel.random_uniform(cfg, -5)
-            assert small.config == cfg
-            assert list(small.tables) == list(fresh.tables)
+            fresh = RectKernel.random_uniform(GridConfig((1, 1), depth), -5)
+            assert set(fresh.tables) <= set(deep.tables)
             for lv, arr in fresh.tables.items():
-                assert np.array_equal(small.tables[lv], arr)
-
-    def test_restrict_refuses_other_families(self):
-        kern = RectKernel.random_uniform(GridConfig((1, 1), 3), 0)
-        for cfg in (GridConfig((1, 1), 4), GridConfig((2,), 2)):
-            with pytest.raises(ValueError, match="shallower"):
-                kern.restrict(cfg)
+                assert np.array_equal(deep.tables[lv], arr)
 
 
 class TestApplyPositive:
@@ -671,6 +664,32 @@ class TestKernelForm:
     def test_degenerate_pair_rejected(self, cascade_square):
         with pytest.raises(DegeneratePairError):
             pair_kernel(cascade_square, 0.5, (3, 5), (9, 5))
+
+    @pytest.mark.parametrize("x,y", [((88, 3), (1, 1)),
+                                     ((-50, 3), (-10, 1))])
+    def test_pair_outside_domain_refused(self, cascade_square, monkeypatch,
+                                         x, y):
+        # refused as kernel_sum refuses it, before any box sum
+        with pytest.raises(ValueError) as ref:
+            kernel_sum(cascade_square, 0.5, x, y)
+
+        def no_mass(*args):
+            raise AssertionError("box sum taken before the refusal")
+
+        monkeypatch.setattr(Weight, "mass", no_mass)
+        with pytest.raises(ValueError) as got:
+            pair_kernel(cascade_square, 0.5, x, y)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value) == \
+            "points must lie inside [0,1)^N"
+
+    @pytest.mark.parametrize("x,y", [((5, 40), (33, 9)), ((0, 0), (47, 47)),
+                                     ((20, 21), (21, 20)), ((1, 1), (2, 30))])
+    def test_pair_inside_domain_keeps_bits(self, cascade_square, x, y):
+        # the domain check changes no value: the minimal rectangle's mass
+        # to the power alpha/N - 1, bit for bit
+        m = cascade_square.mass(min_rect(x, y))
+        assert pair_kernel(cascade_square, 0.5, x, y) == m ** (0.5 / 2 - 1)
 
 
 def _no_dense_matrix(monkeypatch):
