@@ -13,11 +13,16 @@ containment and distance decisions are exact integer comparisons.  The
 one construction that may descend below level K+1, the minimal cube of
 a nearly coincident point pair, stops by level K+3 and counts in
 quarters of the unit, where cubes down to that level have integer
-corners too.  One loop, ``_minimal_shifts``, finds minimal cubes on
-whole arrays of pairs; ``minimal_cube`` is its one-pair call, and
-``product_minimal``, ``triple_depths`` and ``product_minimal_boxes``
-read it too.  One rule, ``_shift_vector``, reads a family's shift
-vector for ``enumerate_rects`` and ``operators.plan``.
+corners too.  One closed form, ``_minimal_shifts``, finds minimal
+cubes on whole arrays of pairs: per axis, one test of the triple
+predicate next to ``ceil(log2 D)``, D the pair's distance in quarter
+units, picks the cube's level with no pass per level.
+``minimal_cube`` is its one-pair call, and ``product_minimal``,
+``triple_depths`` and ``product_minimal_boxes`` read it too.  Their
+points are read by ``_points``, which refuses coordinates that are not
+integers instead of truncating them.  One rule, ``_shift_vector``,
+reads a family's shift vector for ``enumerate_rects`` and
+``operators.plan``.
 
 The combined per-axis index ``c = 3*m + s`` makes the split algebra
 uniform: the two halves of ``c`` along an axis are ``2*c`` and
@@ -294,37 +299,42 @@ def minimal_cube(config: GridConfig, u: tuple[int, ...],
         raise ValueError("coordinates must lie inside [0,1)^d")
     if tuple(u) == tuple(v):
         raise DegeneratePairError("minimal cube of coincident points")
-    U, s = _minimal_shifts(config.depth, [range(d)], [u], [v])
+    U, s = _minimal_shifts([slice(None)], [u], [v])
     return DyadicCube(config.depth + 3 - int(s[0, 0]), (U >> s)[0].tolist())
 
 
-def _minimal_shifts(depth: int, axes, X, Y):
+def _minimal_shifts(axes, X, Y):
     """``U = 4*X // 3`` and, per pair and axis, the minimal cube's shift s.
 
     ``X`` and ``Y`` are ``(P, N)`` integer arrays of points in global
-    units, and ``axes`` the ranges of axes (factors) that each get one
-    cube.  Counted in quarters of the global unit, a level-k cube has
-    side ``3 * 2**s`` with ``s = depth + 3 - k``.  The level-k cube
-    containing x has index ``U >> s`` per axis (nested floor division),
-    and its triple holds y exactly when ``|(U >> s) - (V >> s)| <= 1``
-    on every axis of the group, with ``V = 4*Y // 3``.  The predicate
-    is monotone in s (halving keeps neighbours within one) and holds at
-    ``s = depth + 3``, level 0, so the minimal cube has level
-    ``depth + 3 - s`` and index ``U >> s`` at the least passing s >= 0.
-    No pair of distinct lattice points needs more: at level depth + 4
-    the side is 3/8 of a unit, so the triple cannot reach a point one
-    unit away.  The level therefore never exceeds depth + 3.  Per
-    group, s grows from 0 while some axis of the group fails, so every
-    axis of a group carries the group's least passing s.
+    units, and ``axes`` the column indices (ranges or slices) of the
+    axis groups (factors) that each get one cube.  Counted in quarters
+    of the global unit, a level-k cube has side ``3 * 2**s`` with
+    ``s = depth + 3 - k``.  The level-k cube containing x has index
+    ``U >> s`` per axis (nested floor division), and its triple holds y
+    exactly when ``|(U >> s) - (V >> s)| <= 1`` on every axis of the
+    group, with ``V = 4*Y // 3``.
+
+    On one axis let ``D = |U - V|`` and ``c = ceil(log2 D)``.  Two
+    integers at most ``2**s`` apart have floors ``>> s`` at most one
+    apart, and two at least ``2**(s+1)`` apart have floors at least two
+    apart, so the predicate holds for every s >= c and fails for every
+    s <= c - 2: one test at ``t = max(c - 1, 0)`` gives the least
+    passing s, ``t`` or ``t + 1``.  ``c`` is the binary exponent of
+    ``D - 1`` (``np.frexp``), exact for integers; at D = 1 it is 0, at
+    D = 0 it is 1, and either way the test at t = 0 passes.  Inside the
+    domain ``U, V < 2**(depth + 3)``, so s <= depth + 3 and the level
+    ``depth + 3 - s`` lies in 0..depth + 3: at level depth + 4 the side
+    is 3/8 of a unit, too small for the triple to reach another lattice
+    point.  The predicate only ever turns from failing to holding as s
+    grows, so a group's least passing s is the largest of its axes',
+    and every axis of the group carries it.
     """
-    U = 4 * np.asarray(X, dtype=np.int64) // 3
-    V = 4 * np.asarray(Y, dtype=np.int64) // 3
-    s = np.zeros_like(U)
-    axes = [slice(ax.start, ax.stop) for ax in axes]  # views, not copies
-    for _ in range(depth + 3):  # s = depth + 3, level 0, passes
-        fails = np.abs((U >> s) - (V >> s)) > 1
-        for ax in axes:
-            s[:, ax] += fails[:, ax].any(axis=1, keepdims=True)
+    U, V = 4 * _points(X) // 3, 4 * _points(Y) // 3
+    t = np.maximum(np.frexp(np.abs(U - V) - 1)[1] - 1, 0, dtype=np.int64)
+    s = t + (np.abs((U >> t) - (V >> t)) > 1)
+    for ax in axes:
+        s[:, ax] = s[:, ax].max(axis=1, keepdims=True)
     return U, s
 
 
@@ -335,14 +345,15 @@ def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
     units.  Entry ``[p, i]`` is the deepest level k <= depth + 1 (the
     finest level whose cube corners are whole units) at which the
     level-k standard cube containing ``X[p]`` in factor i has ``Y[p]``
-    in its triple.  By monotonicity of ``minimal_cube``'s predicate
-    those levels are exactly 0..k, so k is ``depth + 3 - s`` at the
-    factor's least passing s, capped.  Raises like ``kernel_sum``:
-    points outside [0,1)^N first, then a pair coinciding in a whole
-    factor.
+    in its triple.  ``minimal_cube``'s predicate holds at every level
+    from 0 down to its level and at none below, so k is
+    ``depth + 3 - s`` at the factor's least passing s (the closed form
+    of ``_minimal_shifts``), capped.  Raises like ``kernel_sum``:
+    points that are not integer arrays first, then points outside
+    [0,1)^N, then a pair coinciding in a whole factor.
     """
     K, N = config.depth, config.total_dim
-    X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+    X, Y = _points(X), _points(Y)
     if X.ndim != 2 or X.shape[1] != N or Y.shape != X.shape:
         raise ValueError(f"points must be (P, {N}) arrays of equal shape")
     _check_inside(config, X, Y)
@@ -350,8 +361,16 @@ def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
     for i, ax in enumerate(axes):
         if (X[:, ax] == Y[:, ax]).all(axis=1).any():
             raise DegeneratePairError(f"points coincide in factor {i}")
-    s = _minimal_shifts(K, axes, X, Y)[1][:, [ax[0] for ax in axes]]
+    s = _minimal_shifts(axes, X, Y)[1][:, [ax[0] for ax in axes]]
     return np.minimum(K + 3 - s, K + 1)
+
+
+def _points(P) -> np.ndarray:
+    """Points in global units as int64, refusing non-integer coordinates."""
+    P = np.asarray(P)
+    if P.dtype.kind not in "iu":
+        raise ValueError("points must have integer coordinates in global units")
+    return P.astype(np.int64, copy=False)
 
 
 def _check_inside(config: GridConfig, *points) -> None:
@@ -398,7 +417,7 @@ def product_minimal_boxes(config: GridConfig, X, Y):
     ``3 << s``.
     """
     axes = [config.factor_axes(i) for i in range(config.n_factors)]
-    U, s = _minimal_shifts(config.depth, axes, X, Y)
+    U, s = _minimal_shifts(axes, X, Y)
     lo = (U >> s) * 3 << s
     return lo, lo + (3 << s)
 

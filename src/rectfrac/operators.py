@@ -89,8 +89,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import (GridConfig, ProductRect, _check_inside, _shift_vector,
-                    min_rect, standard_rect, triple_depths)
+from .grids import (GridConfig, ProductRect, _check_inside, _points,
+                    _shift_vector, min_rect, standard_rect, triple_depths)
 from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
 
 EXPONENT_TOL = 1e-12
@@ -211,7 +211,10 @@ def _paired(fine, coarse) -> tuple[list[int], list[int]]:
 def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
     """Spread per-block values (cubes or third-cubes) onto their cells.
 
-    A cell array is returned as it is; anything else is copied once.
+    A cell array is returned as it is.  An array each of whose axes has
+    either one block or one cell per block comes back as a read-only
+    broadcast view sharing its memory, of stride 0 along the one-block
+    axes; anything else is copied once.
     """
     cells = (config.axis_cells,) * arr.ndim
     if arr.shape == cells:
@@ -810,7 +813,7 @@ def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:
     does, not as numpy's SIMD powers do on some hosts.
     """
     expo = _hls_exponent(alpha, mu.config.total_dim)
-    X = np.asarray(X, dtype=np.int64)
+    X = _points(X)
     depths = triple_depths(mu.config, X, Y)
     totals = np.zeros(len(X))
     for levels in level_combos(mu.config):

@@ -21,8 +21,8 @@ import math
 import numpy as np
 
 from .bruteforce import shift_cover_candidates
-from .grids import (DegeneratePairError, DyadicCube, GridConfig, cube_box,
-                    product_minimal_boxes, shift_cover, triple,
+from .grids import (DegeneratePairError, DyadicCube, GridConfig, _points,
+                    cube_box, product_minimal_boxes, shift_cover, triple,
                     triple_depths)
 from .operators import _hls_exponent, kernel_sums, level_combos
 from .weights import Weight, box_sums
@@ -65,7 +65,7 @@ def minimal_cube_masses(mu: Weight, X, Y) -> np.ndarray:
     ``box_sums`` batch in quarter units.
     """
     cfg = mu.config
-    X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+    X, Y = _points(X), _points(Y)
     depths = triple_depths(cfg, X, Y)
     out = np.empty(len(X))
     for levels in level_combos(cfg):
@@ -96,7 +96,7 @@ def kernel_equiv_study(mu: Weight, alpha: float, pairs,
         raise ValueError("kernel_equiv_study needs at least one pair")
     N = mu.config.total_dim
     expo = _hls_exponent(alpha, N)
-    XY = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, N)
+    XY = _points(pairs).reshape(len(pairs), 2, N)
     X, Y = XY[:, 0], XY[:, 1]
     shared = np.argwhere(X == Y)  # (pair, axis), first pair first
     if len(shared):

@@ -276,6 +276,52 @@ class TestMinimalCubeRange:
         pairs = [((int(a + f),), (int(a + 1 - f),)) for a, f in zip(u, flip)]
         assert max(self.check(cfg, pairs)) == cfg.depth + 3
 
+    @staticmethod
+    def gap_pairs(cfg, gap):
+        """Pairs on one axis whose quarter units 4x//3 differ by ``gap``.
+
+        Starts spread over the whole axis, both orders of each pair.
+        """
+        quarters = (4 * np.arange(cfg.axis_units) // 3).tolist()
+        at = {q: x for x, q in enumerate(quarters)}
+        pairs = []
+        for x in np.linspace(0, cfg.axis_units - 1, 12).astype(int).tolist():
+            y = at.get(quarters[x] + gap)
+            if y is not None:
+                pairs += [((x,), (y,)), ((y,), (x,))]
+        return pairs
+
+    @pytest.mark.parametrize("dims,depth", [((1,), 12), ((2,), 4)])
+    def test_quarter_gaps_straddling_powers_of_two(self, dims, depth):
+        # the closed form tests one shift next to ceil(log2 D) for the
+        # quarter-unit gap D; pin D = 1, 2**k and 2**k + 1, and on a 2-d
+        # factor pair each with D = 0 on the other axis
+        cfg = GridConfig(dims, depth)
+        gaps = [1] + [g for k in range(1, depth + 3)
+                      for g in (1 << k, (1 << k) + 1)]
+        for gap in gaps:
+            pairs = self.gap_pairs(cfg, gap)
+            assert pairs, gap
+            if dims == (2,):
+                pairs = [(u + (7,), v + (7,)) for u, v in pairs] + \
+                        [((5,) + u, (5,) + v) for u, v in pairs]
+            levels = self.check(cfg, pairs)
+            if gap == 1:
+                assert set(levels) == {depth + 3}
+
+    @pytest.mark.parametrize("dims,depth", [((1,), 12), ((2,), 4)])
+    def test_domain_ends(self, dims, depth):
+        cfg = GridConfig(dims, depth)
+        U = cfg.axis_units
+        ends = (0, U - 1)
+        coords = [0, 1, 2, 3, U // 2 - 1, U // 2, U - 4, U - 3, U - 2, U - 1]
+        corners = list(itertools.product(ends, repeat=cfg.total_dim))
+        points = list(itertools.product(coords, repeat=cfg.total_dim))
+        pairs = [p for c in corners for q in points if q != c
+                 for p in ((c, q), (q, c))]
+        levels = self.check(cfg, pairs)
+        assert {1, depth + 3} <= set(levels)
+
 
 class TestMinRect:
     def test_interval(self):
@@ -467,6 +513,22 @@ REFUSALS = [
      "point dimensions differ"),
     (lambda cfg: product_minimal(cfg, (0, 1), (0, 2)), DegeneratePairError,
      "points coincide in factor 0"),
+    (lambda cfg: minimal_cube(cfg, (2.5,), (10,)), ValueError,
+     "points must have integer coordinates in global units"),
+    (lambda cfg: product_minimal(cfg, (2, 2.5), (10, 9)), ValueError,
+     "points must have integer coordinates in global units"),
+    (lambda cfg: triple_depths(cfg, [[2.5, 3]], [[10, 9]]), ValueError,
+     "points must have integer coordinates in global units"),
+    (lambda cfg: triple_depths(cfg, [[2, 3]], np.array([[10, 9.0]])),
+     ValueError, "points must have integer coordinates in global units"),
+    (lambda cfg: product_minimal_boxes(cfg, [[2.5, 3]], [[10, 9]]),
+     ValueError, "points must have integer coordinates in global units"),
+    (lambda cfg: replace(product_minimal(cfg, (2, 3), (10, 9)),
+                         DyadicCube(0, (0,)), 2),
+     ValueError, "factor index 2 out of range"),
+    (lambda cfg: replace(product_minimal(cfg, (2, 3), (10, 9)),
+                         DyadicCube(0, (0,)), -1),
+     ValueError, "factor index -1 out of range"),
     (lambda cfg: GridConfig((1,), 5.5), DepthExceededError,
      "depth must be an integer"),
     (lambda cfg: GridConfig((1,), "3"), DepthExceededError,
@@ -481,3 +543,15 @@ REFUSALS = [
 def test_refused(square_cfg, call, exc, start):
     with pytest.raises(exc, match="^" + re.escape(start)):
         call(square_cfg)
+
+
+def test_numpy_integer_points_pass(square_cfg):
+    x, y = (2, 30), (10, 9)
+    for dtype in (np.int16, np.uint32, np.int64):
+        xa, ya = np.array(x, dtype), np.array(y, dtype)
+        assert minimal_cube(square_cfg, xa[:1], ya[:1]) == \
+            minimal_cube(square_cfg, x[:1], y[:1])
+        assert product_minimal(square_cfg, xa, ya) == \
+            product_minimal(square_cfg, x, y)
+        assert triple_depths(square_cfg, xa[None], ya[None]).tolist() == \
+            triple_depths(square_cfg, [x], [y]).tolist()

@@ -1045,6 +1045,8 @@ REFUSALS = [
      ValueError, "kernels must be nonnegative"),
     (lambda w: RectKernel.indicator(w.config, SHIFTED), ValueError,
      "indicator kernels cover standard rectangles"),
+    (lambda w: RectKernel.hls(w, 0.5).value(SHIFTED), ValueError,
+     "kernel tables cover the standard family only"),
     (lambda w: mlinear_form(RectKernel.hls(w, 0.5), (w,), ()), ValueError,
      "need one function per weight")]
 

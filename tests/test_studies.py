@@ -291,6 +291,31 @@ class TestErrors:
                 kernel_equiv_study(w, 0.5, empty)
         assert calls == []
 
+    def test_non_integer_points_refused(self, w):
+        # each used to read the truncated point (2, 3)
+        calls = [lambda: kernel_sum(w, 0.5, (2.5, 3), (10, 9)),
+                 lambda: kernel_sums(w, 0.5, [(2.5, 3)], [(10, 9)]),
+                 lambda: kernel_sums(w, 0.5, [(2, 3)], [(10.0, 9)]),
+                 lambda: minimal_cube_masses(w, [(2.5, 3)], [(10, 9)]),
+                 lambda: kernel_equiv_study(w, 0.5, [((2.5, 3), (10, 9))])]
+        for call in calls:
+            with pytest.raises(ValueError, match="^points must have integer "
+                               "coordinates in global units$"):
+                call()
+
+    def test_numpy_integer_points_pass(self, w):
+        pairs = [((2, 3), (10, 9)), ((20, 1), (5, 17)), ((0, 47), (1, 46))]
+        X, Y = (np.array(pairs)[:, i] for i in (0, 1))
+        sums = kernel_sums(w, 0.5, X.tolist(), Y.tolist()).tolist()
+        masses = minimal_cube_masses(w, X.tolist(), Y.tolist()).tolist()
+        study = kernel_equiv_study(w, 0.5, pairs)
+        for dtype in (np.int16, np.uint32, np.int64):
+            Xd, Yd = X.astype(dtype), Y.astype(dtype)
+            assert kernel_sums(w, 0.5, Xd, Yd).tolist() == sums
+            assert minimal_cube_masses(w, Xd, Yd).tolist() == masses
+            assert kernel_equiv_study(
+                w, 0.5, np.array(pairs, dtype=dtype)) == study
+
     def test_kernel_sum_needs_distinct_factors(self):
         w = gen_cascade(GridConfig((2,), 3), 2.0, 7)
         assert kernel_sum(w, 0.5, (3, 5), (3, 9)) > 0

@@ -384,6 +384,10 @@ class TestResampling:
         assert f2.values.sum() * fine_cfg.cell_volume == pytest.approx(
             f.values.sum() * cascade_square.config.cell_volume, rel=1e-12)
 
+    def test_refine_to_own_depth_is_identity(self, cascade_square):
+        f = GridFunction.ones(cascade_square.config)
+        assert f.refine(cascade_square.config.depth) is f
+
     def test_indicator_requires_cell_alignment(self, uniform_line):
         with pytest.raises(AlignmentError):
             GridFunction.indicator(uniform_line.config, Box((1,), (5,)))
