@@ -43,12 +43,17 @@ testing witness and reports the estimate.
 
 Steps run at the resolution their density comes in.  On the standard
 family (the dyadic and perez forms, the multilinear densities and the
-Carleson gradient) ``_spread`` returns one value per level-K cube, so a
-step raises, normalizes and scales the density per cube and puts it on
-cells with one ``_upsample``; only the products with cell masses, the
-tree base and the L^p norm sum, are taken per cell.  Every power,
-product and addition is then the one a step on cells would make, so the
-results are those of steps on cells, bit for bit.
+Carleson gradient) ``_spread`` returns one value per level-K cube, so
+the iterate stays per cube: its L^p norm and the base of its mass tree
+read the cube masses ``mass_tree[(K,) * n]`` (``operators._weighted``),
+and it goes onto cells once, as a maximizer, in ``_norm_bound``.  Only
+the start, a warm start and a restart indicator enter on cells, for the
+first normalization and the first density; a constant start is one
+value, which ``_weighted`` reads against the cell masses, so it takes
+no cell array.  Sums over cube masses round differently from sums over
+cells, so these bounds match steps on cells to about 1e-15 relative,
+not bit for bit.  The shifted families and the kernel form have
+densities on cells, and their steps are steps on cells.
 
 Determinism: for fixed inputs all computations are fixed-order numpy
 reductions, and the densities and the Carleson gradient are scattered
@@ -67,7 +72,7 @@ import numpy as np
 from .conditions import _carleson_scan, fp_constant
 from .grids import rect_from_json
 from .operators import (ExponentConfig, RectKernel, _check_same_grid,
-                        _paired, _powers, _spread, _terms, _upsample,
+                        _powers, _spread, _terms, _upsample, _weighted,
                         check_mlinear_exponents, level_combos, plan)
 from .weights import GridFunction, Weight, build_mass_tree
 
@@ -90,15 +95,12 @@ class NormEstimate:
                 "seed": self.seed, "params": self.params}
 
 
-def _lp(cell_masses: np.ndarray, values: np.ndarray, p: float) -> float:
-    """The L^p norm of per-block (or per-cell) ``values``.
+def _lp(sigma: Weight, values: np.ndarray, p: float) -> float:
+    """The L^p(sigma) norm of ``values``: on cells, one value or per cube.
 
-    The power is taken per block, the product with the cell masses and
-    the sum per cell, as for the ``_upsample`` of ``values``.
+    Per cube, the sum runs over the cube masses ``_weighted`` reads.
     """
-    view, term = _paired(cell_masses.shape, values.shape)
-    cells = (values ** p).reshape(term) * cell_masses.reshape(view)
-    return float(np.sum(cells.reshape(cell_masses.shape))) ** (1.0 / p)
+    return float(np.sum(_weighted(sigma, values ** p))) ** (1.0 / p)
 
 
 def _check_limits(tol: float, max_sweeps: int) -> None:
@@ -115,33 +117,33 @@ def _ascend(densities, sigmas, rs, tol, max_sweeps, value=None):
     ``densities[j](fs)`` is the form's density in argument j, whose
     maximizer is sought on the unit ball of L^r_j(sigma_j).  The steps
     run in argument order, each raising its density to ``r' - 1`` and
-    normalizing it at the resolution the density comes in (per level-K
-    cube on the standard family), then putting it on cells.  A sweep
-    records the form's value by Hölder's equality, or ``value(fs)`` for
-    a form that is not linear.  Returns the run: a map of initial
-    arrays to ``(fs, history, sweeps, converged)``.
+    normalizing it, and the iterate stays at the resolution its density
+    comes in: per level-K cube on the standard family, on cells
+    otherwise.  The initial arrays are on cells, or one value for a
+    constant.  A sweep records the form's value by Hölder's equality, or
+    ``value(fs)`` for a form that is not linear.  Returns the run: a map
+    of initial arrays to ``(fs, history, sweeps, converged)``.
     """
-    cfg = sigmas[0].config
-    steps = [(j, density, w.cell_masses, r / (r - 1.0) - 1.0, r)
+    steps = [(j, density, w, r / (r - 1.0) - 1.0, r)
              for j, (density, w, r) in enumerate(zip(densities, sigmas, rs))]
 
     def run(fs):
         fs = list(fs)
-        for j, _, cm, _, p in steps:
-            nrm = _lp(cm, fs[j], p)
+        for j, _, w, _, p in steps:
+            nrm = _lp(w, fs[j], p)
             if nrm == 0.0:
                 return [np.zeros_like(f0) for f0 in fs], [0.0], 0, True
             fs[j] = fs[j] / nrm
         history: list[float] = []
         while True:
-            for j, density, cm, power, p in steps:
+            for j, density, w, power, p in steps:
                 d = density(fs)  # a fresh array: raised and scaled in place
                 d **= power
-                nrm = _lp(cm, d, p)
+                nrm = _lp(w, d, p)
                 if nrm == 0.0:
                     return fs, history or [0.0], len(history), True
                 d /= nrm
-                fs[j] = _upsample(cfg, d)
+                fs[j] = d
             # Hölder equality: the form at the last step's maximizer
             history.append(nrm ** (p - 1.0) if value is None else value(fs))
             if len(history) >= 2 and \
@@ -164,15 +166,16 @@ def _norm_bound(densities, sigmas, rs, c2, head, *, tol, max_sweeps, seed,
     history and sweeps appended to the first run's, when it ends no
     lower.  Every form follows this one rule, the kernel form too,
     whose ``c2`` does not bound it: the reported value can only rise.
-    ``params`` are ``head`` followed by the keys every bound has.
+    The maximizers go onto cells here, once.  ``params`` are ``head``
+    followed by the keys every bound has.
     """
     cfg = sigmas[0].config
     run = _ascend(densities, sigmas, rs, tol, max_sweeps, value)
-    # the start is passed, not named, so the run frees the constants
+    # a constant start is one value, read against the cell masses
     if warm_start is not None:
         first = run([gf.values for gf in warm_start])
     else:
-        first = run([np.ones_like(w.density) for w in sigmas])
+        first = run([np.ones((1,) * w.density.ndim) for w in sigmas])
     fs, history, sweeps, converged = first
     if c2.value > history[-1] and c2.witness is not None:
         rect = rect_from_json(c2.witness["rect"])
@@ -183,16 +186,19 @@ def _norm_bound(densities, sigmas, rs, c2, head, *, tol, max_sweeps, seed,
             sweeps, converged = sweeps + s2, conv2
     params = {**head, "depth": cfg.depth, "c2": c2.value, "tol": tol,
               "max_sweeps": max_sweeps}
-    return NormEstimate(history[-1], tuple(GridFunction(cfg, f) for f in fs),
+    return NormEstimate(history[-1],
+                        tuple(GridFunction(cfg, _upsample(cfg, f))
+                              for f in fs),
                         sweeps, converged, history, seed, params)
 
 
-def _tree_cache(sigmas):
-    """``tree(k, f)``, the mass tree of sigma_k * f, and the dict it keeps.
+def _tree_cache(sigmas, keep=lambda t: t):
+    """``tree(k, f)``, ``keep`` of the mass tree of sigma_k * f, and its dict.
 
-    The dict maps k to the f its tree was built from and that tree; a
-    tree is rebuilt only when f is a new array, so a restarted run reads
-    no tree of the run before.
+    f is on cells, one value or per level-K cube.  The dict maps k to
+    the f its tree was built from and what is kept of that tree; a tree
+    is rebuilt only when f is a new array, so a restarted run reads no
+    tree of the run before.
     """
     cfg = sigmas[0].config
     cache = {}
@@ -200,7 +206,7 @@ def _tree_cache(sigmas):
     def tree(k, f):
         if k not in cache or cache[k][0] is not f:
             cache.pop(k, None)  # freed before its successor is built
-            cache[k] = (f, build_mass_tree(cfg, sigmas[k].cell_masses * f))
+            cache[k] = (f, keep(build_mass_tree(cfg, _weighted(sigmas[k], f))))
         return cache[k][1]
     return tree, cache
 
@@ -284,25 +290,24 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
     Maximizes sum_R sigma(R)**(q/p - q) (int_R f dsigma)**q over the
     unit ball of L^p(sigma), f >= 0.  The functional is convex, so the
     linearized exact step ascends: ``_ascend`` takes the gradient
-    sum_R a_R (int_R f dsigma)**(q-1) 1_R as its density, and the
-    value and the gradient read one mass tree of f.
+    sum_R a_R (int_R f dsigma)**(q-1) 1_R as its density.  Its level
+    tables ``a * t**(q-1)`` are kept with the mass tree t of f, so
+    each table is raised once: the value is ``sum(a * t**(q-1) * t)``
+    and the next gradient reads the same tables.
     """
     _check_limits(tol, max_sweeps)
     p, q = float(p), float(q)
     c2 = _carleson_scan(sigma, p, q)  # refuses exponents outside 1 < p < q
-    combos = list(level_combos(sigma.config))
     a_tables = _powers(sigma.mass_tree, q / p - q)
-    tree, _ = _tree_cache((sigma,))
+    tree, _ = _tree_cache((sigma,), lambda t: [
+        (a_tables[lv] * t[lv] ** (q - 1.0), t[lv])
+        for lv in level_combos(sigma.config)])
 
     def gradient(fs):
-        t = tree(0, fs[0])
-        return _spread(a_tables[lv] * t[lv] ** (q - 1.0) for lv in combos)
+        return _spread(g for g, _ in tree(0, fs[0]))
 
     def value(fs):
-        t, phi = tree(0, fs[0]), 0.0
-        for lv in combos:
-            phi += float((a_tables[lv] * t[lv] ** q).sum())
-        return phi
+        return sum(float((g * t).sum()) for g, t in tree(0, fs[0]))
 
     return _norm_bound((gradient,), (sigma,), (p,), c2, {"p": p, "q": q},
                        tol=tol, max_sweeps=max_sweeps, seed=seed,

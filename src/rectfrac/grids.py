@@ -368,7 +368,7 @@ def triple_depths(config: GridConfig, X, Y) -> np.ndarray:
 def _points(P) -> np.ndarray:
     """Points in global units as int64, refusing non-integer coordinates."""
     P = np.asarray(P)
-    if P.dtype.kind not in "iu":
+    if P.dtype.kind not in "iu" and P.size:  # an empty array has none
         raise ValueError("points must have integer coordinates in global units")
     return P.astype(np.int64, copy=False)
 

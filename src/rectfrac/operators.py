@@ -49,8 +49,10 @@ combinations (after the transposed window, for the window families) in
 resolution of the terms so far, so each cell gets the additions of the
 term-by-term sum in the same order, bit for bit.  A sum over the
 standard family stays per level-K cube, on which all its terms are
-constant (``2**K`` entries per axis instead of ``3 * 2**K``), until
-``_upsample`` puts it on cells; the window families' sums are on cells.
+constant (``2**K`` entries per axis instead of ``3 * 2**K``); its
+plan's maps take such an array back, against the cube masses
+(``_weighted``), and ``_upsample`` puts it on cells.  The window
+families' sums are on cells.
 
 The kernel form's minimal-rectangle masses grow, along each axis, by
 cumulative sums of half-pair cell sums running outward from the anchor
@@ -231,10 +233,10 @@ def _spread(arrs) -> np.ndarray:
     the terms so far, doubled by ``np.repeat`` when a term is finer, and
     each term is added in place through a broadcasting view.  Every
     entry then stands for cells that received the same additions, so
-    ``_upsample`` of the result gets the additions of the fold ``out +=
-    _upsample(arr)``, from 0 and in the same order, bit for bit.  Over
-    standard cubes the result has ``2**K`` entries per axis, one per
-    level-K cube; over third-cubes it is on cells.
+    ``_upsample`` of the result is the fold ``out += _upsample(arr)``
+    from 0, bit for bit.  Over standard cubes the result has ``2**K``
+    entries per axis, one per level-K cube, and the ascent keeps it
+    there; over third-cubes it is on cells.
     """
     out = None
     for arr in arrs:
@@ -393,19 +395,31 @@ def _terms(config: GridConfig, tables: dict, trees):
         yield arr
 
 
+def _weighted(sigma: Weight, values: np.ndarray) -> np.ndarray:
+    """``values`` times sigma's masses at their resolution.
+
+    The level-K cube masses, ``mass_tree[(K,) * n]``, for values per
+    level-K cube (``2**K`` entries per axis, at least 2), and the cell
+    masses for any other values: on cells, or one value broadcast over
+    them.
+    """
+    cubes = sigma.mass_tree[(sigma.config.depth,) * sigma.config.n_factors]
+    return (cubes if values.shape == cubes.shape else sigma.cell_masses) * values
+
+
 def _rect_sum(sigma: Weight, build, tables: dict, term) -> Callable:
     """The map f -> sum_R term(tables, int_R f dsigma) over a family.
 
     ``build(config, sigma * f)`` aggregates f per level combination:
-    ``build_mass_tree`` over the standard cubes, ``build_pyramid`` over
-    the third-cubes.  ``term`` combines a level combination's
-    coefficient table with its aggregate; the terms are scattered by
-    ``_spread``.
+    ``build_mass_tree`` over the standard cubes, from f on cells or per
+    level-K cube, ``build_pyramid`` over the third-cubes, from f on
+    cells.  ``term`` combines a level combination's coefficient table
+    with its aggregate; the terms are scattered by ``_spread``.
     """
-    cfg, cm = sigma.config, sigma.cell_masses
+    cfg = sigma.config
 
     def apply(fv):
-        agg = build(cfg, cm * fv)
+        agg = build(cfg, _weighted(sigma, fv))
         return _spread(term(tables[lv], agg[lv]) for lv in level_combos(cfg))
     return apply
 
@@ -679,8 +693,10 @@ class FormPlan:
     ``forward`` and ``adjoint`` map cell arrays to the ``_spread`` of
     their terms (per level-K cube for the standard family, whose terms
     are constant on those cubes, and on cells for every other form);
-    ``_upsample`` puts a result on cells.  The adjoint is taken in
-    L^2(mu), and every form but perez is its own adjoint.
+    every map also takes one value for a constant, and the standard
+    family's maps per-cube arrays; ``_upsample`` puts a result on
+    cells.  The adjoint is taken in L^2(mu), and every form but perez
+    is its own adjoint.
     ``skipped_terms`` counts the zero-mass rectangles summed over (for
     the kernel form, the zero-mass pairs that are not excluded),
     ``excluded_pairs`` the kernel form's pairs that share a coordinate.
@@ -733,7 +749,7 @@ def _kernel_plan(mu: Weight, alpha: float, expo: float) -> FormPlan:
     if mu.factors is None:
         A = kernel_matrix(mu, alpha)
         skipped = A.size - int(np.count_nonzero(A)) - excluded
-        dense = lambda fv: (A @ (fv * cm).ravel()).reshape(fv.shape)
+        dense = lambda fv: (A @ (fv * cm).ravel()).reshape(cm.shape)
         return FormPlan(dense, dense, skipped, excluded)
     # the weight's cell volume per axis, so that at N = 1 the factor's
     # masses are the weight's cell masses bit for bit

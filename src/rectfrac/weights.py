@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import Box, DepthExceededError, GridConfig, _as_box
+from .grids import Box, DepthExceededError, GridConfig, _as_box, _points
 
 WEIGHT_SCHEMA_VERSION = 1
 FACTOR_RTOL = 1e-12  # per-axis factors against the density, cell by cell
@@ -104,16 +104,18 @@ def _level_tree(config: GridConfig, base: np.ndarray) -> dict:
     return tree
 
 
-def build_mass_tree(config: GridConfig, cell_masses: np.ndarray) -> dict:
+def build_mass_tree(config: GridConfig, masses: np.ndarray) -> dict:
     """Aggregate cell masses into every standard level combination.
 
     Keys are per-factor level tuples; values are arrays indexed by the
-    per-axis cube indices at those levels.
+    per-axis cube indices at those levels.  Masses already per level-K
+    cube (``2**K`` entries per axis, not ``3 * 2**K``) are the finest
+    level as they are.
     """
-    base = cell_masses
-    for ax in range(config.total_dim):
-        base = _slice_sum(base, ax, 3)
-    return _level_tree(config, base)
+    if len(masses) == config.axis_cells:  # per cell: sum each cube's cells
+        for ax in range(config.total_dim):
+            masses = _slice_sum(masses, ax, 3)
+    return _level_tree(config, masses)
 
 
 def build_pyramid(config: GridConfig, cell_masses: np.ndarray) -> dict:
@@ -141,7 +143,8 @@ def box_sums(arr: np.ndarray, lo, hi, denom: int = 1) -> np.ndarray:
     """Integrals of per-cell values over ``P`` boxes in global units, clipped.
 
     ``lo`` and ``hi`` are ``(P, N)`` integer corner arrays counted in
-    ``1/denom`` of the global unit, so a cell is ``2 * denom`` wide.
+    ``1/denom`` of the global unit, so a cell is ``2 * denom`` wide;
+    non-integer corners are refused as ``grids._points`` refuses them.
     Each box's first cell, cell count and two end fractions per axis
     come from whole-array arithmetic, ``BOX_ROWS`` boxes at a time:
     interior cells weigh one and an end cell that a corner splits gets
@@ -153,7 +156,7 @@ def box_sums(arr: np.ndarray, lo, hi, denom: int = 1) -> np.ndarray:
     meets on axis a.  A box that misses the domain on some axis has
     mass 0.
     """
-    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    lo, hi = _points(lo), _points(hi)
     if lo.ndim != 2 or lo.shape[1] != arr.ndim or hi.shape != lo.shape:
         raise ValueError("box dimension does not match the configuration")
     width = 2 * denom

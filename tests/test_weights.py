@@ -13,7 +13,7 @@ from rectfrac import (AlignmentError, Box, DyadicCube, GridConfig,
                       save_weight, triple)
 from rectfrac.bruteforce import mass_direct
 from rectfrac.grids import children, rect_box, standard_rect
-from rectfrac.weights import cell_slices
+from rectfrac.weights import box_sums, cell_slices
 
 DATA = Path(__file__).parent / "data"
 
@@ -425,7 +425,12 @@ REFUSALS = [
     (lambda w: gen_power(w.config, (1.0,)), ValueError,
      "need one exponent per axis"),
     (lambda w: gen_power(w.config, (1.0, 1.0), centers=(0.5,)), ValueError,
-     "need one center per axis")]
+     "need one center per axis"),
+    # box_sums used to read the truncated corner (2, 3)
+    (lambda w: box_sums(w.cell_masses, [[2.5, 3]], [[10, 9]]), ValueError,
+     "points must have integer coordinates in global units"),
+    (lambda w: box_sums(w.cell_masses, [[2, 3]], np.array([[10, 9.0]])),
+     ValueError, "points must have integer coordinates in global units")]
 
 
 @pytest.mark.parametrize("call,exc,start", REFUSALS)
