@@ -8,7 +8,7 @@ from .grids import (Box, DegeneratePairError, DepthExceededError, DyadicCube,
                     product_minimal, rect_box, replace, shift_cover, triple)
 from .weights import (AlignmentError, GridFunction, Weight,
                       WeightFormatError, gen_cascade, gen_power, gen_uniform,
-                      integrate, load_weight, lp_norm, mass, save_weight)
+                      integrate, load_weight, lp_norm, save_weight)
 from .conditions import (ConstantReport, carleson_testing_constant,
                          condition_d_constant, doubling_constant,
                          fp_constant, reverse_doubling_constant)
@@ -28,7 +28,7 @@ __all__ = [
     "replace", "shift_cover", "triple",
     "AlignmentError", "GridFunction", "Weight", "WeightFormatError",
     "gen_cascade", "gen_power", "gen_uniform", "integrate", "load_weight",
-    "lp_norm", "mass", "save_weight",
+    "lp_norm", "save_weight",
     "ConstantReport", "carleson_testing_constant", "condition_d_constant",
     "doubling_constant", "fp_constant", "reverse_doubling_constant",
     "ExponentConfig", "ExponentError", "RectKernel", "apply_frac_dyadic",

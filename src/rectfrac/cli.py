@@ -19,6 +19,7 @@ refusal, the parser's included.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -355,7 +356,9 @@ def _add_sweep_opts(sp: argparse.ArgumentParser) -> None:
                          "(off by default to keep outputs reproducible)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rectfrac",
         description="product-dyadic weights, embedding constants and "

@@ -143,10 +143,6 @@ class ExponentConfig:
         return cls(alpha, p, 1.0 / inv_q, total_dim)
 
     @property
-    def p_conj(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
     def q_conj(self) -> float:
         return self.q / (self.q - 1.0)
 
@@ -336,17 +332,6 @@ class RectKernel:
         """mu(R)**(alpha/N - 1); zero-mass rectangles get value 0."""
         expo = _hls_exponent(alpha, mu.config.total_dim)
         return cls(mu.config, _powers(mu.mass_tree, expo))
-
-    @classmethod
-    def indicator(cls, config: GridConfig, rect: ProductRect) -> "RectKernel":
-        if not rect.is_standard:
-            raise ValueError("indicator kernels cover standard rectangles")
-        tables = {}
-        for levels in level_combos(config):
-            tables[levels] = np.zeros(_table_shape(config, levels))
-        idx = tuple(m for q in rect.factors for m in q.index)
-        tables[rect.levels][idx] = 1.0
-        return cls(config, tables)
 
     @classmethod
     def random_uniform(cls, config: GridConfig, seed: int) -> "RectKernel":

@@ -268,11 +268,6 @@ class GridFunction:
             arr = np.repeat(arr, f, axis=ax)
         return GridFunction(GridConfig(self.config.dims, depth), arr)
 
-    def scaled(self, c: float) -> "GridFunction":
-        if c < 0:
-            raise ValueError("scale factor must be >= 0")
-        return GridFunction(self.config, self.values * c)
-
 
 def cell_slices(config: GridConfig, target) -> tuple[slice, ...]:
     """Cell index slices of a cell-aligned region (rect or box), clipped."""
@@ -317,14 +312,10 @@ class Weight:
         self.cell_masses = _freeze(self.density * config.cell_volume)
         self.mass_tree = build_mass_tree(config, self.cell_masses)
         self.meta = dict(meta or {})
-        self._prefix: np.ndarray | None = None
 
-    @property
+    @functools.cached_property
     def prefix(self) -> np.ndarray:
-        if self._prefix is None:
-            self._prefix = build_prefix(self.cell_masses)
-            self._prefix.flags.writeable = False
-        return self._prefix
+        return _freeze(build_prefix(self.cell_masses))
 
     @property
     def total_mass(self) -> float:
@@ -363,10 +354,6 @@ class Weight:
         params["coarsened_from"] = self.config.depth
         meta["params"] = params
         return Weight(GridConfig(self.config.dims, depth), arr, meta, factors)
-
-
-def mass(w: Weight, target) -> float:
-    return w.mass(target)
 
 
 def integrate(w: Weight, f: GridFunction, target) -> float:
@@ -529,17 +516,13 @@ def save_weight(w: Weight, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def load_weight(path, expect_config: GridConfig | None = None) -> Weight:
+def load_weight(path) -> Weight:
     """Read a weight file; the optional ``factors`` field must match the density."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise WeightFormatError(f"malformed weight file: {exc}") from exc
     config, arr, meta = _parse_array_doc(doc)
-    if expect_config is not None and config != expect_config:
-        raise WeightFormatError(
-            f"grid mismatch: file has dims={config.dims} depth={config.depth}, "
-            f"expected dims={expect_config.dims} depth={expect_config.depth}")
     factors = doc.get("factors")
     if factors is not None:
         if not isinstance(factors, list) or \

@@ -666,6 +666,19 @@ class TestParser:
              f"--kernel-seed={seed}"])
         assert args.kernel_seed == seed
 
+    def test_one_parser_shared_by_calls(self, cascade_file, tmp_path):
+        # an option given to one call leaves the next call's default alone
+        assert build_parser() is build_parser()
+        sweeps = []
+        for extra in (["--max-sweeps", "3"], []):
+            rep = tmp_path / "hls.json"
+            assert run(["hls", "--weight", cascade_file, "--alpha", "0.5",
+                        "--p", "4/3", "--depths", "2:3", "--out", rep,
+                        *extra]) == 0
+            sweeps.append(strict_json(rep.read_text())
+                          ["manifest"]["params"]["max_sweeps"])
+        assert sweeps == [3, 200]
+
     def test_top_level_help_returns_0(self, capsys):
         assert run(["--help"]) == 0
         assert "shift-cover" in capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 from rectfrac import (DyadicCube, ExponentError, GridConfig, ProductRect,
                       RectKernel, Weight, carleson_testing_constant,
                       condition_d_constant, doubling_constant, fp_constant,
-                      gen_cascade, gen_power, gen_uniform, mass,
+                      gen_cascade, gen_power, gen_uniform,
                       reverse_doubling_constant)
 from rectfrac.grids import (cube_to_json, rect_from_json, rect_to_json,
                             standard_rect)
@@ -22,8 +22,8 @@ def reproduce_halving_witness(w, report):
     child = DyadicCube(child_doc["level"], tuple(child_doc["index"]),
                        tuple(child_doc["tau"]))
     from rectfrac import replace
-    num = mass(w, rect)
-    den = mass(w, replace(rect, child, j))
+    num = w.mass(rect)
+    den = w.mass(replace(rect, child, j))
     if den == 0:
         return math.inf if num > 0 else math.nan
     return num / den
@@ -222,9 +222,10 @@ class TestFeffermanPhong:
 
     def test_single_rect_kernel(self, cascade_square):
         rect = ProductRect((DyadicCube(1, (1,)), DyadicCube(2, (0,))))
-        kern = RectKernel.indicator(cascade_square.config, rect)
+        kern = RectKernel.from_callable(cascade_square.config,
+                                        lambda r: float(r == rect))
         rep = fp_constant(kern, (cascade_square, cascade_square), (2.0, 2.0))
-        assert rep.value == pytest.approx(mass(cascade_square, rect), rel=1e-12)
+        assert rep.value == pytest.approx(cascade_square.mass(rect), rel=1e-12)
         assert rect_from_json(rep.witness["rect"]) == rect
 
     def test_rejects_exponents_below_duality_line(self, uniform_square):

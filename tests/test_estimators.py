@@ -33,7 +33,8 @@ def assert_monotone(history):
 
 class TestEmbedNormLower:
     def test_cauchy_schwarz_case(self, uniform_square):
-        kern = RectKernel.indicator(uniform_square.config, TOP2)
+        kern = RectKernel.from_callable(uniform_square.config,
+                                        lambda r: float(r == TOP2))
         est = embed_norm_lower(kern, (uniform_square,) * 2, (2.0, 2.0))
         assert est.value == pytest.approx(1.0, rel=1e-12)
         assert est.converged
