@@ -356,9 +356,8 @@ def _add_sweep_opts(sp: argparse.ArgumentParser) -> None:
                          "(off by default to keep outputs reproducible)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process."""
+    """A new parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="rectfrac",
         description="product-dyadic weights, embedding constants and "
@@ -451,9 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` builds once per process and keeps unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # a refusal (2) or --help (0)
         return exc.code
     started = time.time()

@@ -668,7 +668,8 @@ class TestParser:
 
     def test_one_parser_shared_by_calls(self, cascade_file, tmp_path):
         # an option given to one call leaves the next call's default alone
-        assert build_parser() is build_parser()
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
         sweeps = []
         for extra in (["--max-sweeps", "3"], []):
             rep = tmp_path / "hls.json"

@@ -4,7 +4,7 @@ A code line holds at least one token that is not a comment and is not
 part of a docstring (a module, class or function body's leading string).
 Blank lines, comment lines and docstring lines are not counted.
 
-Run from anywhere: ``python3 tools/code_lines.py [package_dir]``.  It
+Run from anywhere: ``python3 tools/code_lines.py``.  It
 prints one ``<count> <module>`` line per module and then the total.
 """
 
@@ -42,10 +42,9 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{count:6d} {path.name}")
@@ -54,4 +53,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
