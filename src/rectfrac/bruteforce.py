@@ -4,7 +4,10 @@ These are the independent cross-checks used by the test suite: plain
 loops over cells, literal transcriptions of the defining sums, and
 exhaustive searches.  They deliberately share no enumeration or tree
 code with the production paths, and they are gated to small depths
-where their cost is quadratic or worse.
+where their cost is quadratic or worse.  Among themselves the direct
+sums share one enumeration of a family, ``_iter_family``: the standard
+family for the multilinear, positive and enlarged-region sums, and any
+one shifted family for the dyadic fractional sum.
 """
 
 from __future__ import annotations
@@ -53,21 +56,32 @@ def _direct_integral(w: Weight, values: np.ndarray, lo_cells, hi_cells) -> float
     return float((w.density[sl] * values[sl]).sum()) * cfg.cell_volume
 
 
-def _iter_standard_rects(config: GridConfig):
-    """Independent enumeration of the standard family, with cell bounds."""
+def _iter_family(config: GridConfig, tau=None):
+    """Independent enumeration of one shifted family, with cell bounds.
+
+    ``tau`` holds a shift per axis, -1, 0 or +1 thirds of a side; None
+    is the standard family.  Yields ``(rect, lo, hi)`` for every cube
+    whose interval meets [0, 1) on each axis: level tuples in order,
+    then indices, the last axis fastest.  ``lo`` and ``hi`` are cell
+    bounds, outside the lattice where a shifted cube sticks out.
+    """
     K, n = config.depth, config.n_factors
+    tau = (0,) * config.total_dim if tau is None else tuple(tau)
+    shifts = config.split_axes(tau)
     for levels in itertools.product(range(K + 1), repeat=n):
         axis_levels = []
         for i, k in enumerate(levels):
             axis_levels.extend([k] * config.dims[i])
-        side_cells = [3 * 2 ** (K - k) for k in axis_levels]
-        ranges = [range(0, 2 ** k) for k in axis_levels]
+        thirds = [2 ** (K - k) for k in axis_levels]  # cells per third
+        # a +1 shift adds the cube left of 0, a -1 shift the one at 1
+        ranges = [range(-(s == 1), 2 ** k + (s == -1))
+                  for k, s in zip(axis_levels, tau)]
         for flat in itertools.product(*ranges):
-            lo = tuple(m * s for m, s in zip(flat, side_cells))
-            hi = tuple((m + 1) * s for m, s in zip(flat, side_cells))
-            idx_by_factor = config.split_axes(flat)
+            lo = tuple((3 * m + s) * t for m, s, t in zip(flat, tau, thirds))
+            hi = tuple(a + 3 * t for a, t in zip(lo, thirds))
             rect = ProductRect(tuple(
-                DyadicCube(levels[i], idx_by_factor[i]) for i in range(n)))
+                DyadicCube(k, idx, sh) for k, idx, sh in
+                zip(levels, config.split_axes(flat), shifts)))
             yield rect, lo, hi
 
 
@@ -81,7 +95,7 @@ def mlinear_direct(kernel_fn, sigmas, fs) -> float:
     if config.depth > 3:
         raise ValueError("direct multilinear oracle is limited to depth <= 3")
     total = 0.0
-    for rect, lo, hi in _iter_standard_rects(config):
+    for rect, lo, hi in _iter_family(config):
         val = kernel_fn(rect)
         if val == 0.0:
             continue
@@ -97,7 +111,7 @@ def positive_direct(kernel_fn, sigma: Weight, f: GridFunction) -> GridFunction:
     if config.depth > 3:
         raise ValueError("direct operator oracle is limited to depth <= 3")
     out = np.zeros_like(f.values)
-    for rect, lo, hi in _iter_standard_rects(config):
+    for rect, lo, hi in _iter_family(config):
         coeff = kernel_fn(rect) * _direct_integral(sigma, f.values, lo, hi)
         sl = tuple(slice(a, b) for a, b in zip(lo, hi))
         out[sl] += coeff
@@ -110,37 +124,16 @@ def frac_dyadic_direct(mu: Weight, alpha: float, f: GridFunction,
     config = mu.config
     if config.depth > 3:
         raise ValueError("direct operator oracle is limited to depth <= 3")
-    N = config.total_dim
-    expo = alpha / N - 1.0
-    if tau is None:
-        tau = (0,) * N
-    K, n = config.depth, config.n_factors
+    expo = alpha / config.total_dim - 1.0
     out = np.zeros_like(f.values)
     cells = config.axis_cells
-    for levels in itertools.product(range(K + 1), repeat=n):
-        axis_levels = []
-        for i, k in enumerate(levels):
-            axis_levels.extend([k] * config.dims[i])
-        side_cells = [3 * 2 ** (K - k) for k in axis_levels]
-        ranges = []
-        for k, s in zip(axis_levels, tau):
-            top = 2 ** k
-            if s == 0:
-                ranges.append(range(0, top))
-            elif s == 1:
-                ranges.append(range(-1, top))
-            else:
-                ranges.append(range(0, top + 1))
-        for flat in itertools.product(*ranges):
-            lo = [(3 * m + s) * (sc // 3)
-                  for m, s, sc in zip(flat, tau, side_cells)]
-            hi = [l + sc for l, sc in zip(lo, side_cells)]
-            m_val = _direct_integral(mu, np.ones_like(f.values), lo, hi)
-            if m_val <= 0.0:
-                continue
-            coeff = m_val ** expo * _direct_integral(mu, f.values, lo, hi)
-            sl = tuple(slice(max(a, 0), min(b, cells)) for a, b in zip(lo, hi))
-            out[sl] += coeff
+    for _, lo, hi in _iter_family(config, tau):
+        m_val = _direct_integral(mu, np.ones_like(f.values), lo, hi)
+        if m_val <= 0.0:
+            continue
+        coeff = m_val ** expo * _direct_integral(mu, f.values, lo, hi)
+        sl = tuple(slice(max(a, 0), min(b, cells)) for a, b in zip(lo, hi))
+        out[sl] += coeff
     return GridFunction(config, out)
 
 
@@ -152,7 +145,7 @@ def perez_direct(mu: Weight, alpha: float, f: GridFunction) -> GridFunction:
     N = config.total_dim
     expo = alpha / N - 1.0
     out = np.zeros_like(f.values)
-    for rect, lo, hi in _iter_standard_rects(config):
+    for _, lo, hi in _iter_family(config):
         m_val = _direct_integral(mu, np.ones_like(f.values), lo, hi)
         if m_val <= 0.0:
             continue

@@ -29,7 +29,7 @@ import numpy as np
 from .grids import DyadicCube, cube_to_json, rect_to_json, standard_rect
 from .operators import ExponentError, RectKernel, _check_pq, _neg_power, \
     _powers, check_mlinear_exponents, level_combos
-from .weights import Weight, _sum_blocks
+from .weights import Weight, _check_same_grid, _sum_blocks
 
 
 @dataclass
@@ -232,10 +232,7 @@ def fp_constant(kernel, weights, exponents) -> ConstantReport:
     """Largest K(R) * prod_k sigma_k(R)**(1/p_k') over the standard family."""
     if len(weights) != len(exponents) or not weights:
         raise ValueError("need one exponent per weight")
-    cfg = weights[0].config
-    for w in weights[1:]:
-        if w.config != cfg:
-            raise ValueError("weights live on different grids")
+    cfg = _check_same_grid(*weights)
     kernel = RectKernel.coerce(kernel, cfg)
     ps = check_mlinear_exponents(exponents)
     conj_exps = [1.0 - 1.0 / p for p in ps]

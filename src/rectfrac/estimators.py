@@ -71,10 +71,10 @@ import numpy as np
 
 from .conditions import _carleson_scan, fp_constant
 from .grids import rect_from_json
-from .operators import (ExponentConfig, RectKernel, _check_same_grid,
-                        _powers, _spread, _terms, _upsample, _weighted,
-                        check_mlinear_exponents, level_combos, plan)
-from .weights import GridFunction, Weight, build_mass_tree
+from .operators import (ExponentConfig, RectKernel, _powers, _spread, _terms,
+                        _upsample, _weighted, check_mlinear_exponents,
+                        level_combos, plan)
+from .weights import GridFunction, Weight, _check_same_grid, build_mass_tree
 
 
 @dataclass
@@ -160,7 +160,9 @@ def _norm_bound(densities, sigmas, rs, c2, head, *, tol, max_sweeps, seed,
     """The set-up every bound shares around its ascent.
 
     Builds the run of ``densities`` with ``_ascend`` (looked up when
-    called) and starts it from the warm start or from constants.  When
+    called) and starts it from the warm start or from constants.  A
+    warm start is refused unless it holds one function per argument,
+    each on the grid of ``sigmas``.  When
     the testing constant ``c2`` beats that run, runs again from the
     indicator of ``c2``'s witness and keeps the restarted run, its
     history and sweeps appended to the first run's, when it ends no
@@ -173,6 +175,10 @@ def _norm_bound(densities, sigmas, rs, c2, head, *, tol, max_sweeps, seed,
     run = _ascend(densities, sigmas, rs, tol, max_sweeps, value)
     # a constant start is one value, read against the cell masses
     if warm_start is not None:
+        warm_start = tuple(warm_start)
+        if len(warm_start) != len(sigmas):
+            raise ValueError("need one warm start per argument")
+        _check_same_grid(*sigmas, *warm_start)
         first = run([gf.values for gf in warm_start])
     else:
         first = run([np.ones((1,) * w.density.ndim) for w in sigmas])
@@ -240,17 +246,14 @@ def embed_norm_lower(kernel, sigmas, exponents, *, tol: float = 1e-9,
     stationary ratio, and compares against the single-rectangle testing
     value; if the latter wins, re-ascends from the extremal indicator
     functions.  The result is always >= the testing constant up to
-    roundoff.
+    roundoff.  ``fp_constant`` checks the inputs: one grid, a kernel
+    tabulated on it and one exponent per weight.
     """
     _check_limits(tol, max_sweeps)
     sigmas = tuple(sigmas)
-    cfg = _check_same_grid(*sigmas)
-    kernel = RectKernel.coerce(kernel, cfg)
     ps = check_mlinear_exponents(exponents)
-    if len(ps) != len(sigmas):
-        raise ValueError("need one exponent per weight")
-    return _norm_bound(_mlinear_densities(kernel, sigmas), sigmas, ps,
-                       fp_constant(kernel, sigmas, ps),
+    c2 = fp_constant(kernel, sigmas, ps)  # refuses grids, kernel and count
+    return _norm_bound(_mlinear_densities(kernel, sigmas), sigmas, ps, c2,
                        {"exponents": list(ps)}, tol=tol,
                        max_sweeps=max_sweeps, seed=seed,
                        warm_start=warm_start)

@@ -93,7 +93,8 @@ import numpy as np
 
 from .grids import (GridConfig, ProductRect, _check_inside, _points,
                     _shift_vector, min_rect, standard_rect, triple_depths)
-from .weights import GridFunction, Weight, build_mass_tree, build_pyramid
+from .weights import (GridFunction, Weight, _check_same_grid,
+                      build_mass_tree, build_pyramid)
 
 EXPONENT_TOL = 1e-12
 KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a kernel matrix or factor may take
@@ -176,14 +177,6 @@ def _hls_exponent(alpha: float, total_dim: int) -> float:
         raise ExponentError(
             f"alpha must lie in (0, {total_dim}), got {alpha}")
     return float(alpha) / total_dim - 1.0
-
-
-def _check_same_grid(*objs) -> GridConfig:
-    cfg = objs[0].config
-    for o in objs[1:]:
-        if o.config != cfg:
-            raise ValueError("inputs live on different grids")
-    return cfg
 
 
 def level_combos(config: GridConfig):

@@ -8,15 +8,17 @@ masses take one mass-tree gather per level tuple, and the
 minimal-rectangle masses, with the minimal cubes below the depth, one
 ``box_sums`` batch each, bit for bit the masses of one box at a time.
 The shift-cover check tests each axis of a cover against that axis's
-exhaustive candidates.  Everything runs in one thread; the ``threads``
-argument of ``kernel_equiv_study`` is accepted for compatibility and
-never changes the results.
+exhaustive candidates, one cube of the streamed family at a time.
+Everything runs in one thread; the ``threads`` argument of
+``kernel_equiv_study`` is accepted for compatibility and never changes
+the results.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -119,14 +121,16 @@ def kernel_equiv_study(mu: Weight, alpha: float, pairs,
     }
 
 
-def boundary_cover_cubes(dim: int, max_level: int) -> list[DyadicCube]:
-    """Standard cubes of level |k| <= max_level whose closure meets [0,1]^d."""
-    cubes = []
+def boundary_cover_cubes(dim: int, max_level: int) -> Iterator[DyadicCube]:
+    """Standard cubes of level |k| <= max_level whose closure meets [0,1]^d.
+
+    Yielded one at a time, levels upward and indices row-major: the
+    family grows as ``2**(dim * max_level)``, and no caller holds it.
+    """
     for k in range(-max_level, max_level + 1):
         axis_range = range(-1, (1 << k) + 1) if k >= 0 else range(-1, 1)
         for idx in itertools.product(axis_range, repeat=dim):
-            cubes.append(DyadicCube(k, idx))
-    return cubes
+            yield DyadicCube(k, idx)
 
 
 def verify_shift_cover(cube: DyadicCube, config: GridConfig) -> bool:
@@ -151,8 +155,9 @@ def shift_cover_report(dim: int, max_level: int) -> dict:
         raise ValueError(f"max_level must be at least 0, got {max_level}")
     # deep enough for integer corners; the checks do not depend on scale
     config = GridConfig((dim,), min(max(max_level - 1, 1), 12))
-    cubes = boundary_cover_cubes(dim, max_level)
-    failures = [{"level": cube.level, "index": list(cube.index)}
-                for cube in cubes if not verify_shift_cover(cube, config)]
+    checked, failures = 0, []
+    for checked, cube in enumerate(boundary_cover_cubes(dim, max_level), 1):
+        if not verify_shift_cover(cube, config):
+            failures.append({"level": cube.level, "index": list(cube.index)})
     return {"dim": dim, "max_level": max_level,
-            "cubes_checked": len(cubes), "failures": failures}
+            "cubes_checked": checked, "failures": failures}

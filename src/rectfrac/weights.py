@@ -15,6 +15,13 @@ exact fractional weights for end cells that a corner splits;
 ``box_sums`` does the same for a whole array of boxes, with the same
 bits.
 
+Every input rule is written once here.  ``_cells`` checks a cell
+array (a grid function's values, a weight's density): its shape, then
+finite and nonnegative entries, which per-axis factors share.
+``_check_same_grid`` refuses inputs on different grids, for
+``integrate``, ``lp_norm``, the operators, the testing constants and
+the estimators' warm starts alike.
+
 Constructors freeze a float64 array in place rather than copy it, so
 an array the caller passes in becomes read-only.  A view's base stays
 writable: writing through it changes the density but not the masses
@@ -209,6 +216,34 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _finite_nonnegative(arr: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(arr))) and not np.any(arr < 0)
+
+
+def _cells(config: GridConfig, values, what: str) -> np.ndarray:
+    """``values`` as a frozen float array with one entry per lattice cell.
+
+    The one check of every cell array (a grid function's values, a
+    weight's density): the shape, then finite and nonnegative entries.
+    """
+    shape = (config.axis_cells,) * config.total_dim
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not _finite_nonnegative(arr):
+        raise ValueError(f"{what} must be finite and nonnegative")
+    return _freeze(arr)
+
+
+def _check_same_grid(*objs) -> GridConfig:
+    """The one grid of ``objs`` (weights, grid functions), refused if several."""
+    cfg = objs[0].config
+    for o in objs[1:]:
+        if o.config != cfg:
+            raise ValueError("inputs live on different grids")
+    return cfg
+
+
 def _outer(factors) -> np.ndarray:
     return functools.reduce(np.multiply.outer, factors)
 
@@ -221,7 +256,7 @@ def _checked_factors(config: GridConfig, density: np.ndarray,
             any(a.shape != (config.axis_cells,) for a in factors):
         raise ValueError(f"need {config.total_dim} factors of "
                          f"{config.axis_cells} values each")
-    if not all(np.all(np.isfinite(a)) and np.all(a >= 0) for a in factors):
+    if not all(map(_finite_nonnegative, factors)):
         raise ValueError("factors must be finite and nonnegative")
     gap = np.abs(_outer(factors) - density)
     if not np.all(gap <= FACTOR_RTOL * density):
@@ -238,13 +273,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        shape = (self.config.axis_cells,) * self.config.total_dim
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != shape:
-            raise ValueError(f"values must have shape {shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("grid function values must be finite and >= 0")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values",
+                           _cells(self.config, self.values, "values"))
 
     @classmethod
     def ones(cls, config: GridConfig) -> "GridFunction":
@@ -297,16 +327,10 @@ class Weight:
 
     def __init__(self, config: GridConfig, density, meta: dict | None = None,
                  factors=None):
-        shape = (config.axis_cells,) * config.total_dim
-        arr = np.asarray(density, dtype=float)
-        if arr.shape != shape:
-            raise ValueError(f"density must have shape {shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("density must be finite and nonnegative")
-        if float(arr.sum()) <= 0.0:
+        self.density = _cells(config, density, "density")
+        if float(self.density.sum()) <= 0.0:
             raise ValueError("weight must carry positive total mass")
         self.config = config
-        self.density = _freeze(arr)
         self.factors = None if factors is None else \
             _checked_factors(config, self.density, factors)
         self.cell_masses = _freeze(self.density * config.cell_volume)
@@ -358,8 +382,7 @@ class Weight:
 
 def integrate(w: Weight, f: GridFunction, target) -> float:
     """Integral of f against the weight over a rectangle or box."""
-    if f.config != w.config:
-        raise ValueError("weight and function live on different grids")
+    _check_same_grid(w, f)
     return box_sum(w.cell_masses * f.values,
                    _as_box(w.config, target, "integrate over"))
 
@@ -368,8 +391,7 @@ def lp_norm(w: Weight, f: GridFunction, p: float) -> float:
     """Weighted p-norm over the whole domain, 1 < p < infinity."""
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
-    if f.config != w.config:
-        raise ValueError("weight and function live on different grids")
+    _check_same_grid(w, f)
     return float(np.sum(f.values ** p * w.cell_masses)) ** (1.0 / p)
 
 

@@ -209,7 +209,7 @@ class TestFeffermanPhong:
 
     @pytest.mark.parametrize("weights,start", [
         (lambda w: (w,), "need one exponent per weight"),
-        (lambda w: (w, w.coarsen(2)), "weights live on different grids")])
+        (lambda w: (w, w.coarsen(2)), "inputs live on different grids")])
     def test_inputs_refused(self, uniform_square, weights, start):
         kern = RectKernel.from_callable(uniform_square.config, lambda r: 1.0)
         with pytest.raises(ValueError, match=f"^{start}"):

@@ -586,6 +586,43 @@ class TestSweepLimits:
             calls[bound]()
 
 
+class TestWarmStartRefused:
+    """A warm start has one function per argument, on the bound's grid."""
+
+    ARGS = {"operator": 2, "embed": 2, "carleson": 1}
+
+    @staticmethod
+    def _call(bound, mu, warm):
+        if bound == "operator":
+            return operator_norm_lower(mu, 0.5, 4 / 3, 2.0, warm_start=warm)
+        if bound == "embed":
+            return embed_norm_lower(RectKernel.hls(mu, 0.5), (mu, mu),
+                                    (2.0, 2.0), warm_start=warm)
+        return carleson_norm_lower(mu, 2.0, 4.0, warm_start=warm)
+
+    @pytest.mark.parametrize("count,config,start", [
+        (-1, None, "need one warm start per argument"),
+        (1, None, "need one warm start per argument"),
+        (0, GridConfig((1, 1), 4), "inputs live on different grids"),
+        # the same (24, 24) cells as the (1, 1) K=3 weight
+        (0, GridConfig((2,), 3), "inputs live on different grids")],
+        ids=["fewer", "more", "deeper", "other-dims"])
+    @pytest.mark.parametrize("bound", ["operator", "embed", "carleson"])
+    def test_refused(self, cascade_square, bound, count, config, start):
+        warm = (GridFunction.ones(config or cascade_square.config),) * \
+            (self.ARGS[bound] + count)
+        with pytest.raises(ValueError, match="^" + re.escape(start)):
+            self._call(bound, cascade_square, warm)
+
+    @pytest.mark.parametrize("bound", ["operator", "embed", "carleson"])
+    def test_constant_warm_start_is_the_default(self, cascade_square, bound):
+        warm = [GridFunction.ones(cascade_square.config)] * self.ARGS[bound]
+        est = self._call(bound, cascade_square, iter(warm))
+        ref = self._call(bound, cascade_square, None)
+        assert est.history == ref.history
+        assert len(est.maximizers) == self.ARGS[bound]
+
+
 def _bound(name, mu, **limits):
     """One bound of ``mu``: an operator form, an embedding or Carleson."""
     cfg = mu.config

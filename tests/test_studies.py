@@ -16,6 +16,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -351,12 +352,33 @@ def test_pair_draw_equals_one_pair_loop(dims):
                                            (3, 3), (2, 7)])
 def test_shift_cover_report_matches_depth_one_grid(dim, max_level):
     config = GridConfig((dim,), 1)
-    cubes = boundary_cover_cubes(dim, max_level)
+    cubes = list(boundary_cover_cubes(dim, max_level))
     failures = [{"level": c.level, "index": list(c.index)}
                 for c in cubes if not verify_shift_cover(c, config)]
     assert shift_cover_report(dim, max_level) == {
         "dim": dim, "max_level": max_level, "cubes_checked": len(cubes),
         "failures": failures}
+
+
+def test_boundary_cover_cubes_streamed():
+    cubes = boundary_cover_cubes(1, 2)
+    assert iter(cubes) is cubes
+    assert next(cubes) == DyadicCube(-2, (-1,))
+    # 2, 2, 3, 4 and 6 cubes at levels -2..2, the first one taken
+    assert len(list(cubes)) == 16
+
+
+def test_shift_cover_report_memory_flat():
+    """The report holds one cube of the family at a time, not the family."""
+    shift_cover_report(2, 2)  # module-level caches filled before the trace
+    tracemalloc.start()
+    try:
+        rep = shift_cover_report(2, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["cubes_checked"] == 22925 and rep["failures"] == []
+    assert peak < 1 << 20
 
 
 def _reference_verdict(cube, config, tau, P):

@@ -434,7 +434,7 @@ REFUSALS = [
     (lambda w: GridFunction(w.config, np.ones(3)), ValueError,
      "values must have shape (24, 24), got (3,)"),
     (lambda w: GridFunction(w.config, -np.ones((24, 24))), ValueError,
-     "grid function values must be finite and >= 0"),
+     "values must be finite and nonnegative"),
     (lambda w: _ones(w.config).refine(2), ValueError,
      "refine only goes to deeper lattices"),
     (lambda w: Weight(w.config, np.ones(3)), ValueError,
@@ -442,9 +442,9 @@ REFUSALS = [
     (lambda w: w.coarsen(4), ValueError,
      "coarsen target must be a shallower valid depth"),
     (lambda w: integrate(w, _ones(GridConfig((1, 1), 2)), Box((0, 0), (1, 1))),
-     ValueError, "weight and function live on different grids"),
+     ValueError, "inputs live on different grids"),
     (lambda w: lp_norm(w, _ones(GridConfig((1, 1), 2)), 2.0), ValueError,
-     "weight and function live on different grids"),
+     "inputs live on different grids"),
     (lambda w: gen_power(w.config, (1.0,)), ValueError,
      "need one exponent per axis"),
     (lambda w: gen_power(w.config, (1.0, 1.0), centers=(0.5,)), ValueError,
