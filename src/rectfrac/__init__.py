@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .grids import (Box, DegeneratePairError, DepthExceededError, DyadicCube,
-                    GridConfig, ProductRect, children, cube_box,
-                    enumerate_rects, min_rect, minimal_cube, parent,
-                    product_minimal, rect_box, replace, shift_cover, triple)
+                    GridConfig, ProductRect, children, cube_box, min_rect,
+                    minimal_cube, parent, product_minimal, rect_box, replace,
+                    shift_cover, triple)
 from .weights import (AlignmentError, GridFunction, Weight,
                       WeightFormatError, gen_cascade, gen_power, gen_uniform,
                       integrate, load_weight, lp_norm, save_weight)
@@ -23,9 +23,9 @@ from .estimators import (NormEstimate, SweepRow, carleson_norm_lower,
 __all__ = [
     "__version__",
     "Box", "DegeneratePairError", "DepthExceededError", "DyadicCube",
-    "GridConfig", "ProductRect", "children", "cube_box", "enumerate_rects",
-    "min_rect", "minimal_cube", "parent", "product_minimal", "rect_box",
-    "replace", "shift_cover", "triple",
+    "GridConfig", "ProductRect", "children", "cube_box", "min_rect",
+    "minimal_cube", "parent", "product_minimal", "rect_box", "replace",
+    "shift_cover", "triple",
     "AlignmentError", "GridFunction", "Weight", "WeightFormatError",
     "gen_cascade", "gen_power", "gen_uniform", "integrate", "load_weight",
     "lp_norm", "save_weight",

@@ -4,10 +4,12 @@ These are the independent cross-checks used by the test suite: plain
 loops over cells, literal transcriptions of the defining sums, and
 exhaustive searches.  They deliberately share no enumeration or tree
 code with the production paths, and they are gated to small depths
-where their cost is quadratic or worse.  Among themselves the direct
-sums share one enumeration of a family, ``_iter_family``: the standard
-family for the multilinear, positive and enlarged-region sums, and any
-one shifted family for the dyadic fractional sum.
+where their cost is quadratic or worse.  ``_iter_family`` lists a
+family's rectangles, standard or shifted, and is the package's one
+such enumeration: the direct sums read it (the standard family for the
+multilinear, positive and enlarged-region sums, any one shifted family
+for the dyadic fractional sum), and so do the tests that enumerate
+rectangles.
 """
 
 from __future__ import annotations

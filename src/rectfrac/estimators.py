@@ -44,13 +44,14 @@ testing witness and reports the estimate.
 Steps run at the resolution their density comes in.  On the standard
 family (the dyadic and perez forms, the multilinear densities and the
 Carleson gradient) ``_spread`` returns one value per level-K cube, so
-the iterate stays per cube: its L^p norm and the base of its mass tree
-read the cube masses ``mass_tree[(K,) * n]`` (``operators._weighted``),
-and it goes onto cells once, as a maximizer, in ``_norm_bound``.  Only
-the start, a warm start and a restart indicator enter on cells, for the
-first normalization and the first density; a constant start is one
-value, which ``_weighted`` reads against the cell masses, so it takes
-no cell array.  Sums over cube masses round differently from sums over
+the iterate stays per cube: its L^p norm (``weights._lp``) and the base
+of its mass tree read the cube masses ``mass_tree[(K,) * n]``
+(``weights._weighted``), and it goes onto cells once, as a maximizer,
+in ``_norm_bound`` (``weights._upsample``).  Only the start, a warm
+start and a restart indicator enter on cells, for the first
+normalization and the first density; a constant start is one value,
+which ``_weighted`` reads against the cell masses, so it takes no cell
+array.  Sums over cube masses round differently from sums over
 cells, so these bounds match steps on cells to about 1e-15 relative,
 not bit for bit.  The shifted families and the kernel form have
 densities on cells, and their steps are steps on cells.
@@ -72,9 +73,9 @@ import numpy as np
 from .conditions import _carleson_scan, fp_constant
 from .grids import rect_from_json
 from .operators import (ExponentConfig, RectKernel, _powers, _spread, _terms,
-                        _upsample, _weighted, check_mlinear_exponents,
-                        level_combos, plan)
-from .weights import GridFunction, Weight, _check_same_grid, build_mass_tree
+                        check_mlinear_exponents, level_combos, plan)
+from .weights import (GridFunction, Weight, _check_same_grid, _lp, _upsample,
+                      _weighted, build_mass_tree)
 
 
 @dataclass
@@ -93,14 +94,6 @@ class NormEstimate:
         return {"value": self.value, "sweeps": self.sweeps,
                 "converged": self.converged, "history": self.history,
                 "seed": self.seed, "params": self.params}
-
-
-def _lp(sigma: Weight, values: np.ndarray, p: float) -> float:
-    """The L^p(sigma) norm of ``values``: on cells, one value or per cube.
-
-    Per cube, the sum runs over the cube masses ``_weighted`` reads.
-    """
-    return float(np.sum(_weighted(sigma, values ** p))) ** (1.0 / p)
 
 
 def _check_limits(tol: float, max_sweeps: int) -> None:

@@ -20,9 +20,10 @@ units, picks the cube's level with no pass per level.
 ``minimal_cube`` is its one-pair call, and ``product_minimal``,
 ``triple_depths`` and ``product_minimal_boxes`` read it too.  Their
 points are read by ``_points``, which refuses coordinates that are not
-integers instead of truncating them.  One rule, ``_shift_vector``,
-reads a family's shift vector for ``enumerate_rects`` and
-``operators.plan``.
+integers instead of truncating them.  ``_shift_vector`` reads the
+shift vector of ``operators.plan``'s family.  This module enumerates no
+family: a family's rectangles, standard or shifted, are listed by the
+oracle ``bruteforce._iter_family``.
 
 The combined per-axis index ``c = 3*m + s`` makes the split algebra
 uniform: the two halves of ``c`` along an axis are ``2*c`` and
@@ -37,7 +38,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -219,12 +220,9 @@ def cube_box(config: GridConfig, cube: DyadicCube) -> Box:
 
 
 def rect_box(config: GridConfig, rect: ProductRect) -> Box:
-    lo, hi = [], []
-    for q in rect.factors:
-        b = cube_box(config, q)
-        lo.extend(b.lo)
-        hi.extend(b.hi)
-    return Box(tuple(lo), tuple(hi))
+    boxes = [cube_box(config, q) for q in rect.factors]
+    return Box(tuple(c for b in boxes for c in b.lo),
+               tuple(c for b in boxes for c in b.hi))
 
 
 def _as_box(config: GridConfig, target, verb: str) -> Box:
@@ -395,6 +393,8 @@ def min_rect(x: tuple[int, ...], y: tuple[int, ...]) -> Box:
 def product_minimal(config: GridConfig, x: tuple[int, ...],
                     y: tuple[int, ...]) -> ProductRect:
     """Factor-wise minimal cubes: the product of minimal_cube per factor."""
+    if len(x) != config.total_dim or len(y) != config.total_dim:
+        raise ValueError(f"points must have {config.total_dim} coordinates")
     xs = config.split_axes(tuple(x))
     ys = config.split_axes(tuple(y))
     cubes = []
@@ -450,47 +450,12 @@ def shift_cover(cube: DyadicCube) -> tuple[tuple[int, ...], DyadicCube]:
     return tuple(taus), DyadicCube(cube.level - 3, tuple(idx), tuple(taus))
 
 
-def axis_index_range(level: int, s: int) -> range:
-    """Indices m whose (level, shift s) interval meets [0,1) with volume."""
-    top = 1 << level
-    if s == 0:
-        return range(0, top)
-    if s == 1:
-        return range(-1, top)
-    return range(0, top + 1)
-
-
 def _shift_vector(tau, n: int) -> tuple[int, ...]:
     """A family's per-axis shifts over {-1, 0, +1}; None is the standard one."""
     tau = (0,) * n if tau is None else tuple(int(t) for t in tau)
     if len(tau) != n or any(t not in (-1, 0, 1) for t in tau):
         raise ValueError("tau must assign -1, 0 or +1 per axis")
     return tau
-
-
-def enumerate_rects(config: GridConfig,
-                    tau: tuple[int, ...] | None = None) -> Iterator[ProductRect]:
-    """All product cubes with factor levels 0..depth meeting the domain.
-
-    ``tau`` is a per-axis shift vector over {-1, 0, +1} (thirds); None
-    means the standard family.  Only cubes whose half-open intersection
-    with [0,1)^N is nonempty are produced, each exactly once, in a fixed
-    order: level tuples lexicographically, then indices lexicographically
-    with the last axis fastest.
-    """
-    n = config.n_factors
-    tau_by_factor = config.split_axes(_shift_vector(tau, config.total_dim))
-    for levels in itertools.product(range(config.depth + 1), repeat=n):
-        ranges = []
-        for i, k in enumerate(levels):
-            for s in tau_by_factor[i]:
-                ranges.append(axis_index_range(k, s))
-        for flat in itertools.product(*ranges):
-            idx_by_factor = config.split_axes(flat)
-            cubes = tuple(
-                DyadicCube(levels[i], idx_by_factor[i], tau_by_factor[i])
-                for i in range(n))
-            yield ProductRect(cubes)
 
 
 def standard_rect(config: GridConfig, levels: tuple[int, ...],
@@ -508,12 +473,9 @@ def cube_to_json(cube: DyadicCube) -> dict:
 
 
 def rect_to_json(rect: ProductRect) -> dict:
-    tau = []
-    for q in rect.factors:
-        tau.extend(q.shift)
     return {"levels": [q.level for q in rect.factors],
             "indices": [list(q.index) for q in rect.factors],
-            "tau": tau}
+            "tau": [t for q in rect.factors for t in q.shift]}
 
 
 def rect_from_json(doc: dict) -> ProductRect:

@@ -51,8 +51,8 @@ term-by-term sum in the same order, bit for bit.  A sum over the
 standard family stays per level-K cube, on which all its terms are
 constant (``2**K`` entries per axis instead of ``3 * 2**K``); its
 plan's maps take such an array back, against the cube masses
-(``_weighted``), and ``_upsample`` puts it on cells.  The window
-families' sums are on cells.
+(``weights._weighted``), and ``weights._upsample`` puts it on cells.
+The window families' sums are on cells.
 
 The kernel form's minimal-rectangle masses grow, along each axis, by
 cumulative sums of half-pair cell sums running outward from the anchor
@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,8 +94,8 @@ import numpy as np
 
 from .grids import (GridConfig, ProductRect, _check_inside, _points,
                     _shift_vector, min_rect, standard_rect, triple_depths)
-from .weights import (GridFunction, Weight, _check_same_grid,
-                      build_mass_tree, build_pyramid)
+from .weights import (GridFunction, Weight, _check_same_grid, _paired,
+                      _upsample, _weighted, build_mass_tree, build_pyramid)
 
 EXPONENT_TOL = 1e-12
 KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a kernel matrix or factor may take
@@ -183,35 +184,6 @@ def level_combos(config: GridConfig):
     """Factor-level tuples in enumeration order."""
     return itertools.product(range(config.depth + 1),
                              repeat=config.n_factors)
-
-
-def _paired(fine, coarse) -> tuple[list[int], list[int]]:
-    """Shapes pairing each axis of ``fine`` with the blocks of ``coarse``.
-
-    Reshaped to the first, an array of shape ``fine`` has per axis a
-    block index and an offset within the block; reshaped to the second,
-    an array of shape ``coarse`` broadcasts over the offsets.
-    """
-    view, term = [], []
-    for n, m in zip(fine, coarse):
-        view += [m, n // m]
-        term += [m, 1]
-    return view, term
-
-
-def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
-    """Spread per-block values (cubes or third-cubes) onto their cells.
-
-    A cell array is returned as it is.  An array each of whose axes has
-    either one block or one cell per block comes back as a read-only
-    broadcast view sharing its memory, of stride 0 along the one-block
-    axes; anything else is copied once.
-    """
-    cells = (config.axis_cells,) * arr.ndim
-    if arr.shape == cells:
-        return arr
-    view, term = _paired(cells, arr.shape)
-    return np.broadcast_to(arr.reshape(term), view).reshape(cells)
 
 
 def _spread(arrs) -> np.ndarray:
@@ -335,9 +307,13 @@ class RectKernel:
         so a table depends on the seed, the levels and the dims but not
         on the depth: nested truncated families see consistent kernels,
         and a draw at each depth gives the tables a deeper draw holds.
-        Seeds lie in ``[-2**63, 2**63)``; any other is refused.
+        Seeds are integers in ``[-2**63, 2**63)``; any other is refused.
         """
-        seed = int(seed)
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(
+                f"kernel seed must be an integer, got {seed!r}") from None
         if not -2 ** 63 <= seed < 2 ** 63:
             raise ValueError(
                 f"kernel seed must lie in [-2**63, 2**63), got {seed}")
@@ -371,18 +347,6 @@ def _terms(config: GridConfig, tables: dict, trees):
         for t in trees:
             arr *= t[lv]
         yield arr
-
-
-def _weighted(sigma: Weight, values: np.ndarray) -> np.ndarray:
-    """``values`` times sigma's masses at their resolution.
-
-    The level-K cube masses, ``mass_tree[(K,) * n]``, for values per
-    level-K cube (``2**K`` entries per axis, at least 2), and the cell
-    masses for any other values: on cells, or one value broadcast over
-    them.
-    """
-    cubes = sigma.mass_tree[(sigma.config.depth,) * sigma.config.n_factors]
-    return (cubes if values.shape == cubes.shape else sigma.cell_masses) * values
 
 
 def _rect_sum(sigma: Weight, build, tables: dict, term) -> Callable:

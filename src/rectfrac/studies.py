@@ -90,15 +90,17 @@ def kernel_equiv_study(mu: Weight, alpha: float, pairs,
     ``[min(x, y), max(x, y))`` take one ``box_sums`` batch, equal bit
     for bit to ``mu.mass(min_rect(x, y))``; their masses serve both the
     closed kernel and the mass ratio.  A pair sharing a coordinate
-    raises ``DegeneratePairError``, and an empty pair list
-    ``ValueError``.  ``threads`` is accepted and ignored; the result
-    never depends on it.
+    raises ``DegeneratePairError``, and an empty pair list or pairs that
+    are not ``(P, 2, N)`` ``ValueError``.  ``threads`` is accepted and
+    ignored; the result never depends on it.
     """
     if len(pairs) == 0:
         raise ValueError("kernel_equiv_study needs at least one pair")
     N = mu.config.total_dim
     expo = _hls_exponent(alpha, N)
-    XY = _points(pairs).reshape(len(pairs), 2, N)
+    XY = _points(pairs)
+    if XY.shape != (len(pairs), 2, N):
+        raise ValueError(f"pairs must be a (P, 2, {N}) array, got {XY.shape}")
     X, Y = XY[:, 0], XY[:, 1]
     shared = np.argwhere(X == Y)  # (pair, axis), first pair first
     if len(shared):

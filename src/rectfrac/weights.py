@@ -22,6 +22,16 @@ finite and nonnegative entries, which per-axis factors share.
 ``integrate``, ``lp_norm``, the operators, the testing constants and
 the estimators' warm starts alike.
 
+The resolution rule is written once here too.  An array may hold one
+value per cell, one per block (a level-K cube, a third-cube, or a cell
+of a shallower grid) or one value for a constant.  ``_upsample`` puts
+it on cells (``GridFunction.refine`` is its call onto the deeper grid),
+``_weighted`` multiplies it by the masses at its resolution (the level-K
+cube masses per cube, the cell masses otherwise) and ``_lp`` is the one
+L^p formula, read by ``lp_norm`` and the estimators' steps alike.  The
+three tensor generators build their ``Weight`` with ``_tensor``, which
+keeps the per-axis densities as its factors.
+
 Constructors freeze a float64 array in place rather than copy it, so
 an array the caller passes in becomes read-only.  A view's base stays
 writable: writing through it changes the density but not the masses
@@ -248,6 +258,36 @@ def _outer(factors) -> np.ndarray:
     return functools.reduce(np.multiply.outer, factors)
 
 
+def _paired(fine, coarse) -> tuple[list[int], list[int]]:
+    """Shapes pairing each axis of ``fine`` with the blocks of ``coarse``.
+
+    Reshaped to the first, an array of shape ``fine`` has per axis a
+    block index and an offset within the block; reshaped to the second,
+    an array of shape ``coarse`` broadcasts over the offsets.
+    """
+    view, term = [], []
+    for n, m in zip(fine, coarse):
+        view += [m, n // m]
+        term += [m, 1]
+    return view, term
+
+
+def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
+    """Spread per-block values onto cells.
+
+    The blocks are level-K cubes, third-cubes or the cells of a
+    shallower grid.  A cell array is returned as it is.  An array each
+    of whose axes has either one block or one cell per block comes back
+    as a read-only broadcast view sharing its memory, of stride 0 along
+    the one-block axes; anything else is copied once.
+    """
+    cells = (config.axis_cells,) * arr.ndim
+    if arr.shape == cells:
+        return arr
+    view, term = _paired(cells, arr.shape)
+    return np.broadcast_to(arr.reshape(term), view).reshape(cells)
+
+
 def _checked_factors(config: GridConfig, density: np.ndarray,
                      factors) -> tuple[np.ndarray, ...]:
     """Per-axis densities, frozen, after checking their outer product."""
@@ -292,11 +332,8 @@ class GridFunction:
             return self
         if depth < self.config.depth:
             raise ValueError("refine only goes to deeper lattices")
-        f = 1 << (depth - self.config.depth)
-        arr = self.values
-        for ax in range(self.config.total_dim):
-            arr = np.repeat(arr, f, axis=ax)
-        return GridFunction(GridConfig(self.config.dims, depth), arr)
+        cfg = GridConfig(self.config.dims, depth)
+        return GridFunction(cfg, _upsample(cfg, self.values))
 
 
 def cell_slices(config: GridConfig, target) -> tuple[slice, ...]:
@@ -392,22 +429,44 @@ def lp_norm(w: Weight, f: GridFunction, p: float) -> float:
     if not (1.0 < p < math.inf):
         raise ValueError(f"p must lie in (1, inf), got {p}")
     _check_same_grid(w, f)
-    return float(np.sum(f.values ** p * w.cell_masses)) ** (1.0 / p)
+    return _lp(w, f.values, p)
+
+
+def _weighted(sigma: Weight, values: np.ndarray) -> np.ndarray:
+    """``values`` times sigma's masses at their resolution.
+
+    The level-K cube masses, ``mass_tree[(K,) * n]``, for values per
+    level-K cube (``2**K`` entries per axis, at least 2), and the cell
+    masses for any other values: on cells, or one value broadcast over
+    them.
+    """
+    cubes = sigma.mass_tree[(sigma.config.depth,) * sigma.config.n_factors]
+    return (cubes if values.shape == cubes.shape else sigma.cell_masses) * values
+
+
+def _lp(sigma: Weight, values: np.ndarray, p: float) -> float:
+    """The L^p(sigma) norm of ``values``: on cells, one value or per cube.
+
+    Per cube, the sum runs over the cube masses ``_weighted`` reads.
+    """
+    return float(np.sum(_weighted(sigma, values ** p))) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
 # Weight generators
 
 
-def _gen_meta(kind: str, seed=None, **params) -> dict:
-    return {"kind": kind, "seed": seed, "params": params}
+def _tensor(config: GridConfig, axis_density, kind: str, seed=None,
+            **params) -> Weight:
+    """The tensor weight of per-axis densities, which it keeps as factors."""
+    return Weight(config, _outer(axis_density), factors=axis_density,
+                  meta={"kind": kind, "seed": seed, "params": params})
 
 
 def gen_uniform(config: GridConfig) -> Weight:
     """Lebesgue measure: density one everywhere."""
-    axis_density = [np.ones(config.axis_cells)] * config.total_dim
-    return Weight(config, _outer(axis_density), meta=_gen_meta("uniform"),
-                  factors=axis_density)
+    return _tensor(config, [np.ones(config.axis_cells)] * config.total_dim,
+                   "uniform")
 
 
 def gen_power(config: GridConfig, exponents, centers=None) -> Weight:
@@ -433,12 +492,9 @@ def gen_power(config: GridConfig, exponents, centers=None) -> Weight:
     for a, c in zip(exps, centers):
         s = edges - c
         anti = np.sign(s) * np.abs(s) ** (1.0 + a) / (1.0 + a)
-        masses = np.diff(anti)
-        axis_density.append(masses * cells)
-    return Weight(config, _outer(axis_density),
-                  meta=_gen_meta("power", exponents=list(exps),
-                                 centers=list(centers)),
-                  factors=axis_density)
+        axis_density.append(np.diff(anti) * cells)
+    return _tensor(config, axis_density, "power", exponents=list(exps),
+                   centers=list(centers))
 
 
 def gen_cascade(config: GridConfig, rho: float, seed: int) -> Weight:
@@ -462,10 +518,8 @@ def gen_cascade(config: GridConfig, rho: float, seed: int) -> Weight:
             theta = lo + (hi - lo) * rng.random(m.size)
             m = np.stack([m * theta, m * (1.0 - theta)], axis=1).reshape(-1)
         axis_density.append(np.repeat(m, 3) * (cells / 3.0))
-    return Weight(config, _outer(axis_density),
-                  meta=_gen_meta("cascade", seed=int(seed), rho=rho,
-                                 rng="numpy-default-pcg64"),
-                  factors=axis_density)
+    return _tensor(config, axis_density, "cascade", int(seed), rho=rho,
+                   rng="numpy-default-pcg64")
 
 
 # ---------------------------------------------------------------------------

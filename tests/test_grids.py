@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from rectfrac import (Box, DegeneratePairError, DepthExceededError,
                       DyadicCube, GridConfig, ProductRect, children,
-                      cube_box, enumerate_rects, min_rect, minimal_cube,
-                      parent, product_minimal, rect_box, replace,
-                      shift_cover, triple)
-from rectfrac.bruteforce import minimal_cube_exhaustive, shift_cover_exhaustive
+                      cube_box, min_rect, minimal_cube, parent,
+                      product_minimal, rect_box, replace, shift_cover,
+                      triple)
+from rectfrac.bruteforce import (_iter_family, minimal_cube_exhaustive,
+                                 shift_cover_exhaustive)
 from rectfrac.grids import product_minimal_boxes, triple_depths
 
 CFG = GridConfig((1,), 4)
@@ -427,37 +428,43 @@ class TestShiftCover:
 
 
 class TestEnumerateRects:
+    """The one enumeration of a family, ``bruteforce._iter_family``."""
+
+    @staticmethod
+    def rects(cfg, tau=None):
+        return [rect for rect, _, _ in _iter_family(cfg, tau)]
+
     def test_interval_count(self):
         cfg = GridConfig((1,), 2)
-        rects = list(enumerate_rects(cfg))
+        rects = self.rects(cfg)
         assert len(rects) == 7  # 1 + 2 + 4
 
     def test_square_count(self):
         cfg = GridConfig((1, 1), 1)
-        assert len(list(enumerate_rects(cfg))) == 9  # 3 x 3
+        assert len(self.rects(cfg)) == 9  # 3 x 3
 
     @pytest.mark.parametrize("depth", [3, 4, 5])
     def test_closed_form_count(self, depth):
         cfg = GridConfig((1,), depth)
-        assert len(list(enumerate_rects(cfg))) == 2 ** (depth + 1) - 1
+        assert len(self.rects(cfg)) == 2 ** (depth + 1) - 1
 
     def test_shifted_axis_gets_one_extra_interval_per_level(self):
         cfg = GridConfig((1,), 2)
-        rects = list(enumerate_rects(cfg, tau=(1,)))
+        rects = self.rects(cfg, tau=(1,))
         assert len(rects) == (1 + 1) + (2 + 1) + (4 + 1)
 
     def test_no_duplicates_and_deterministic_order(self):
         cfg = GridConfig((1, 1), 2)
-        rects = list(enumerate_rects(cfg))
+        rects = self.rects(cfg)
         assert len(set(rects)) == len(rects)
-        assert rects == list(enumerate_rects(cfg))
+        assert rects == self.rects(cfg)
         assert rects[0].levels == (0, 0)
         assert rects[-1].levels == (2, 2)
 
     def test_every_rect_meets_domain(self):
         cfg = GridConfig((1,), 3)
         U = cfg.axis_units
-        for rect in enumerate_rects(cfg, tau=(-1,)):
+        for rect in self.rects(cfg, tau=(-1,)):
             b = rect_box(cfg, rect)
             assert b.lo[0] < U and b.hi[0] > 0
 
@@ -536,7 +543,13 @@ REFUSALS = [
     (lambda cfg: GridConfig((1.7,), 3), ValueError,
      "factor dimensions must be integers"),
     (lambda cfg: GridConfig((1, 2.0), 3), ValueError,
-     "factor dimensions must be integers")]
+     "factor dimensions must be integers"),
+    # used to read the first two coordinates
+    (lambda cfg: product_minimal(cfg, (1, 2, 3), (4, 5, 6)), ValueError,
+     "points must have 2 coordinates"),
+    # used to raise "points coincide in factor 1"
+    (lambda cfg: product_minimal(cfg, (1,), (4,)), ValueError,
+     "points must have 2 coordinates")]
 
 
 @pytest.mark.parametrize("call,exc,start", REFUSALS)

@@ -229,6 +229,20 @@ class TestRandomUniform:
         with pytest.raises(ValueError, match=re.escape(message)):
             RectKernel.random_uniform(GridConfig((1,), 2), seed)
 
+    @pytest.mark.parametrize("seed", [1.9, 7.0, "7", None])
+    def test_non_integer_seed_refused(self, seed):
+        # 1.9 used to draw seed 1's tables, and "7" seed 7's
+        message = f"kernel seed must be an integer, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RectKernel.random_uniform(GridConfig((1,), 2), seed)
+
+    def test_numpy_integer_seed_passes(self):
+        cfg = GridConfig((1, 1), 2)
+        want = RectKernel.random_uniform(cfg, 7).tables
+        for seed in (np.int64(7), np.uint8(7)):
+            got = RectKernel.random_uniform(cfg, seed).tables
+            assert all(np.array_equal(got[lv], want[lv]) for lv in want)
+
     def test_pinned_values(self):
         # the PCG64 stream is integer arithmetic, so these hold on every
         # host and every supported numpy
@@ -965,7 +979,8 @@ class TestKernelSum:
 
     def test_matches_rect_enumeration(self, cascade_square):
         # independent check: sum over enumerated standard rects
-        from rectfrac.grids import enumerate_rects, rect_box, triple
+        from rectfrac.bruteforce import _iter_family
+        from rectfrac.grids import rect_box, triple
         cfg = cascade_square.config
         rng = np.random.default_rng(18)
         U = cfg.axis_units
@@ -977,7 +992,7 @@ class TestKernelSum:
             if any(a == b for a, b in zip(x, y)):
                 continue
             total = 0.0
-            for rect in enumerate_rects(cfg):
+            for rect, _, _ in _iter_family(cfg):
                 if rect_box(cfg, rect).contains_point(x) and \
                         triple(cfg, rect).contains_point(y):
                     total += cascade_square.mass(rect) ** expo

@@ -14,6 +14,7 @@ check against the whole exhaustive cover list.
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,10 +25,11 @@ import pytest
 
 import rectfrac
 from rectfrac import (DegeneratePairError, DyadicCube, GridConfig,
-                      ProductRect, enumerate_rects, gen_cascade, gen_power,
-                      kernel_sum, rect_box, triple)
+                      ProductRect, gen_cascade, gen_power, kernel_sum,
+                      rect_box, triple)
 from rectfrac import studies
-from rectfrac.bruteforce import (mass_direct, minimal_cube_exhaustive,
+from rectfrac.bruteforce import (_iter_family, mass_direct,
+                                 minimal_cube_exhaustive,
                                  shift_cover_candidates,
                                  shift_cover_exhaustive)
 from rectfrac.grids import (cube_box, min_rect, product_minimal, shift_cover,
@@ -138,7 +140,7 @@ def test_kernel_sums_match_rect_enumeration(dims, depth):
     expo = 0.5 / cfg.total_dim - 1.0
     rects = [(rect_box(cfg, r), triple(cfg, r),
               float(w.cell_masses[cell_slices(cfg, r)].sum()))
-             for r in enumerate_rects(cfg)]
+             for r, _, _ in _iter_family(cfg)]
     got = kernel_sums(w, 0.5, X, Y)
     for p, (x, y) in enumerate(zip(X.tolist(), Y.tolist())):
         total = sum(m ** expo for box, box3, m in rects
@@ -281,6 +283,14 @@ class TestErrors:
         assert type(err.value) is ValueError
         with pytest.raises(ValueError, match="inside"):
             kernel_sums(w, 0.5, [(3, -1)], [(9, 7)])
+
+    def test_pairs_of_wrong_shape_refused(self, w):
+        # 3-D points used to fail in numpy's reshape
+        for pairs in ([((1, 2, 3), (4, 5, 6))], [(1, 2), (4, 5)],
+                      [((1, 2), (4, 5), (7, 8))]):
+            with pytest.raises(ValueError, match=re.escape(
+                    "pairs must be a (P, 2, 2) array, got (")):
+                kernel_equiv_study(w, 0.5, pairs)
 
     def test_empty_pair_list_refused_before_any_work(self, w, monkeypatch):
         calls = []

@@ -199,6 +199,15 @@ class TestLpNorm:
                 lp_norm(cascade_square, g, p / (p - 1))
             assert lhs <= rhs * (1 + 1e-12)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.7])
+    def test_equals_cell_sum_exactly(self, cascade_square, p):
+        cfg = cascade_square.config
+        f = GridFunction(cfg, np.random.default_rng(4).random(
+            (cfg.axis_cells,) * 2))
+        want = float(np.sum(f.values ** p * cascade_square.cell_masses)) \
+            ** (1 / p)
+        assert lp_norm(cascade_square, f, p) == want
+
     def test_rejects_p_at_most_one(self, uniform_line):
         f = GridFunction.ones(uniform_line.config)
         with pytest.raises(ValueError):
@@ -408,6 +417,20 @@ class TestResampling:
         assert f2.config == fine_cfg
         assert f2.values.sum() * fine_cfg.cell_volume == pytest.approx(
             f.values.sum() * cascade_square.config.cell_volume, rel=1e-12)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_refine_equals_repeat(self, dims, steps):
+        cfg = GridConfig(dims, 2)
+        f = GridFunction(cfg, np.random.default_rng(8).random(
+            (cfg.axis_cells,) * cfg.total_dim))
+        want = f.values
+        for ax in range(cfg.total_dim):
+            want = np.repeat(want, 1 << steps, axis=ax)
+        got = f.refine(2 + steps)
+        assert got.config == GridConfig(dims, 2 + steps)
+        assert got.values.shape == want.shape
+        assert np.array_equal(got.values, want)
 
     def test_refine_to_own_depth_is_identity(self, cascade_square):
         f = GridFunction.ones(cascade_square.config)
