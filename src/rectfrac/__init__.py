@@ -11,7 +11,8 @@ from .weights import (AlignmentError, GridFunction, Weight,
                       integrate, load_weight, lp_norm, save_weight)
 from .conditions import (ConstantReport, carleson_testing_constant,
                          condition_d_constant, doubling_constant,
-                         fp_constant, reverse_doubling_constant)
+                         fp_constant, reverse_doubling_constant,
+                         tail_bound)
 from .operators import (ExponentConfig, ExponentError, RectKernel,
                         apply_frac_dyadic, apply_frac_kernel, apply_perez,
                         apply_positive, kernel_sum, mlinear_form, pair_kernel,
@@ -31,6 +32,7 @@ __all__ = [
     "lp_norm", "save_weight",
     "ConstantReport", "carleson_testing_constant", "condition_d_constant",
     "doubling_constant", "fp_constant", "reverse_doubling_constant",
+    "tail_bound",
     "ExponentConfig", "ExponentError", "RectKernel", "apply_frac_dyadic",
     "apply_frac_kernel", "apply_perez", "apply_positive", "kernel_sum",
     "mlinear_form", "pair_kernel", "shift_bound_ratio",

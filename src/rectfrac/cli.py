@@ -29,10 +29,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .conditions import (_condition_d, _positive_eps, doubling_constant,
-                         fp_constant, reverse_doubling_constant)
+from .conditions import (_positive_eps, condition_d_constant,
+                         doubling_constant, fp_constant,
+                         reverse_doubling_constant, tail_bound)
 from .estimators import _ratio, depth_sweep, rows_to_csv
-from .operators import OPERATOR_FORMS, ExponentConfig, RectKernel
+from .operators import (OPERATOR_FORMS, ExponentConfig, RectKernel,
+                        check_kernel_seed)
 from .studies import (kernel_equiv_study, sample_distinct_pairs, scale_pairs,
                       shift_cover_report)
 from .weights import (GridConfig, gen_cascade, gen_power, gen_uniform,
@@ -44,8 +46,11 @@ _KERNEL_SEED = ("random kernel seed in [-2**63, 2**63); each level's "
 
 
 def _number(text: str) -> float:
-    """Parse '4/3' or '1.25' to float."""
-    return float(Fraction(text))
+    """Parse '4/3' or '1.25' to a finite float."""
+    try:
+        return float(Fraction(text))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a finite number: {text!r}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -57,12 +62,12 @@ def _num_list(text: str) -> tuple[float, ...]:
 
 
 def _kernel_seed(text: str) -> int:
-    """Parse a random kernel seed, refusing one outside [-2**63, 2**63)."""
+    """Parse a random kernel seed in the domain ``check_kernel_seed`` sets."""
     seed = int(text)
-    if not -2 ** 63 <= seed < 2 ** 63:
-        raise argparse.ArgumentTypeError(
-            f"kernel seed must lie in [-2**63, 2**63), got {seed}")
-    return seed
+    try:
+        return check_kernel_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _depth_list(text: str) -> tuple[int, ...]:
@@ -193,8 +198,9 @@ def _cmd_check_weight(args) -> int:
                              margin >= -tol * max(1.0, bound), margin))
     cond = {}
     for eps in epsilons:
-        rep = _condition_d(w, eps, reverse.value)
-        cond[repr(eps)] = rep.to_json()
+        rep = condition_d_constant(w, eps)
+        cond[repr(eps)] = dict(rep.to_json(),
+                               tail_bound=tail_bound(reverse, eps))
         geom = sum(reverse.value ** (-k * eps) for k in range(cfg.depth + 1))
         margin = geom - rep.value
         checks.append(_check(f"summability_geometric_bound[eps={eps}]",

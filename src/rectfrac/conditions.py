@@ -11,7 +11,13 @@ Every constant runs through one scan, ``_scan``, over ``(key, array)``
 entries: the first extremum of each array, kept only when strictly
 better than the best so far.  So ties go to the first extremal
 rectangle in ``level_combos`` order, then direction j, then row-major
-index within the level's array.
+index within the level's array.  Each public constant is one such
+scan, its input check first: ``condition_d_constant`` and
+``carleson_testing_constant`` are each one descendant power scan.
+What the levels beyond the truncation could add to either is a
+separate function of the reverse doubling report,
+``tail_bound(reverse, decay_exp)``, so a caller that already holds
+that report scans reverse doubling once.
 
 Conventions for degenerate masses follow the definitions read
 literally: the doubling scan reports +inf when a child has zero mass
@@ -43,7 +49,6 @@ class ConstantReport:
     depth: int
     params: dict = field(default_factory=dict)
     per_factor: tuple[float, ...] | None = None
-    tail_bound: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -55,7 +60,6 @@ class ConstantReport:
             "params": self.params,
             "per_factor": None if self.per_factor is None else [
                 "inf" if math.isinf(v) else v for v in self.per_factor],
-            "tail_bound": self.tail_bound,
         }
 
 
@@ -175,28 +179,24 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
     return ConstantReport(name, best, wit, scanned, K, params)
 
 
-def _reverse_tail_bound(gamma: float, decay_exp: float) -> float | None:
+def tail_bound(reverse: ConstantReport, decay_exp: float) -> float | None:
     """Geometric bound on what levels beyond the truncation could add.
 
-    If the measured reverse doubling constant is gamma > 1, each extra
-    relative level contributes at most gamma**(-l * decay_exp) to any
-    scanned ratio, so the dropped tail is bounded by r/(1-r) with
-    r = gamma**(-decay_exp).  gamma is always finite: the level-0
+    ``reverse`` is a reverse doubling report.  If its constant is
+    gamma > 1, each extra relative level contributes at most
+    gamma**(-l * decay_exp) to any scanned ratio, so the dropped tail is
+    bounded by r/(1-r) with r = gamma**(-decay_exp); None otherwise.
+    The decay is eps for ``condition_d_constant`` and q/p - 1 for
+    ``carleson_testing_constant``.  gamma is always finite: the level-0
     rectangle carries the positive total mass, and the tree builds each
     parent as the sum of its ``2**d_j`` children in direction j, so the
     largest child is positive and gives a ratio of at most ``2**d_j``;
     gamma is the minimum over all ratios.
     """
-    if not gamma > 1.0:
+    if not reverse.value > 1.0:
         return None
-    r = gamma ** (-decay_exp)
+    r = reverse.value ** (-decay_exp)
     return r / (1.0 - r)
-
-
-def condition_d_constant(w: Weight, eps: float) -> ConstantReport:
-    """Summability testing constant with power 1 + eps over descendants."""
-    eps = _positive_eps(eps)  # refused before the reverse doubling scan
-    return _condition_d(w, eps, reverse_doubling_constant(w).value)
 
 
 def _positive_eps(eps: float) -> float:
@@ -206,26 +206,17 @@ def _positive_eps(eps: float) -> float:
     return float(eps)
 
 
-def _condition_d(w: Weight, eps: float, gamma: float) -> ConstantReport:
-    """``condition_d_constant`` given gamma and a checked positive eps."""
-    rep = _descendant_power_scan(w, 1.0 + eps, "condition_d", {"eps": eps})
-    rep.tail_bound = _reverse_tail_bound(gamma, eps)
-    return rep
-
-
-def _carleson_scan(w: Weight, p: float, q: float) -> ConstantReport:
-    """``carleson_testing_constant`` without its tail bound."""
-    _check_pq(p, q)
-    return _descendant_power_scan(w, q / p, "carleson_testing",
-                                  {"p": float(p), "q": float(q)})
+def condition_d_constant(w: Weight, eps: float) -> ConstantReport:
+    """Summability testing constant with power 1 + eps over descendants."""
+    eps = _positive_eps(eps)
+    return _descendant_power_scan(w, 1.0 + eps, "condition_d", {"eps": eps})
 
 
 def carleson_testing_constant(w: Weight, p: float, q: float) -> ConstantReport:
     """Testing constant with power q/p over descendants, 1 < p < q."""
-    rep = _carleson_scan(w, p, q)
-    rep.tail_bound = _reverse_tail_bound(reverse_doubling_constant(w).value,
-                                         q / p - 1.0)
-    return rep
+    _check_pq(p, q)
+    return _descendant_power_scan(w, q / p, "carleson_testing",
+                                  {"p": float(p), "q": float(q)})
 
 
 def fp_constant(kernel, weights, exponents) -> ConstantReport:
@@ -247,6 +238,5 @@ def fp_constant(kernel, weights, exponents) -> ConstantReport:
     (best, levels, flat, shape), scanned = _scan(products(), -1.0)
     wit = None if levels is None else {"rect": rect_to_json(standard_rect(
         cfg, levels, np.unravel_index(flat, shape)))}
-    return ConstantReport("fefferman_phong", max(best, 0.0), wit,
-                          scanned, cfg.depth,
-                          {"exponents": [float(p) for p in ps]})
+    return ConstantReport("fefferman_phong", max(best, 0.0), wit, scanned,
+                          cfg.depth, {"exponents": list(ps)})

@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import _carleson_scan, fp_constant
+from .conditions import carleson_testing_constant, fp_constant
 from .grids import rect_from_json
 from .operators import (ExponentConfig, RectKernel, _powers, _spread, _terms,
                         check_mlinear_exponents, level_combos, plan)
@@ -293,7 +293,8 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
     """
     _check_limits(tol, max_sweeps)
     p, q = float(p), float(q)
-    c2 = _carleson_scan(sigma, p, q)  # refuses exponents outside 1 < p < q
+    # refuses exponents outside 1 < p < q
+    c2 = carleson_testing_constant(sigma, p, q)
     a_tables = _powers(sigma.mass_tree, q / p - q)
     tree, _ = _tree_cache((sigma,), lambda t: [
         (a_tables[lv] * t[lv] ** (q - 1.0), t[lv])

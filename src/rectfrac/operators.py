@@ -74,7 +74,9 @@ The closed kernel of one pair (``pair_kernel``) refuses points outside
 [0,1)^N with ``kernel_sum``'s check, ``grids._check_inside``.  The
 exponent regime is checked once per rule: 0 < alpha < N by
 ``_hls_exponent`` and 1 < p < q < inf by ``_check_pq``, for
-``ExponentConfig`` and ``conditions._carleson_scan`` alike.
+``ExponentConfig`` and ``conditions.carleson_testing_constant`` alike.
+A random kernel seed is checked by ``check_kernel_seed`` alone, for
+``RectKernel.random_uniform`` and the CLI's ``--kernel-seed``.
 
 Masses and integrals are formed by additions only, so a mass raised
 to the negative power alpha/N - 1 keeps its relative accuracy.
@@ -170,6 +172,19 @@ def _check_pq(p: float, q: float) -> None:
     """Refuse exponents outside 1 < p < q < inf."""
     if not (1.0 < p < q < math.inf):
         raise ExponentError(f"need 1 < p < q < inf, got p={p}, q={q}")
+
+
+def check_kernel_seed(seed) -> int:
+    """A random kernel seed, refused unless an integer in [-2**63, 2**63)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(
+            f"kernel seed must be an integer, got {seed!r}") from None
+    if not -2 ** 63 <= seed < 2 ** 63:
+        raise ValueError(
+            f"kernel seed must lie in [-2**63, 2**63), got {seed}")
+    return seed
 
 
 def _hls_exponent(alpha: float, total_dim: int) -> float:
@@ -307,16 +322,10 @@ class RectKernel:
         so a table depends on the seed, the levels and the dims but not
         on the depth: nested truncated families see consistent kernels,
         and a draw at each depth gives the tables a deeper draw holds.
-        Seeds are integers in ``[-2**63, 2**63)``; any other is refused.
+        Seeds are integers in ``[-2**63, 2**63)``; ``check_kernel_seed``
+        refuses any other.
         """
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise ValueError(
-                f"kernel seed must be an integer, got {seed!r}") from None
-        if not -2 ** 63 <= seed < 2 ** 63:
-            raise ValueError(
-                f"kernel seed must lie in [-2**63, 2**63), got {seed}")
+        seed = check_kernel_seed(seed)
         tables = {}
         for levels in level_combos(config):
             shape = _table_shape(config, levels)

@@ -411,9 +411,8 @@ class Weight:
         factors = None if self.factors is None else \
             [_sum_blocks(a, 0, f) / f for a in self.factors]
         meta = dict(self.meta)
-        params = dict(meta.get("params", {}))
-        params["coarsened_from"] = self.config.depth
-        meta["params"] = params
+        meta["params"] = dict(meta.get("params", {}),
+                              coarsened_from=self.config.depth)
         return Weight(GridConfig(self.config.dims, depth), arr, meta, factors)
 
 
@@ -563,8 +562,10 @@ def _parse_array_doc(doc) -> tuple[GridConfig, np.ndarray, dict]:
             raise WeightFormatError(f"{key} must be a list of integers, "
                                     f"got {doc[key]!r}")
     meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise WeightFormatError(f"meta must be an object, got {meta!r}")
+    if not isinstance(meta, dict) or \
+            not isinstance(meta.get("params", {}), dict):
+        raise WeightFormatError(
+            f"meta and its params must be objects, got {meta!r}")
     try:
         config = GridConfig(tuple(doc["dims"]), doc["depth"])
     except DepthExceededError as exc:

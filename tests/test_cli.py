@@ -163,9 +163,32 @@ class TestCheckWeight:
         w = load_weight(cascade_file)
         cond = json.loads(rep.read_text())["condition_d"]
         assert list(cond) == ["0.25", "0.5", "1.0"]
+        reverse = conditions.reverse_doubling_constant(w)
         for eps, doc in cond.items():
             expect = conditions.condition_d_constant(w, float(eps)).to_json()
+            expect["tail_bound"] = conditions.tail_bound(reverse, float(eps))
             assert doc == json.loads(json.dumps(expect))
+
+    def test_condition_d_through_public_constant(self, cascade_file,
+                                                 tmp_path, monkeypatch):
+        # bench/tracer.py counts the constant under this module name
+        calls = []
+        condition_d_constant = cli.condition_d_constant
+
+        def counted(w, eps):
+            calls.append(eps)
+            return condition_d_constant(w, eps)
+
+        monkeypatch.setattr(cli, "condition_d_constant", counted)
+        rep = tmp_path / "rep.json"
+        assert run(["check-weight", "--weight", cascade_file,
+                    "--eps", "0.5,1", "--out", rep]) == 0
+        assert calls == [0.5, 1.0]
+        doc = strict_json(rep.read_text())
+        assert "tail_bound" not in doc["doubling"]
+        assert "tail_bound" not in doc["reverse_doubling"]
+        assert all(entry["tail_bound"] > 0
+                   for entry in doc["condition_d"].values())
 
     @pytest.mark.parametrize("eps,message", [
         ("0", "eps must be positive, got 0.0"),
@@ -437,6 +460,21 @@ class TestSweeps:
         assert run(["carleson", "--weight", cascade_file, "--p", "2",
                     "--q", "4", "--depths", "2:3", "--out", rep]) == 0
 
+    @pytest.mark.parametrize("params", [5, ["x"], None])
+    def test_non_object_params_is_one_error_line(self, cascade_file, capsys,
+                                                 params):
+        doc = json.loads(cascade_file.read_text())
+        doc["meta"]["params"] = params
+        cascade_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["hls", "--weight", cascade_file, "--alpha", "0.5",
+                    "--p", "4/3", "--depths", "2:3"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        meta = doc["meta"]
+        assert err == [f"error: meta and its params must be objects, "
+                       f"got {meta!r}"]
+
     def test_csv_unavailable_for_json_only_commands(self, cascade_file,
                                                     capsys):
         code = run(["check-weight", "--weight", cascade_file,
@@ -635,13 +673,23 @@ class TestParser:
         ["embed-norm", "--weights", "{w},{w}", "--exponents", "2,2",
          "--depths", "2:3", "--kernel-seed", "-99999999999999999999"],
         ["fp", "--weights", "{w},{w}", "--exponents", "2,2",
-         "--kernel-seed", "99999999999999999999"]])
+         "--kernel-seed", "99999999999999999999"],
+        # a zero denominator or a float overflow in a number
+        ["hls", "--weight", "{w}", "--alpha", "1/0", "--p", "4/3",
+         "--depths", "2:3"],
+        ["gen-weight", "--kind", "cascade", "--dims", "1", "--depth", "3",
+         "--rho", "2/0", "--out", "{w}.new"],
+        ["check-weight", "--weight", "{w}", "--eps", "1/0"],
+        ["embed-norm", "--weights", "{w},{w}", "--exponents", "2,1e999",
+         "--depths", "2:3"],
+        ["fp", "--weight", "{w}", "--alpha", "1e400", "--p", "4/3"]])
     def test_refusal_returned_as_2(self, cascade_file, capsys, argv):
         capsys.readouterr()
         assert run([a.format(w=cascade_file) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error:" in captured.err
+        assert sum("error:" in line
+                   for line in captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["fp", "--weights", "{m},{m}", "--exponents", "2,2"],

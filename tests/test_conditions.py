@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from rectfrac import (DyadicCube, ExponentError, GridConfig, ProductRect,
                       RectKernel, Weight, carleson_testing_constant,
                       condition_d_constant, doubling_constant, fp_constant,
                       gen_cascade, gen_power, gen_uniform,
-                      reverse_doubling_constant)
+                      reverse_doubling_constant, tail_bound)
 from rectfrac.grids import (cube_to_json, rect_from_json, rect_to_json,
                             standard_rect)
 from rectfrac.operators import _neg_power, level_combos
@@ -104,7 +105,7 @@ class TestConditionD:
             rep = condition_d_constant(w, eps)
             bound = sum(gamma ** (-k * eps) for k in range(w.config.depth + 1))
             assert rep.value <= bound * (1 + 1e-12)
-            assert rep.tail_bound is not None
+            assert tail_bound(reverse_doubling_constant(w), eps) is not None
 
     def test_rejects_nonpositive_eps(self, uniform_line):
         with pytest.raises(ExponentError):
@@ -125,6 +126,16 @@ class TestConditionD:
         with pytest.raises(ExponentError, match="eps must be positive"):
             condition_d_constant(cascade_square, eps)
         assert scans == []
+
+    def test_tail_bound_is_geometric(self):
+        w = gen_cascade(GridConfig((1, 1), 4), 2.0, 11)
+        reverse = reverse_doubling_constant(w)
+        assert reverse.value > 1.0
+        for eps in (0.25, 0.5, 1.0):
+            r = reverse.value ** -eps
+            assert tail_bound(reverse, eps) == r / (1.0 - r)
+        flat = dataclasses.replace(reverse, value=1.0)
+        assert tail_bound(flat, 0.5) is None
 
     def test_monotone_in_depth(self):
         w = gen_cascade(GridConfig((1, 1), 4), 2.0, 13)
@@ -192,6 +203,29 @@ class TestCarlesonTesting:
         gamma = reverse_doubling_constant(cascade_square).value
         rep = carleson_testing_constant(cascade_square, 2.0, 4.0)
         assert rep.value <= 1.0 / (1.0 - gamma ** (1 - 2.0)) * (1 + 1e-12)
+
+
+class TestOneScanPerConstant:
+    def test_testing_constants_make_no_halving_scan(self, cascade_square,
+                                                    monkeypatch):
+        from rectfrac import conditions
+        scans = []
+        halving_scan = conditions._halving_scan
+
+        def counted(w, name, minimize):
+            scans.append(name)
+            return halving_scan(w, name, minimize)
+
+        monkeypatch.setattr(conditions, "_halving_scan", counted)
+        condition_d_constant(cascade_square, 0.5)
+        carleson_testing_constant(cascade_square, 2.0, 4.0)
+        assert scans == []
+
+    def test_reports_carry_no_tail_bound(self, cascade_square):
+        for rep in (doubling_constant(cascade_square),
+                    condition_d_constant(cascade_square, 0.5),
+                    carleson_testing_constant(cascade_square, 2.0, 4.0)):
+            assert "tail_bound" not in rep.to_json()
 
 
 class TestFeffermanPhong:

@@ -414,6 +414,21 @@ class TestCarlesonNormLower:
         # reads the tree its next gradient reuses (12 when both rebuilt)
         assert len(built) == est.sweeps + 1
 
+    def test_testing_constant_from_public_scan(self, cascade_square,
+                                               monkeypatch):
+        # bench/tracer.py counts the constant under this module name
+        calls = []
+        testing = estimators.carleson_testing_constant
+
+        def counted(w, p, q):
+            calls.append((p, q))
+            return testing(w, p, q)
+
+        monkeypatch.setattr(estimators, "carleson_testing_constant", counted)
+        est = carleson_norm_lower(cascade_square, 2.0, 4.0, max_sweeps=3)
+        assert calls == [(2.0, 4.0)]
+        assert est.params["c2"] == testing(cascade_square, 2.0, 4.0).value
+
     def test_growth_against_testing_power(self):
         w = gen_cascade(GridConfig((1, 1), 4), 2.0, 31)
         est = carleson_norm_lower(w, 2.0, 4.0)
@@ -480,7 +495,7 @@ class TestDepthSweep:
                 return fn(*args)
             return wrapper
 
-        for name in ("fp_constant", "_carleson_scan"):
+        for name in ("fp_constant", "carleson_testing_constant"):
             monkeypatch.setattr(estimators, name,
                                 counted(getattr(estimators, name)))
         w = cascade_square

@@ -293,6 +293,18 @@ class TestPersistence:
         with pytest.raises(WeightFormatError, match=field):
             load_weight(path)
 
+    @pytest.mark.parametrize("params", [5, ["x"], None])
+    def test_non_object_meta_params_refused(self, cascade_square, tmp_path,
+                                            params):
+        path = tmp_path / "w.json"
+        save_weight(cascade_square, path)
+        doc = json.loads(path.read_text())
+        doc["meta"]["params"] = params
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeightFormatError,
+                           match="^meta and its params must be objects"):
+            load_weight(path)
+
     @pytest.mark.parametrize("text,match", BROKEN_FILES)
     def test_broken_file_refused(self, cascade_square, tmp_path, text, match):
         path = tmp_path / "w.json"
