@@ -32,7 +32,7 @@ from . import __version__
 from .conditions import (_positive_eps, condition_d_constant,
                          doubling_constant, fp_constant,
                          reverse_doubling_constant, tail_bound)
-from .estimators import _ratio, depth_sweep, rows_to_csv
+from .estimators import _check_limits, _ratio, depth_sweep, rows_to_csv
 from .operators import (OPERATOR_FORMS, ExponentConfig, RectKernel,
                         check_kernel_seed)
 from .studies import (kernel_equiv_study, sample_distinct_pairs, scale_pairs,
@@ -46,11 +46,19 @@ _KERNEL_SEED = ("random kernel seed in [-2**63, 2**63); each level's "
 
 
 def _number(text: str) -> float:
-    """Parse '4/3' or '1.25' to a finite float."""
+    """Parse '4/3' or '1.25' to a finite float.
+
+    Refuses with ``argparse.ArgumentTypeError``, whose text argparse
+    prints as it is when the option is parsed and ``main`` prints as an
+    error line when a command parses a list of numbers.
+    """
     try:
         return float(Fraction(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"not a finite number: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not a finite number: {text!r}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -63,7 +71,10 @@ def _num_list(text: str) -> tuple[float, ...]:
 
 def _kernel_seed(text: str) -> int:
     """Parse a random kernel seed in the domain ``check_kernel_seed`` sets."""
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = text  # check_kernel_seed refuses it as not an integer
     try:
         return check_kernel_seed(seed)
     except ValueError as exc:
@@ -258,11 +269,7 @@ def _rows_json(rows) -> list[dict]:
 
 def _sweep_opts(args) -> dict:
     """A sweep's depths and ascent options, as ``depth_sweep`` keywords."""
-    if args.max_sweeps < 1:
-        raise ValueError(
-            f"--max-sweeps must be at least 1, got {args.max_sweeps}")
-    if not args.tol >= 0:
-        raise ValueError(f"--tol must be at least 0, got {args.tol}")
+    _check_limits(args.tol, args.max_sweeps, "--tol", "--max-sweeps")
     return {"depths": _depth_list(args.depths), "tol": args.tol,
             "max_sweeps": args.max_sweeps, "seed": args.seed,
             "timing": args.timing}
@@ -470,7 +477,7 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         code = args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"[rectfrac] {args.command}: started {started:.3f}, "

@@ -96,12 +96,17 @@ class NormEstimate:
                 "seed": self.seed, "params": self.params}
 
 
-def _check_limits(tol: float, max_sweeps: int) -> None:
-    """Refuse a sweep cap below 1 and a negative (or NaN) tolerance."""
+def _check_limits(tol: float, max_sweeps: int, tol_name: str = "tol",
+                  sweeps_name: str = "max_sweeps") -> None:
+    """Refuse a sweep cap below 1 and a negative (or NaN) tolerance.
+
+    The refusals name the two limits ``tol_name`` and ``sweeps_name``:
+    the keywords here, the options on the command line.
+    """
     if max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
+        raise ValueError(f"{sweeps_name} must be at least 1, got {max_sweeps}")
     if not tol >= 0:
-        raise ValueError(f"tol must be at least 0, got {tol}")
+        raise ValueError(f"{tol_name} must be at least 0, got {tol}")
 
 
 def _ascend(densities, sigmas, rs, tol, max_sweeps, value=None):

@@ -425,29 +425,30 @@ def product_minimal_boxes(config: GridConfig, X, Y):
 def shift_cover(cube: DyadicCube) -> tuple[tuple[int, ...], DyadicCube]:
     """Cover the triple of a standard cube by one shifted cube of 8x side.
 
-    Works axis by axis.  Along an axis with index m, the triple spans
-    [m-1, m+2) in units of the side; length-8 aligned intervals cut it
-    at multiples of 8, so with r = (m-1) mod 8 the triple fits in a
-    single standard interval iff r <= 5.  Otherwise the grid shifted by
-    +1/3 (r == 6) or -1/3 (r == 7) of the 8x side swallows it whole.
-    Ties cannot occur: the overlap lengths 1 and 2 with the two
-    straddled intervals are never equal.
+    The one-cube call of ``_shift_covers``: the cover has level
+    ``cube.level - 3`` and, per axis, that rule's shift and index.
     """
     if not cube.is_standard:
         raise ValueError("shift cover is defined for standard cubes")
-    taus, idx = [], []
-    for m in cube.index:
-        q, r = divmod(m - 1, 8)
-        if r <= 5:
-            taus.append(0)
-            idx.append(q)
-        elif r == 6:
-            taus.append(1)
-            idx.append(q)
-        else:
-            taus.append(-1)
-            idx.append(q + 1)
-    return tuple(taus), DyadicCube(cube.level - 3, tuple(idx), tuple(taus))
+    tau, idx = (tuple(a.tolist()) for a in _shift_covers(cube.index))
+    return tau, DyadicCube(cube.level - 3, idx, tau)
+
+
+def _shift_covers(index) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis, the shift and index of the 8x cover of standard cubes.
+
+    ``index`` holds standard cube indices m, any shape; the cover of a
+    level-k cube has level k - 3.  Along an axis the triple spans
+    [m-1, m+2) in units of the side; length-8 aligned intervals cut it
+    at multiples of 8, so with q, r = divmod(m - 1, 8) the triple fits
+    in the standard interval q iff r <= 5.  Otherwise the grid shifted
+    by +1/3 (r == 6, index q) or -1/3 (r == 7, index q + 1) of the 8x
+    side swallows it whole.  Ties cannot occur: the overlap lengths 1
+    and 2 with the two straddled intervals are never equal.
+    """
+    q, r = np.divmod(np.asarray(index, dtype=np.int64) - 1, 8)
+    tau = (r == 6).astype(np.int64) - (r == 7)
+    return tau, q + (r == 7)
 
 
 def _shift_vector(tau, n: int) -> tuple[int, ...]:

@@ -7,8 +7,12 @@ on whole ``(P, N)`` int64 pair arrays: kernel sums and minimal-cube
 masses take one mass-tree gather per level tuple, and the
 minimal-rectangle masses, with the minimal cubes below the depth, one
 ``box_sums`` batch each, bit for bit the masses of one box at a time.
-The shift-cover check tests each axis of a cover against that axis's
-exhaustive candidates, one cube of the streamed family at a time.
+The shift-cover report checks the boundary cube family as one array
+pass per level, in blocks of ``COVER_ROWS`` cubes, so its memory stays
+flat; it tests each axis of a cover against that axis's exhaustive
+candidates, which the oracle gives once per level for the level's
+distinct axis indices.  ``verify_shift_cover`` on each cube of
+``boundary_cover_cubes`` is the per-cube reference it equals.
 Everything runs in one thread; the ``threads`` argument of
 ``kernel_equiv_study`` is accepted for compatibility and never changes
 the results.
@@ -24,10 +28,12 @@ import numpy as np
 
 from .bruteforce import shift_cover_candidates
 from .grids import (DegeneratePairError, DyadicCube, GridConfig, _points,
-                    cube_box, product_minimal_boxes, shift_cover, triple,
-                    triple_depths)
+                    _shift_covers, cube_box, product_minimal_boxes,
+                    shift_cover, triple, triple_depths)
 from .operators import _hls_exponent, kernel_sums, level_combos
 from .weights import Weight, box_sums
+
+COVER_ROWS = 1 << 12  # cubes per block of the shift-cover pass
 
 
 def sample_distinct_pairs(config: GridConfig, count: int,
@@ -152,14 +158,40 @@ def verify_shift_cover(cube: DyadicCube, config: GridConfig) -> bool:
 
 
 def shift_cover_report(dim: int, max_level: int) -> dict:
-    """Exhaustive shift-cover verification over the boundary cube family."""
+    """Exhaustive shift-cover verification over the boundary cube family.
+
+    The family of ``boundary_cover_cubes``, in its order, as
+    ``(rows, dim)`` index arrays of ``COVER_ROWS`` rows: each row is
+    checked in exact integers, in thirds of its cube's side, against
+    ``verify_shift_cover``'s conditions.  The cover ``(tau, P)`` from
+    ``grids._shift_covers`` has level k - 3, so its side is 8 cube
+    sides, 24 thirds, on every axis; on axis a with combined index
+    ``c = 3 * P.index[a] + tau[a]`` it spans ``[8c, 8c + 24)``, which
+    must hold the triple ``[3m - 3, 3m + 6)``; each ``tau[a]`` must be
+    -1, 0 or +1; and ``(tau[a], P.index[a])`` must be one of the
+    oracle's candidates for m.  The oracle runs once per level, on the
+    level's distinct axis indices.
+    """
     if max_level < 0:
         raise ValueError(f"max_level must be at least 0, got {max_level}")
-    # deep enough for integer corners; the checks do not depend on scale
-    config = GridConfig((dim,), min(max(max_level - 1, 1), 12))
+    GridConfig((dim,), 1)  # refuses a dimension outside 1..4
     checked, failures = 0, []
-    for checked, cube in enumerate(boundary_cover_cubes(dim, max_level), 1):
-        if not verify_shift_cover(cube, config):
-            failures.append({"level": cube.level, "index": list(cube.index)})
+    for k in range(-max_level, max_level + 1):
+        n = (1 << k) + 2 if k >= 0 else 2  # axis indices -1 .. n - 2
+        axis = range(-1, n - 1)
+        # (c, m) as one key c * n + m + 1, with m + 1 in [0, n)
+        found = np.array([(3 * mp + s) * n + m + 1 for m, cands in zip(
+            axis, shift_cover_candidates(DyadicCube(k, axis)))
+            for s, mp in cands])
+        for start in range(0, n ** dim, COVER_ROWS):
+            rows = np.arange(start, min(start + COVER_ROWS, n ** dim))
+            m = np.stack(np.unravel_index(rows, (n,) * dim), axis=1) - 1
+            tau, idx = _shift_covers(m)
+            c = 3 * idx + tau
+            ok = ((np.abs(tau) <= 1) & (8 * c <= 3 * m - 3)
+                  & (3 * m + 6 <= 8 * c + 24)
+                  & np.isin(c * n + m + 1, found)).all(axis=1)
+            failures += [{"level": k, "index": i} for i in m[~ok].tolist()]
+        checked += n ** dim
     return {"dim": dim, "max_level": max_level,
             "cubes_checked": checked, "failures": failures}

@@ -288,6 +288,14 @@ def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
     return np.broadcast_to(arr.reshape(term), view).reshape(cells)
 
 
+def _checked_meta(meta) -> dict:
+    """A copy of a weight's meta, which with its params must be an object."""
+    if not isinstance(meta, dict) or \
+            not isinstance(meta.get("params", {}), dict):
+        raise ValueError(f"meta and its params must be objects, got {meta!r}")
+    return dict(meta)
+
+
 def _checked_factors(config: GridConfig, density: np.ndarray,
                      factors) -> tuple[np.ndarray, ...]:
     """Per-axis densities, frozen, after checking their outer product."""
@@ -359,7 +367,9 @@ class Weight:
     ``factors``, when given, are per-axis densities whose outer product
     is ``density`` to ``FACTOR_RTOL`` in every cell: a tensor weight's
     record of its product structure, which the kernel form uses.  They
-    are never inferred from a density.
+    are never inferred from a density.  ``meta``, when given, must be
+    an object whose ``params``, if any, is an object too: the rule of
+    ``_checked_meta``, which a weight file's meta also passes.
     """
 
     def __init__(self, config: GridConfig, density, meta: dict | None = None,
@@ -372,7 +382,7 @@ class Weight:
             _checked_factors(config, self.density, factors)
         self.cell_masses = _freeze(self.density * config.cell_volume)
         self.mass_tree = build_mass_tree(config, self.cell_masses)
-        self.meta = dict(meta or {})
+        self.meta = _checked_meta({} if meta is None else meta)
 
     @functools.cached_property
     def prefix(self) -> np.ndarray:
@@ -561,11 +571,10 @@ def _parse_array_doc(doc) -> tuple[GridConfig, np.ndarray, dict]:
                 not all(type(c) is int for c in doc[key]):
             raise WeightFormatError(f"{key} must be a list of integers, "
                                     f"got {doc[key]!r}")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict) or \
-            not isinstance(meta.get("params", {}), dict):
-        raise WeightFormatError(
-            f"meta and its params must be objects, got {meta!r}")
+    try:
+        meta = _checked_meta(doc.get("meta", {}))
+    except ValueError as exc:
+        raise WeightFormatError(str(exc)) from None
     try:
         config = GridConfig(tuple(doc["dims"]), doc["depth"])
     except DepthExceededError as exc:
@@ -579,7 +588,7 @@ def _parse_array_doc(doc) -> tuple[GridConfig, np.ndarray, dict]:
             f"lattice {lattice} inconsistent with depth {config.depth}")
     arr = _decode(doc["density"], config.axis_cells ** config.total_dim,
                   "density").reshape((config.axis_cells,) * config.total_dim)
-    return config, arr, dict(meta)
+    return config, arr, meta
 
 
 def save_weight(w: Weight, path) -> None:

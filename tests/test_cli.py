@@ -691,6 +691,23 @@ class TestParser:
         assert sum("error:" in line
                    for line in captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["hls", "--weight", "{w}", "--alpha", "1/0", "--p", "4/3",
+          "--depths", "2:3"], "argument --alpha: not a finite number: '1/0'"),
+        (["gen-weight", "--kind", "cascade", "--dims", "1", "--depth", "3",
+          "--rho", "2/0", "--out", "{w}.new"],
+         "argument --rho: not a finite number: '2/0'"),
+        (["embed-norm", "--weights", "{w},{w}", "--exponents", "2,2",
+          "--depths", "2:3", "--kernel-seed", "abc"],
+         "argument --kernel-seed: kernel seed must be an integer, got 'abc'")])
+    def test_parse_time_refusal_gives_its_reason(self, cascade_file, capsys,
+                                                 argv, message):
+        capsys.readouterr()
+        assert run([a.format(w=cascade_file) for a in argv]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+
     @pytest.mark.parametrize("argv", [
         ["fp", "--weights", "{m},{m}", "--exponents", "2,2"],
         ["embed-norm", "--weights", "{m},{m}", "--exponents", "2,2",

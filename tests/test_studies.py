@@ -8,8 +8,10 @@ masses of the minimal rectangles and of the minimal cubes below the
 depth equal a one-box transcription bit for bit, and the summaries do
 not depend on the BLAS thread count.  The batched pair draw gives the
 pairs of the one-pair draw loop.  The shift-cover report does not
-depend on the grid it verifies on, and its per-axis verdicts equal the
-check against the whole exhaustive cover list.
+depend on the grid it verifies on, its array pass fails exactly the
+cubes the per-cube check fails, also under a cover rule that is off,
+and its per-axis verdicts equal the check against the whole exhaustive
+cover list.
 """
 
 import itertools
@@ -27,7 +29,7 @@ import rectfrac
 from rectfrac import (DegeneratePairError, DyadicCube, GridConfig,
                       ProductRect, gen_cascade, gen_power, kernel_sum,
                       rect_box, triple)
-from rectfrac import studies
+from rectfrac import grids, studies
 from rectfrac.bruteforce import (_iter_family, mass_direct,
                                  minimal_cube_exhaustive,
                                  shift_cover_candidates,
@@ -359,7 +361,7 @@ def test_pair_draw_equals_one_pair_loop(dims):
 
 
 @pytest.mark.parametrize("dim,max_level", [(1, 0), (1, 4), (1, 9), (2, 5),
-                                           (3, 3), (2, 7)])
+                                           (3, 3), (2, 7), (4, 2), (4, 3)])
 def test_shift_cover_report_matches_depth_one_grid(dim, max_level):
     config = GridConfig((dim,), 1)
     cubes = list(boundary_cover_cubes(dim, max_level))
@@ -389,6 +391,52 @@ def test_shift_cover_report_memory_flat():
         tracemalloc.stop()
     assert rep["cubes_checked"] == 22925 and rep["failures"] == []
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("dim,max_level", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("nudge", ["index", "shift"])
+def test_shift_cover_report_lists_reference_rejections(dim, max_level, nudge,
+                                                       monkeypatch):
+    """A cover rule off for one residue of m fails the cubes it fails per cube.
+
+    Moving the index moves the cover a whole 8x side, off every triple;
+    moving the shift by a third keeps some covers valid (r = 3..5 under
+    +1/3), so the report must also accept what the reference accepts.
+    """
+    rule = grids._shift_covers
+    config = GridConfig((dim,), 1)
+    for residue in range(8):
+        def nudged(index, residue=residue):
+            tau, idx = rule(index)
+            hit = (np.asarray(index) - 1) % 8 == residue
+            if nudge == "index":
+                return tau, idx + hit
+            return np.where(hit, 1 - np.abs(tau), tau), idx
+        monkeypatch.setattr(grids, "_shift_covers", nudged)
+        monkeypatch.setattr(studies, "_shift_covers", nudged)
+        failures = [{"level": c.level, "index": list(c.index)}
+                    for c in boundary_cover_cubes(dim, max_level)
+                    if not verify_shift_cover(c, config)]
+        assert bool(failures) == (nudge == "index" or residue not in (3, 4, 5))
+        assert shift_cover_report(dim, max_level)["failures"] == failures
+
+
+def test_shift_cover_report_refuses_shift_out_of_range(monkeypatch):
+    """A shift of 2 thirds at index q is the interval of -1 at q + 1.
+
+    Its cover holds the triple and its combined index is the oracle's,
+    but no shifted grid has that shift: the cube fails.
+    """
+    rule = grids._shift_covers
+
+    def two_thirds(index):
+        tau, idx = rule(index)
+        return np.where(tau == -1, 2, tau), idx - (tau == -1)
+    monkeypatch.setattr(studies, "_shift_covers", two_thirds)
+    failures = [{"level": c.level, "index": list(c.index)}
+                for c in boundary_cover_cubes(2, 4)
+                if any((m - 1) % 8 == 7 for m in c.index)]
+    assert failures and shift_cover_report(2, 4)["failures"] == failures
 
 
 def _reference_verdict(cube, config, tau, P):

@@ -305,6 +305,14 @@ class TestPersistence:
                            match="^meta and its params must be objects"):
             load_weight(path)
 
+    @pytest.mark.parametrize("meta", [{"params": 5}, {"params": ["x"]},
+                                      {"params": None}, [], "x"])
+    def test_non_object_meta_refused_in_memory(self, cascade_square, meta):
+        with pytest.raises(ValueError) as info:
+            Weight(cascade_square.config, cascade_square.density, meta)
+        assert str(info.value) == \
+            f"meta and its params must be objects, got {meta!r}"
+
     @pytest.mark.parametrize("text,match", BROKEN_FILES)
     def test_broken_file_refused(self, cascade_square, tmp_path, text, match):
         path = tmp_path / "w.json"
