@@ -9,9 +9,15 @@ those fields.
 
 Every constant runs through one scan, ``_scan``, over ``(key, array)``
 entries: the first extremum of each array, kept only when strictly
-better than the best so far.  So ties go to the first extremal
-rectangle in ``level_combos`` order, then direction j, then row-major
-index within the level's array.  Each public constant is one such
+better than the best so far.  The arrays are views of heaps computed
+whole: the products of ``fp_constant`` in one pass over the mass and
+kernel heaps, the halving ratios and descendant sums in one heap per
+direction, over slabs of that direction's factor at one level and
+every other factor at all of theirs.  The scan reads the views in
+``level_combos`` order, so ties go to the first extremal rectangle in
+that order, then direction j, then row-major index within the level's
+array, and every value and witness is the one the per-table
+computation gives, bit for bit.  Each public constant is one such
 scan, its input check first: ``condition_d_constant`` and
 ``carleson_testing_constant`` are each one descendant power scan.
 What the levels beyond the truncation could add to either is a
@@ -89,25 +95,28 @@ def _halving_scan(w: Weight, name: str, minimize: bool) -> ConstantReport:
 
     One scan per direction j gives ``per_factor[j]``; the overall best
     is the best of those, ties going to the smallest ``(levels, j)``.
+    Each direction's ratios are computed on one heap, one pass per
+    child level of factor j; each ratio sits at its child's place, and
+    the scan reads them under the parent's levels in ``level_combos``
+    order.
     """
-    cfg = w.config
+    cfg, tree = w.config, w.mass_tree
     K, n = cfg.depth, cfg.n_factors
     skip = math.inf if minimize else -1.0
 
     def ratios(j):
-        for levels in level_combos(cfg):
-            if levels[j] >= K:
-                continue
-            child = w.mass_tree[levels[:j] + (levels[j] + 1,)
-                                + levels[j + 1:]]
-            parent = w.mass_tree[levels]
-            for ax in cfg.factor_axes(j):
+        out = tree.like(np.empty_like(tree.heap))
+        for k in range(K):
+            parent, child = tree.region(j, k), tree.region(j, k + 1)
+            for ax in range(j, j + cfg.dims[j]):
                 parent = np.repeat(parent, 2, axis=ax)
             pos = child > 0
             with np.errstate(divide="ignore", invalid="ignore"):
-                arr = np.where(pos, parent / np.where(pos, child, 1.0),
-                               np.where(parent > 0, math.inf, skip))
-            yield levels, arr
+                out.region(j, k + 1)[...] = np.where(
+                    pos, parent / np.where(pos, child, 1.0),
+                    np.where(parent > 0, math.inf, skip))
+        return ((lv, out[lv[:j] + (lv[j] + 1,) + lv[j + 1:]])
+                for lv in level_combos(cfg) if lv[j] < K)
 
     bests, counts = zip(*(_scan(ratios(j), skip, minimize) for j in range(n)))
     sign = 1.0 if minimize else -1.0
@@ -152,28 +161,43 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
     For each rectangle and direction j, sums sigma(<R; Q, j>)**expo over
     every dyadic descendant Q of the j-th side down to the configured
     depth, including the side itself, and divides by sigma(R)**expo.
-    Every level of the mass tree is raised to ``expo`` once per scan.
+    The mass tree is raised to ``expo`` once per scan.  Per direction,
+    the sums fill one heap: for each step s and level k of factor j,
+    one pass over the slab of factor j at level k adds S_s(P_{k+s}),
+    the ``_sum_blocks`` of the powers s levels deeper, so each sum is
+    0 + P_k + S_1(P_{k+1}) + ... in the order of the per-table sums.
+    The scan then reads the ratios in ``level_combos`` order, then
+    direction j.
     """
     cfg = w.config
     K, n = cfg.depth, cfg.n_factors
     powered = _powers(w.mass_tree, expo)
+    pos = w.mass_tree.heap > 0
+    divisor = np.where(pos, powered.heap, 1.0)
 
-    def ratios():
-        for levels in level_combos(cfg):
-            base = w.mass_tree[levels]
-            for j in range(n):
-                acc = np.zeros_like(base)
-                for l in range(levels[j], K + 1):
-                    arr = powered[levels[:j] + (l,) + levels[j + 1:]]
-                    block = 1 << (l - levels[j])
-                    for ax in cfg.factor_axes(j):
-                        arr = _sum_blocks(arr, ax, block)
-                    acc = acc + arr
-                pos = base > 0
-                yield (levels, j), np.where(
-                    pos, acc / np.where(pos, powered[levels], 1.0), -1.0)
+    def ratio(j):
+        last = j + cfg.dims[j] - 1
+        # numpy adds a table's blocks pairwise along its last nontrivial
+        # axis and in sequence along any other, so where every later
+        # factor is at level 0 (one entry) factor j's last axis is
+        # summed again, apart
+        corner = (slice(None),) * (last + 1) + (slice(0, 1),) * (n - 1 - j)
+        acc = powered.like(powered.heap.copy())  # 0 + P_k
+        for step in range(1, K + 1):
+            for k in range(K + 1 - step):
+                arr = powered.region(j, k + step)
+                for ax in range(j, last):
+                    arr = _sum_blocks(arr, ax, 1 << step)
+                sums = _sum_blocks(arr, last, 1 << step)
+                if j < n - 1:
+                    sums[corner] = _sum_blocks(arr[corner], last, 1 << step)
+                acc.region(j, k)[...] += sums
+        return acc.like(np.where(pos, acc.heap / divisor, -1.0))
 
-    (best, key, flat, shape), scanned = _scan(ratios(), -1.0)
+    ratios = [ratio(j) for j in range(n)]
+    (best, key, flat, shape), scanned = _scan(
+        (((levels, j), r[levels]) for levels in level_combos(cfg)
+         for j, r in enumerate(ratios)), -1.0)
     wit = None if key is None else {"rect": rect_to_json(standard_rect(
         cfg, key[0], np.unravel_index(flat, shape))), "j": key[1]}
     return ConstantReport(name, best, wit, scanned, K, params)
@@ -228,14 +252,11 @@ def fp_constant(kernel, weights, exponents) -> ConstantReport:
     ps = check_mlinear_exponents(exponents)
     conj_exps = [1.0 - 1.0 / p for p in ps]
 
-    def products():
-        for levels in level_combos(cfg):
-            arr = kernel.tables[levels]
-            for w, ce in zip(weights, conj_exps):
-                arr = arr * _neg_power(w.mass_tree[levels], ce)
-            yield levels, arr
-
-    (best, levels, flat, shape), scanned = _scan(products(), -1.0)
+    products = kernel.tables.like(kernel.tables.heap.copy())
+    for w, ce in zip(weights, conj_exps):
+        products.heap *= _neg_power(w.mass_tree.heap, ce)
+    (best, levels, flat, shape), scanned = _scan(
+        ((lv, products[lv]) for lv in level_combos(cfg)), -1.0)
     wit = None if levels is None else {"rect": rect_to_json(standard_rect(
         cfg, levels, np.unravel_index(flat, shape)))}
     return ConstantReport("fefferman_phong", max(best, 0.0), wit, scanned,

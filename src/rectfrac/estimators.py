@@ -43,7 +43,7 @@ testing witness and reports the estimate.
 
 Steps run at the resolution their density comes in.  On the standard
 family (the dyadic and perez forms, the multilinear densities and the
-Carleson gradient) ``_spread`` returns one value per level-K cube, so
+Carleson gradient) ``_scatter`` returns one value per level-K cube, so
 the iterate stays per cube: its L^p norm (``weights._lp``) and the base
 of its mass tree read the cube masses ``mass_tree[(K,) * n]``
 (``weights._weighted``), and it goes onto cells once, as a maximizer,
@@ -58,8 +58,12 @@ densities on cells, and their steps are steps on cells.
 
 Determinism: for fixed inputs all computations are fixed-order numpy
 reductions, and the densities and the Carleson gradient are scattered
-by ``_spread``, which adds the level combinations in ``level_combos``
-order, so histories are reproducible bit for bit.
+by ``weights._scatter``, whose passes add in one fixed order, so
+histories are reproducible bit for bit.  On one factor that order is
+the term-by-term sum's in ``level_combos`` order, so one-factor
+histories keep the bits they had when the terms were added one table
+at a time; on several factors they move within about (K+1)**N unit
+roundoffs per scatter.
 """
 
 from __future__ import annotations
@@ -72,10 +76,10 @@ import numpy as np
 
 from .conditions import carleson_testing_constant, fp_constant
 from .grids import rect_from_json
-from .operators import (ExponentConfig, RectKernel, _powers, _spread, _terms,
-                        check_mlinear_exponents, level_combos, plan)
-from .weights import (GridFunction, Weight, _check_same_grid, _lp, _upsample,
-                      _weighted, build_mass_tree)
+from .operators import (ExponentConfig, RectKernel, _level_sums, _powers,
+                        _terms, check_mlinear_exponents, plan)
+from .weights import (GridFunction, Weight, _check_same_grid, _lp, _scatter,
+                      _upsample, _weighted, build_mass_tree)
 
 
 @dataclass
@@ -229,7 +233,7 @@ def _mlinear_densities(kernel: RectKernel, sigmas):
         def density(fs):
             trees = [tree(k, f) for k, f in enumerate(fs) if k != j]
             cache.pop((j + 1) % len(fs), None)
-            return _spread(_terms(kernel.config, kernel.tables, trees))
+            return _scatter(_terms(kernel.tables, trees))
         return density
 
     return [density_in(j) for j in range(len(sigmas))]
@@ -291,25 +295,26 @@ def carleson_norm_lower(sigma: Weight, p: float, q: float, *,
     Maximizes sum_R sigma(R)**(q/p - q) (int_R f dsigma)**q over the
     unit ball of L^p(sigma), f >= 0.  The functional is convex, so the
     linearized exact step ascends: ``_ascend`` takes the gradient
-    sum_R a_R (int_R f dsigma)**(q-1) 1_R as its density.  Its level
-    tables ``a * t**(q-1)`` are kept with the mass tree t of f, so
-    each table is raised once: the value is ``sum(a * t**(q-1) * t)``
-    and the next gradient reads the same tables.
+    sum_R a_R (int_R f dsigma)**(q-1) 1_R as its density.  Its heap
+    ``a * t**(q-1)`` is kept with the mass tree t of f, so each table is
+    raised once: the value is ``sum(a * t**(q-1) * t)``, summed level
+    by level, and the next gradient scatters a copy of the same heap.
     """
     _check_limits(tol, max_sweeps)
     p, q = float(p), float(q)
     # refuses exponents outside 1 < p < q
     c2 = carleson_testing_constant(sigma, p, q)
-    a_tables = _powers(sigma.mass_tree, q / p - q)
-    tree, _ = _tree_cache((sigma,), lambda t: [
-        (a_tables[lv] * t[lv] ** (q - 1.0), t[lv])
-        for lv in level_combos(sigma.config)])
+    a = _powers(sigma.mass_tree, q / p - q).heap
+    tree, _ = _tree_cache((sigma,), lambda t: (
+        t.like(a * t.heap ** (q - 1.0)), t))
 
     def gradient(fs):
-        return _spread(g for g, _ in tree(0, fs[0]))
+        g, _ = tree(0, fs[0])
+        return _scatter(g.like(g.heap.copy()))
 
     def value(fs):
-        return sum(float((g * t).sum()) for g, t in tree(0, fs[0]))
+        g, t = tree(0, fs[0])
+        return _level_sums(g.like(g.heap * t.heap))
 
     return _norm_bound((gradient,), (sigma,), (p,), c2, {"p": p, "q": q},
                        tol=tol, max_sweeps=max_sweeps, seed=seed,

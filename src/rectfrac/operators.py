@@ -21,10 +21,11 @@ a plan and apply its forward map (``apply_frac_kernel`` stays the
 row-by-row reference), and the estimators ascend with its two maps.
 
 Kernels on the standard family are tabulated per level combination
-(``RectKernel``) on the mass tree, and each rule over such tables is
-written once: ``_powers`` raises every level of a tree to a power (the
-HLS kernel, the Carleson coefficients and the descendant scans of
-``conditions``); ``_terms`` yields the multilinear level terms
+(``RectKernel``) on a ``weights.LevelTree``, one read-only heap in the
+mass tree's layout, so each rule over such tables is one elementwise
+pass over heaps, written once: ``_powers`` raises a whole tree to a
+power (the HLS kernel, the Carleson coefficients and the descendant
+scans of ``conditions``); ``_terms`` forms the multilinear terms
 K(R) * prod_k int_R f_k dsigma_k (the multilinear form and its
 densities); ``_rect_sum`` is the family sum f -> sum_R term(c_R,
 int_R f dsigma) over the aggregates of the builder it is passed,
@@ -42,15 +43,18 @@ third-cubes starting at 3m + s, so along each axis
 * the 3**N shifted families together are all windows, one pass per
   level combination.
 
-Every rectangle sum is scattered by ``_spread``, the one scatter that
-pairs with the gather ``_level_tree``: it adds the terms of all level
-combinations (after the transposed window, for the window families) in
-``level_combos`` order, keeping the running sum at the finest block
-resolution of the terms so far, so each cell gets the additions of the
-term-by-term sum in the same order, bit for bit.  A sum over the
-standard family stays per level-K cube, on which all its terms are
-constant (``2**K`` entries per axis instead of ``3 * 2**K``); its
-plan's maps take such an array back, against the cube masses
+Every rectangle sum turns its fresh aggregate into its terms in place:
+one product with the coefficient heap (``_times``), after or before
+the triples of every table (``_tree_windows``, one pass per factor and
+level) for the enlarged-region form, and level by level for the window
+families.  ``weights._scatter``, the transpose of the gather
+``_level_tree``, then sums them onto the finest level in N*K passes.
+On one factor each cell gets the additions of the term-by-term sum in
+``level_combos`` order, bit for bit; on several the order differs,
+within (K+1)**N unit roundoffs of that sum.  A sum over the standard
+family stays per level-K cube, on which all its terms are constant
+(``2**K`` entries per axis instead of ``3 * 2**K``); its plan's maps
+take such an array back, against the cube masses
 (``weights._weighted``), and ``weights._upsample`` puts it on cells.
 The window families' sums are on cells.
 
@@ -96,8 +100,9 @@ import numpy as np
 
 from .grids import (GridConfig, ProductRect, _check_inside, _points,
                     _shift_vector, min_rect, standard_rect, triple_depths)
-from .weights import (GridFunction, Weight, _check_same_grid, _paired,
-                      _upsample, _weighted, build_mass_tree, build_pyramid)
+from .weights import (GridFunction, LevelTree, Weight, _check_same_grid,
+                      _scatter, _upsample, _weighted, build_mass_tree,
+                      build_pyramid)
 
 EXPONENT_TOL = 1e-12
 KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a kernel matrix or factor may take
@@ -201,37 +206,6 @@ def level_combos(config: GridConfig):
                              repeat=config.n_factors)
 
 
-def _spread(arrs) -> np.ndarray:
-    """The sum of the block arrays in ``arrs``, on their finest blocks.
-
-    ``arrs`` yields one array per level combination in ``level_combos``
-    order.  The running sum holds, per axis, the finest block count of
-    the terms so far, doubled by ``np.repeat`` when a term is finer, and
-    each term is added in place through a broadcasting view.  Every
-    entry then stands for cells that received the same additions, so
-    ``_upsample`` of the result is the fold ``out += _upsample(arr)``
-    from 0, bit for bit.  Over standard cubes the result has ``2**K``
-    entries per axis, one per level-K cube, and the ascent keeps it
-    there; over third-cubes it is on cells.
-    """
-    out = None
-    for arr in arrs:
-        if out is None:
-            out = np.zeros(arr.shape)
-        for ax, (n, m) in enumerate(zip(out.shape, arr.shape)):
-            if n < m:
-                out = np.repeat(out, m // n, axis=ax)
-        view, term = _paired(out.shape, arr.shape)
-        fine = out.reshape(view)  # a view: out is contiguous
-        fine += arr.reshape(term)
-    return out
-
-
-def _table_shape(config: GridConfig, levels: tuple[int, ...]) -> tuple:
-    """The shape of a level combination's table: 2**k cubes per axis."""
-    return tuple(1 << k for k, d in zip(levels, config.dims) for _ in range(d))
-
-
 def _neg_power(masses: np.ndarray, expo: float) -> np.ndarray:
     """masses**expo where the mass is positive, 0 where it vanishes.
 
@@ -243,9 +217,9 @@ def _neg_power(masses: np.ndarray, expo: float) -> np.ndarray:
     return np.where(pos, np.where(pos, masses, 1.0) ** expo, 0.0)
 
 
-def _powers(tree: dict, expo: float) -> dict:
-    """``_neg_power`` of every level table of a mass tree."""
-    return {lv: _neg_power(arr, expo) for lv, arr in tree.items()}
+def _powers(tree: LevelTree, expo: float) -> LevelTree:
+    """``_neg_power`` of every level table of a mass tree: one heap pass."""
+    return tree.like(_neg_power(tree.heap, expo))
 
 
 def _windows(arr: np.ndarray, pad: int) -> np.ndarray:
@@ -256,7 +230,8 @@ def _windows(arr: np.ndarray, pad: int) -> np.ndarray:
     ``3*m + s = j - 2`` -- and ``pad=0`` is the transpose, collecting
     onto each third-cube the windows that cover it.  Over standard
     cubes, ``pad=1`` sums each cube with its neighbours, i.e. over its
-    triple 3R clipped to the domain; that map is its own transpose.
+    triple 3R clipped to the domain; that map is its own transpose
+    (``_tree_windows`` applies it to every table of a tree in place).
     Pad 0 reads ``arr`` in place; the first axis sum is a new array.
     Only additions are used, so no digits cancel.
     """
@@ -271,12 +246,40 @@ def _windows(arr: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
+def _tree_windows(tree: LevelTree) -> None:
+    """``_windows(table, 1)`` of every table of ``tree``, in place.
+
+    One pass per factor, level and axis, over every level of the other
+    factors: each entry adds its left neighbour, then its right one, so
+    every table gets the additions of its own windows, bit for bit.
+    """
+    for i, d in enumerate(tree.config.dims):
+        for k in range(tree.config.depth + 1):
+            region = tree.region(i, k)
+            for ax in range(i, i + d):
+                lead, orig = (slice(None),) * ax, region.copy()
+                region[lead + (slice(1, None),)] += orig[lead + (slice(-1),)]
+                region[lead + (slice(-1),)] += orig[lead + (slice(1, None),)]
+
+
+def _times(tables: LevelTree) -> Callable:
+    """The step that multiplies an aggregate by the heap of ``tables``."""
+    return lambda agg: np.multiply(agg.heap, tables.heap, out=agg.heap)
+
+
 @dataclass(frozen=True)
 class RectKernel:
-    """A nonnegative kernel tabulated on the standard truncated family."""
+    """A nonnegative kernel tabulated on the standard truncated family.
+
+    ``tables`` maps each level combination to its table: a ``LevelTree``,
+    whose heap the kernel makes read-only.
+    """
 
     config: GridConfig
-    tables: dict
+    tables: LevelTree
+
+    def __post_init__(self):
+        self.tables.heap.flags.writeable = False
 
     def value(self, rect: ProductRect) -> float:
         if not rect.is_standard:
@@ -295,16 +298,13 @@ class RectKernel:
 
     @classmethod
     def from_callable(cls, config: GridConfig, fn) -> "RectKernel":
-        tables = {}
-        for levels in level_combos(config):
-            shape = _table_shape(config, levels)
-            arr = np.empty(shape)
-            for idx in np.ndindex(shape):
+        tables = LevelTree(config, finest_first=False)
+        for levels, arr in tables.items():
+            for idx in np.ndindex(arr.shape):
                 val = float(fn(standard_rect(config, levels, idx)))
                 if val < 0:
                     raise ValueError("kernels must be nonnegative")
                 arr[idx] = val
-            tables[levels] = arr
         return cls(config, tables)
 
     @classmethod
@@ -326,11 +326,10 @@ class RectKernel:
         refuses any other.
         """
         seed = check_kernel_seed(seed)
-        tables = {}
-        for levels in level_combos(config):
-            shape = _table_shape(config, levels)
+        tables = LevelTree(config, finest_first=False)
+        for levels, arr in tables.items():
             stream = np.random.SeedSequence(seed % 2 ** 64, spawn_key=levels)
-            tables[levels] = np.random.default_rng(stream).random(shape)
+            arr[...] = np.random.default_rng(stream).random(arr.shape)
         return cls(config, tables)
 
 
@@ -342,36 +341,46 @@ def mlinear_form(kernel, sigmas, fs) -> float:
     kernel = RectKernel.coerce(kernel, cfg)
     trees = [build_mass_tree(cfg, w.cell_masses * f.values)
              for w, f in zip(sigmas, fs)]
-    return sum(float(arr.sum()) for arr in _terms(cfg, kernel.tables, trees))
+    return _level_sums(_terms(kernel.tables, trees))
 
 
-def _terms(config: GridConfig, tables: dict, trees):
-    """Yield K(R) * prod_k int_R f_k dsigma_k per level combination.
+def _terms(tables: LevelTree, trees) -> LevelTree:
+    """K(R) * prod_k int_R f_k dsigma_k, as one fresh heap.
 
-    Each term is a copy of the kernel table multiplied in place by each
-    tree's table, in ``level_combos`` order.
+    A copy of the kernel's heap, multiplied in place by each tree's.
     """
-    for lv in level_combos(config):
-        arr = tables[lv].copy()
-        for t in trees:
-            arr *= t[lv]
-        yield arr
+    out = tables.heap.copy()
+    for t in trees:
+        out *= t.heap
+    return tables.like(out)
 
 
-def _rect_sum(sigma: Weight, build, tables: dict, term) -> Callable:
-    """The map f -> sum_R term(tables, int_R f dsigma) over a family.
+def _level_sums(tree: LevelTree) -> float:
+    """The sum of every table, table by table in ``level_combos`` order.
 
-    ``build(config, sigma * f)`` aggregates f per level combination:
-    ``build_mass_tree`` over the standard cubes, from f on cells or per
-    level-K cube, ``build_pyramid`` over the third-cubes, from f on
-    cells.  ``term`` combines a level combination's coefficient table
-    with its aggregate; the terms are scattered by ``_spread``.
+    Each table is summed as one contiguous array (``ravel`` copies a
+    strided view), so a sum has the bits of a separate table's.
+    """
+    return sum(float(tree[lv].ravel().sum())
+               for lv in level_combos(tree.config))
+
+
+def _rect_sum(sigma: Weight, build, *steps) -> Callable:
+    """The map f -> sum_R term(c_R, int_R f dsigma) over a family.
+
+    ``build(config, sigma * f)`` aggregates f per level combination into
+    a fresh heap: ``build_mass_tree`` over the standard cubes, from f on
+    cells or per level-K cube, ``build_pyramid`` over the third-cubes,
+    from f on cells.  ``steps`` turn that heap into the terms, in place
+    and in order; ``_scatter`` then sums them onto the finest level.
     """
     cfg = sigma.config
 
     def apply(fv):
         agg = build(cfg, _weighted(sigma, fv))
-        return _spread(term(tables[lv], agg[lv]) for lv in level_combos(cfg))
+        for step in steps:
+            step(agg)
+        return _scatter(agg)
     return apply
 
 
@@ -379,7 +388,7 @@ def apply_positive(kernel, sigma: Weight, f: GridFunction) -> GridFunction:
     """The positive operator sum_R K(R) 1_R int_R f dsigma on cells."""
     cfg = _check_same_grid(sigma, f)
     kernel = RectKernel.coerce(kernel, cfg)
-    apply = _rect_sum(sigma, build_mass_tree, kernel.tables, np.multiply)
+    apply = _rect_sum(sigma, build_mass_tree, _times(kernel.tables))
     return GridFunction(cfg, _upsample(cfg, apply(f.values)))
 
 
@@ -641,7 +650,7 @@ def _factor_product(blocks: list[tuple], arr: np.ndarray,
 class FormPlan:
     """One fractional integral form of one weight, ready to apply.
 
-    ``forward`` and ``adjoint`` map cell arrays to the ``_spread`` of
+    ``forward`` and ``adjoint`` map cell arrays to the ``_scatter`` of
     their terms (per level-K cube for the standard family, whose terms
     are constant on those cubes, and on cells for every other form);
     every map also takes one value for a constant, and the standard
@@ -678,8 +687,11 @@ def _window_plan(mu: Weight, expo: float, family) -> FormPlan:
         coeffs[lv] = np.zeros_like(masses)
         coeffs[lv][family] = _neg_power(masses[family], expo)
         skipped += int((masses[family] <= 0).sum())
-    apply = _rect_sum(mu, build_pyramid, coeffs,
-                      lambda c, m: _windows(c * _windows(m, 2), 0))
+
+    def terms(agg):
+        for lv, third in agg.items():
+            third[...] = _windows(coeffs[lv] * _windows(third, 2), 0)
+    apply = _rect_sum(mu, build_pyramid, terms)
     return FormPlan(apply, apply, skipped)
 
 
@@ -755,18 +767,16 @@ def plan(mu: Weight, alpha: float, form: str, tau=None) -> FormPlan:
         return _window_plan(mu, expo, tuple(slice((s + 2) % 3, None, 3)
                                             for s in tau))
     kernel = RectKernel.hls(mu, alpha)
-    skipped = sum(int((m <= 0).sum()) for m in mu.mass_tree.values())
+    skipped = int(np.count_nonzero(mu.mass_tree.heap <= 0))
     if form == "dyadic":
-        dyadic = _rect_sum(mu, build_mass_tree, kernel.tables, np.multiply)
+        dyadic = _rect_sum(mu, build_mass_tree, _times(kernel.tables))
         return FormPlan(dyadic, dyadic, skipped, kernel=kernel)
     # integrating f over 3R is the width-3 window over the standard
     # cubes; the adjoint spreads each cube's term over 3R the same way
-    return FormPlan(
-        _rect_sum(mu, build_mass_tree, kernel.tables,
-                  lambda c, m: c * _windows(m, 1)),
-        _rect_sum(mu, build_mass_tree, kernel.tables,
-                  lambda c, m: _windows(c * m, 1)),
-        skipped, kernel=kernel)
+    times = _times(kernel.tables)
+    return FormPlan(_rect_sum(mu, build_mass_tree, _tree_windows, times),
+                    _rect_sum(mu, build_mass_tree, times, _tree_windows),
+                    skipped, kernel=kernel)
 
 
 def kernel_sums(mu: Weight, alpha: float, X, Y) -> np.ndarray:

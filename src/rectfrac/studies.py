@@ -170,7 +170,8 @@ def shift_cover_report(dim: int, max_level: int) -> dict:
     must hold the triple ``[3m - 3, 3m + 6)``; each ``tau[a]`` must be
     -1, 0 or +1; and ``(tau[a], P.index[a])`` must be one of the
     oracle's candidates for m.  The oracle runs once per level, on the
-    level's distinct axis indices.
+    level's distinct axis indices, and its candidates are sorted once
+    per level, for a ``np.searchsorted`` lookup per block.
     """
     if max_level < 0:
         raise ValueError(f"max_level must be at least 0, got {max_level}")
@@ -179,8 +180,9 @@ def shift_cover_report(dim: int, max_level: int) -> dict:
     for k in range(-max_level, max_level + 1):
         n = (1 << k) + 2 if k >= 0 else 2  # axis indices -1 .. n - 2
         axis = range(-1, n - 1)
-        # (c, m) as one key c * n + m + 1, with m + 1 in [0, n)
-        found = np.array([(3 * mp + s) * n + m + 1 for m, cands in zip(
+        # (c, m) as one key c * n + m + 1, with m + 1 in [0, n), sorted
+        # once so that each block looks its keys up by bisection
+        found = np.sort([(3 * mp + s) * n + m + 1 for m, cands in zip(
             axis, shift_cover_candidates(DyadicCube(k, axis)))
             for s, mp in cands])
         for start in range(0, n ** dim, COVER_ROWS):
@@ -188,9 +190,11 @@ def shift_cover_report(dim: int, max_level: int) -> dict:
             m = np.stack(np.unravel_index(rows, (n,) * dim), axis=1) - 1
             tau, idx = _shift_covers(m)
             c = 3 * idx + tau
+            key = c * n + m + 1
             ok = ((np.abs(tau) <= 1) & (8 * c <= 3 * m - 3)
                   & (3 * m + 6 <= 8 * c + 24)
-                  & np.isin(c * n + m + 1, found)).all(axis=1)
+                  & (found.take(np.searchsorted(found, key), mode="clip")
+                     == key)).all(axis=1)
             failures += [{"level": k, "index": i} for i in m[~ok].tolist()]
         checked += n ** dim
     return {"dim": dim, "max_level": max_level,

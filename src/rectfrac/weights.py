@@ -7,13 +7,18 @@ every standard product dyadic rectangle and serves the family sums and
 the pair gathers (``tree_masses``); the third-cube pyramid holds the
 blocks that one-third shifted cubes are runs of; tripled cubes 3R are
 width-3 windows over the standard cubes (``operators`` sums the runs
-and windows).  Both aggregates halve by strided slice additions along
-a recipe cached per grid.  Every single box -- ``Weight.mass`` of any
-target, standard rectangles included, and every ``integrate`` target
--- is a direct sum over the cells the box meets (``box_sum``), with
-exact fractional weights for end cells that a corner splits;
-``box_sums`` does the same for a whole array of boxes, with the same
-bits.
+and windows).  Both aggregates are a ``LevelTree``: one heap array per
+tree, with each factor's levels laid end to end along one axis, and
+every level combination's table a view of it.  ``_level_tree`` fills
+the heap in N*K halving passes (``_passes``) by strided slice
+additions, one per factor and level; ``_scatter``, its transpose, runs
+the same passes backwards and pushes every level down onto the next
+finer one: the one scatter of every rectangle sum.  Every single box
+-- ``Weight.mass`` of any target, standard rectangles included, and
+every ``integrate`` target -- is a direct sum over the cells the box
+meets (``box_sum``), with exact fractional weights for end cells that a
+corner splits; ``box_sums`` does the same for a whole array of boxes,
+with the same bits.
 
 Every input rule is written once here.  ``_cells`` checks a cell
 array (a grid function's values, a weight's density): its shape, then
@@ -35,7 +40,8 @@ keeps the per-axis densities as its factors.
 Constructors freeze a float64 array in place rather than copy it, so
 an array the caller passes in becomes read-only.  A view's base stays
 writable: writing through it changes the density but not the masses
-already aggregated from it.
+already aggregated from it.  A weight's mass-tree heap is read-only
+too, so in-place work touches only the aggregates built per call.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import functools
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -75,67 +82,162 @@ def _sum_blocks(arr: np.ndarray, axis: int, block: int) -> np.ndarray:
     return arr.reshape(ns).sum(axis=axis + 1)
 
 
-def _slice_sum(arr: np.ndarray, axis: int, block: int) -> np.ndarray:
+def _slice_sum(arr: np.ndarray, axis: int, block: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``_sum_blocks`` for blocks of 2 or 3, by strided slice additions.
 
     Each block is summed from its first entry on, as the reduction of
-    ``_sum_blocks`` adds it, so the two agree bit for bit.
+    ``_sum_blocks`` adds it, so the two agree bit for bit.  The sums go
+    to ``out`` when it is given.
     """
     lead = (slice(None),) * axis
-    out = arr[lead + (slice(0, None, block),)] + \
-        arr[lead + (slice(1, None, block),)]
+    out = np.add(arr[lead + (slice(0, None, block),)],
+                 arr[lead + (slice(1, None, block),)], out=out)
     if block == 3:
         out += arr[lead + (slice(2, None, 3),)]
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _tree_recipe(config: GridConfig) -> tuple:
-    """The steps of ``_level_tree``: ``(levels, source levels, axes)``.
+def _view(config: GridConfig, blocks: int, key: tuple) -> tuple:
+    """The heap index and shape of a ``LevelTree`` view, cached per grid.
 
-    Levels run from the finest down; each is derived from the levels
-    with its first lowerable factor one level deeper, by halving that
-    factor's axes, so the summation order is fixed for every build.
+    ``key`` holds per factor a level, whose heap axis the view splits
+    into the factor's cube axes, or a ``(lo, hi)`` range of levels,
+    which it keeps on one axis.
+    """
+    index, shape = [], []
+    for k, d in zip(key, config.dims):
+        s = list(itertools.accumulate(((blocks << lv) ** d for lv in range(
+            config.depth + 1)), initial=0))
+        lo, hi = k if isinstance(k, tuple) else (k, k + 1)
+        index.append(slice(s[lo], s[hi]))
+        shape += [s[hi] - s[lo]] if isinstance(k, tuple) else [blocks << k] * d
+    return tuple(index), shape
+
+
+class LevelTree(Mapping):
+    """Every level combination's table, each a view of one heap array.
+
+    The heap has one axis per factor.  Along factor i's axis, of
+    dimension d, the levels lie end to end: level k holds the
+    ``(blocks * 2**k)**d`` entries of its cubes (``blocks`` 1) or
+    third-cubes (``blocks`` 3) in row-major order, from offset
+    ``blocks**d * sum_{l<k} 2**(l*d)``.  Every heap entry is a table
+    entry, so one elementwise operation on heaps of one layout acts on
+    every table at once.  Keys are level tuples, finest first as the
+    gather builds them, or in ``level_combos`` order when not
+    ``finest_first``; without a ``heap`` the tree gets an empty one.
+    """
+
+    def __init__(self, config: GridConfig, blocks: int = 1,
+                 heap: np.ndarray | None = None, finest_first: bool = True):
+        self.config, self.blocks = config, blocks
+        self.finest_first = finest_first
+        every = ((0, config.depth + 1),) * config.n_factors
+        self.heap = np.empty(_view(config, blocks, every)[1]) \
+            if heap is None else heap
+
+    def like(self, heap: np.ndarray) -> "LevelTree":
+        """The same layout and key order over another heap."""
+        return LevelTree(self.config, self.blocks, heap, self.finest_first)
+
+    def __getitem__(self, key) -> np.ndarray:
+        index, shape = _view(self.config, self.blocks, tuple(key))
+        return self.heap[index].reshape(shape)
+
+    def __iter__(self):
+        K = self.config.depth
+        order = range(K, -1, -1) if self.finest_first else range(K + 1)
+        return itertools.product(order, repeat=self.config.n_factors)
+
+    def __len__(self) -> int:
+        return (self.config.depth + 1) ** self.config.n_factors
+
+    def region(self, i: int, k: int) -> np.ndarray:
+        """Factor i's level-k tables over every level of the other factors.
+
+        Factor i's cube axes are axes ``i .. i + d - 1``; every other
+        factor keeps one axis.
+        """
+        every = (0, self.config.depth + 1)
+        return self[(every,) * i + (k,) +
+                    (every,) * (self.config.n_factors - 1 - i)]
+
+
+@functools.lru_cache(maxsize=None)
+def _passes(config: GridConfig, blocks: int) -> tuple:
+    """The halving passes of ``_level_tree``, in its order.
+
+    One per factor, last factor first, and level k, finest first:
+    factor i's cube axes, then the views (``_view``) of factor i at
+    levels k + 1 and k, each earlier factor at its finest level and
+    each later one at all of its levels.
     """
     K, n = config.depth, config.n_factors
-    steps = []
-    for levels in itertools.product(range(K, -1, -1), repeat=n):
-        i = next((j for j in range(n) if levels[j] < K), None)
-        if i is not None:
-            steps.append((levels, levels[:i] + (levels[i] + 1,) +
-                          levels[i + 1:], tuple(config.factor_axes(i))))
-    return tuple(steps)
+    return tuple((range(i, i + config.dims[i]), *(_view(config, blocks, (
+        (K, K + 1),) * i + (lv,) + ((0, K + 1),) * (n - 1 - i))
+        for lv in (k + 1, k))) for i in reversed(range(n))
+        for k in range(K - 1, -1, -1))
 
 
-def _level_tree(config: GridConfig, base: np.ndarray) -> dict:
+def _level_tree(config: GridConfig, base: np.ndarray,
+                blocks: int) -> LevelTree:
     """Halve ``base`` factor by factor into every level combination.
 
-    ``base`` holds the finest level on every factor.
+    ``base`` holds the finest level on every factor.  Each pass of
+    ``_passes`` writes factor i's level-k tables as the ``_slice_sum``
+    halvings, axis by axis, of its level-(k + 1) ones.  So every table
+    is halved from the one with its first lowerable factor one level
+    deeper, by the same additions for every build.
     """
-    tree = {(config.depth,) * config.n_factors: base}
-    for levels, source, axes in _tree_recipe(config):
-        arr = tree[source]
-        for ax in axes:
+    tree = LevelTree(config, blocks)
+    heap = tree.heap
+    tree[(config.depth,) * config.n_factors][...] = base
+    for axes, (fine, fshape), (coarse, cshape) in _passes(config, blocks):
+        arr = heap[fine].reshape(fshape)
+        for ax in axes[:-1]:
             arr = _slice_sum(arr, ax, 2)
-        tree[levels] = arr
+        _slice_sum(arr, axes[-1], 2, out=heap[coarse].reshape(cshape))
     return tree
 
 
-def build_mass_tree(config: GridConfig, masses: np.ndarray) -> dict:
+def _scatter(tree: LevelTree) -> np.ndarray:
+    """The transpose of ``_level_tree``: every table summed onto the finest.
+
+    The gather's passes run backwards, in place: each adds its coarse
+    region onto every child block of its fine one.  Each finest entry
+    then holds the entries of every table above it.  On one factor the
+    additions are those of the term-by-term sum in ``level_combos``
+    order, bit for bit; on several the order differs, so a sum of n
+    positive terms moves by at most about n unit roundoffs.  Returns a
+    copy of the finest table: per level-K cube for the mass tree, per
+    cell for the pyramid.
+    """
+    heap, halves = tree.heap, (slice(0, None, 2), slice(1, None, 2))
+    for axes, (fine, fshape), (coarse, cshape) in reversed(
+            _passes(tree.config, tree.blocks)):
+        dst, src = heap[fine].reshape(fshape), heap[coarse].reshape(cshape)
+        for child in itertools.product(halves, repeat=len(axes)):
+            dst[(slice(None),) * axes[0] + child] += src
+    return tree[(tree.config.depth,) * tree.config.n_factors].copy()
+
+
+def build_mass_tree(config: GridConfig, masses: np.ndarray) -> LevelTree:
     """Aggregate cell masses into every standard level combination.
 
     Keys are per-factor level tuples; values are arrays indexed by the
-    per-axis cube indices at those levels.  Masses already per level-K
-    cube (``2**K`` entries per axis, not ``3 * 2**K``) are the finest
-    level as they are.
+    per-axis cube indices at those levels, views of the tree's heap.
+    Masses already per level-K cube (``2**K`` entries per axis, not
+    ``3 * 2**K``) are the finest level as they are.
     """
     if len(masses) == config.axis_cells:  # per cell: sum each cube's cells
         for ax in range(config.total_dim):
             masses = _slice_sum(masses, ax, 3)
-    return _level_tree(config, masses)
+    return _level_tree(config, masses, 1)
 
 
-def build_pyramid(config: GridConfig, cell_masses: np.ndarray) -> dict:
+def build_pyramid(config: GridConfig, cell_masses: np.ndarray) -> LevelTree:
     """Aggregate cell masses into third-cubes at every level combination.
 
     A third-cube at level k is a block of ``2**(K-k)`` cells per axis,
@@ -143,7 +245,7 @@ def build_pyramid(config: GridConfig, cell_masses: np.ndarray) -> dict:
     has ``3 * 2**k`` entries per axis.  Every level-k cube, standard or
     one-third shifted, is a run of three consecutive third-cubes.
     """
-    return _level_tree(config, cell_masses)
+    return _level_tree(config, cell_masses, 3)
 
 
 def build_prefix(cell_masses: np.ndarray) -> np.ndarray:
@@ -258,20 +360,6 @@ def _outer(factors) -> np.ndarray:
     return functools.reduce(np.multiply.outer, factors)
 
 
-def _paired(fine, coarse) -> tuple[list[int], list[int]]:
-    """Shapes pairing each axis of ``fine`` with the blocks of ``coarse``.
-
-    Reshaped to the first, an array of shape ``fine`` has per axis a
-    block index and an offset within the block; reshaped to the second,
-    an array of shape ``coarse`` broadcasts over the offsets.
-    """
-    view, term = [], []
-    for n, m in zip(fine, coarse):
-        view += [m, n // m]
-        term += [m, 1]
-    return view, term
-
-
 def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
     """Spread per-block values onto cells.
 
@@ -284,7 +372,10 @@ def _upsample(config: GridConfig, arr: np.ndarray) -> np.ndarray:
     cells = (config.axis_cells,) * arr.ndim
     if arr.shape == cells:
         return arr
-    view, term = _paired(cells, arr.shape)
+    # per axis a block index and an offset within the block, along
+    # which the block's value broadcasts
+    view = [x for n, m in zip(cells, arr.shape) for x in (m, n // m)]
+    term = [x for m in arr.shape for x in (m, 1)]
     return np.broadcast_to(arr.reshape(term), view).reshape(cells)
 
 
@@ -360,9 +451,10 @@ class Weight:
     """Nonnegative density with exact hierarchical mass machinery.
 
     ``density`` holds per-cell values and ``mass_tree`` the aggregated
-    masses of all standard product cubes; any other lattice box is
-    summed directly over its cells.  ``prefix`` (built lazily) is a
-    summed-area table of the cell masses that no mass query reads.
+    masses of all standard product cubes, a ``LevelTree`` whose heap is
+    read-only; any other lattice box is summed directly over its cells.
+    ``prefix`` (built lazily) is a summed-area table of the cell masses
+    that no mass query reads.
 
     ``factors``, when given, are per-axis densities whose outer product
     is ``density`` to ``FACTOR_RTOL`` in every cell: a tensor weight's
@@ -382,6 +474,7 @@ class Weight:
             _checked_factors(config, self.density, factors)
         self.cell_masses = _freeze(self.density * config.cell_volume)
         self.mass_tree = build_mass_tree(config, self.cell_masses)
+        self.mass_tree.heap.flags.writeable = False
         self.meta = _checked_meta({} if meta is None else meta)
 
     @functools.cached_property

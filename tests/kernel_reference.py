@@ -2,7 +2,7 @@
 
 * The keyed-hash random kernel that earlier versions drew: tests whose
   pinned numbers came from that kernel build it from these tables with
-  ``RectKernel(cfg, tables)``.
+  ``RectKernel(cfg, tables)``, the tables a ``LevelTree``.
 * The kernel form without the plan: the dense ``kernel_matrix`` of a
   weight's unfactored twin, and a plain loop over cell pairs that calls
   ``pair_kernel`` (box sums, no code shared with the matrix rows).
@@ -13,23 +13,20 @@ import math
 
 import numpy as np
 
-from rectfrac import Weight, operators, pair_kernel
+from rectfrac import Weight, pair_kernel
+from rectfrac.weights import LevelTree
 from rectfrac.operators import kernel_matrix
 
 
 def _per_cell_random_uniform(cfg, seed):
     """One keyed blake2b digest per table entry, scaled into [0, 1)."""
     key = int(seed).to_bytes(8, "little", signed=True)
-    tables = {}
-    for levels in operators.level_combos(cfg):
-        shape = tuple(1 << k for k, d in zip(levels, cfg.dims)
-                      for _ in range(d))
-        arr = np.empty(shape)
-        for idx in np.ndindex(shape):
+    tables = LevelTree(cfg, finest_first=False)
+    for levels, arr in tables.items():
+        for idx in np.ndindex(arr.shape):
             token = repr((levels, idx)).encode()
             h = hashlib.blake2b(token, digest_size=8, key=key).digest()
             arr[idx] = int.from_bytes(h, "little") / 2.0 ** 64
-        tables[levels] = arr
     return tables
 
 

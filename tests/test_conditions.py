@@ -11,6 +11,7 @@ from rectfrac import (DyadicCube, ExponentError, GridConfig, ProductRect,
                       reverse_doubling_constant, tail_bound)
 from rectfrac.grids import (cube_to_json, rect_from_json, rect_to_json,
                             standard_rect)
+from rectfrac import conditions
 from rectfrac.operators import _neg_power, level_combos
 from rectfrac.weights import _sum_blocks
 
@@ -181,6 +182,44 @@ class TestDescendantScan:
                 flat, w.mass_tree[levels].shape))
             assert rep.value == value
             assert rep.witness == {"rect": rect_to_json(rect), "j": j}
+
+    @pytest.mark.parametrize("dims,depth", [((1, 1), 5), ((1, 1, 1), 4),
+                                            ((2, 1), 3), ((1, 2), 3)])
+    def test_every_ratio_equals_per_level_sums(self, dims, depth,
+                                               monkeypatch):
+        # every array the scan reads, not only its extremum, has the
+        # bits of the sums taken one table at a time
+        cfg = GridConfig(dims, depth)
+        read = {}
+
+        def recording(entries, start, minimize=False):
+            entries = list(entries)
+            read.update((key, arr.tobytes()) for key, arr in entries)
+            return scan(entries, start, minimize)
+
+        scan = conditions._scan
+        monkeypatch.setattr(conditions, "_scan", recording)
+        for w in (gen_cascade(cfg, 4.0, 17),
+                  gen_power(cfg, (6.0,) * cfg.total_dim,
+                            centers=(0.3,) * cfg.total_dim)):
+            read.clear()
+            condition_d_constant(w, 1.0)
+            want = {}
+            for levels in level_combos(cfg):
+                base = w.mass_tree[levels]
+                for j in range(cfg.n_factors):
+                    acc = np.zeros_like(base)
+                    for l in range(levels[j], depth + 1):
+                        arr = w.mass_tree[levels[:j] + (l,)
+                                          + levels[j + 1:]] ** 2.0
+                        for ax in cfg.factor_axes(j):
+                            arr = _sum_blocks(arr, ax, 1 << (l - levels[j]))
+                        acc = acc + arr
+                    pos = base > 0
+                    want[levels, j] = np.where(
+                        pos, acc / np.where(pos, base, 1.0) ** 2.0,
+                        -1.0).tobytes()
+            assert read == want
 
 
 class TestCarlesonTesting:

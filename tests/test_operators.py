@@ -119,6 +119,14 @@ def _block_arrays(cfg, blocks, rng):
     return arrs
 
 
+def _heap_of(cfg, blocks, arrs):
+    """A level tree holding ``arrs``, given in ``level_combos`` order."""
+    tree = weights.LevelTree(cfg, blocks)
+    for arr, lv in zip(arrs, operators.level_combos(cfg)):
+        tree[lv][...] = arr
+    return tree
+
+
 class TestSpread:
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("dims,depth", SPREAD_CASES)
@@ -128,8 +136,51 @@ class TestSpread:
         fold = np.zeros((cfg.axis_cells,) * cfg.total_dim)
         for arr in arrs:
             fold += operators._upsample(cfg, arr)
-        out = operators._upsample(cfg, operators._spread(iter(arrs)))
-        assert np.array_equal(out, fold)
+        tree = _heap_of(cfg, blocks, arrs)
+        out = operators._upsample(cfg, weights._scatter(tree))
+        if cfg.n_factors == 1:
+            assert np.array_equal(out, fold)
+        else:
+            # the scatter adds the (K+1)**N positive terms in another
+            # order: the sum-of-positives bound
+            terms = (depth + 1) ** cfg.n_factors
+            assert np.all(np.abs(out - fold) <= terms * 2.0 ** -52 * fold)
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("dims,depth", SPREAD_CASES)
+    def test_scatter_is_gather_transpose(self, dims, depth, blocks):
+        # <gather(x), y> == <x, scatter(y)> over every table entry
+        cfg = GridConfig(dims, depth)
+        rng = np.random.default_rng(depth + blocks)
+        x = rng.random((blocks << depth,) * cfg.total_dim)
+        y = _heap_of(cfg, blocks, _block_arrays(cfg, blocks, rng))
+        build = weights.build_mass_tree if blocks == 1 else \
+            weights.build_pyramid
+        gathered = build(cfg, x)
+        lhs = float(np.vdot(gathered.heap, y.heap))
+        rhs = float(np.vdot(x, weights._scatter(y)))
+        assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    def test_forward_holds_one_heap(self):
+        # the dyadic forward builds one aggregate heap and scatters it in
+        # place: beyond its output (or its weighted input, which the
+        # heap is built from) and that heap it holds only numpy's
+        # fixed-size iteration buffers, np.getbufsize() entries for each
+        # of up to four (an add between interleaved views of one heap
+        # buffers its three operands and one more), and small objects
+        cfg = GridConfig((1, 1, 1), 5)
+        op = plan(gen_cascade(cfg, 2.0, 1), 0.5, "dyadic")
+        f = np.random.default_rng(3).random((1 << 5,) * 3)
+        heap = weights.LevelTree(cfg).heap.nbytes
+        op.forward(f)
+        tracemalloc.start()
+        try:
+            out = op.forward(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 4 * 8 * np.getbufsize()
+        assert peak <= out.nbytes + heap + buffers + (16 << 10)
 
 
 def _reshape_sum(arr, axis, block):
@@ -255,6 +306,16 @@ class TestRandomUniform:
                      0.2606291035571038, 0.5512919316249881]}
         low = RectKernel.random_uniform(GridConfig((2,), 1), -2 ** 63).tables
         assert low[(0,)].tolist() == [[0.563463187348521]]
+
+    def test_kernel_tables_read_only(self):
+        cfg = GridConfig((1, 1), 2)
+        w = gen_cascade(cfg, 2.0, 1)
+        tables = weights.LevelTree(cfg, heap=np.ones((7, 7)))
+        for kern in (RectKernel.random_uniform(cfg, 1), RectKernel.hls(w, 0.5),
+                     RectKernel.from_callable(cfg, lambda r: 1.0),
+                     RectKernel(cfg, tables)):
+            with pytest.raises(ValueError, match="read-only"):
+                kern.tables[(1, 2)][0, 0] = 99.0
 
     def test_restricted_equals_fresh(self):
         # a table ignores the depth: a deep draw holds every shallower

@@ -91,6 +91,18 @@ class TestMass:
                 assert arr[idx] == pytest.approx(direct, rel=1e-12)
                 assert w.mass(rect) == pytest.approx(arr[idx], rel=1e-12)
 
+    @pytest.mark.parametrize("dims", [(1, 1), (2,), (1, 2)])
+    def test_tree_read_only(self, dims):
+        # a write into a table used to change total_mass to 99.0
+        w = gen_cascade(GridConfig(dims, 3), 2.0, 7)
+        top = (0,) * w.config.n_factors
+        for levels in (top, (3,) * w.config.n_factors):
+            with pytest.raises(ValueError, match="read-only"):
+                w.mass_tree[levels][(0,) * w.config.total_dim] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.mass_tree.heap[...] = 99.0
+        assert w.total_mass == pytest.approx(1.0, rel=1e-14)
+
     def test_half_cell_box(self, uniform_line):
         # corners at odd units split cells in half; still exact
         b = Box((1,), (3,))
