@@ -13,12 +13,19 @@ better than the best so far.  The arrays are views of heaps computed
 whole: the products of ``fp_constant`` in one pass over the mass and
 kernel heaps, the halving ratios and descendant sums in one heap per
 direction, over slabs of that direction's factor at one level and
-every other factor at all of theirs.  The scan reads the views in
-``level_combos`` order, so ties go to the first extremal rectangle in
-that order, then direction j, then row-major index within the level's
-array, and every value and witness is the one the per-table
-computation gives, bit for bit.  Each public constant is one such
-scan, its input check first: ``condition_d_constant`` and
+every other factor at all of theirs.  The descendant sums follow the
+recursion D_k = P_k + S(D_{k+1}), with P_k the powered masses at level
+k of the direction's factor and S the gather's halving along that
+factor's cube axes: K halving passes per direction.  The scan reads
+the views in ``level_combos`` order, so ties go to the first extremal
+rectangle in that order, then direction j, then row-major index
+within the level's array, and every value and witness is the one the
+per-table computation gives, bit for bit.  On a tensor weight the
+direction-j ratio does not depend on the other factors' cubes, so
+rectangles that differ only there tie in exact arithmetic, as do
+directions whose factors are alike; which of them is the witness is
+then decided by rounding.  Each public constant is one such scan, its
+input check first: ``condition_d_constant`` and
 ``carleson_testing_constant`` are each one descendant power scan.
 What the levels beyond the truncation could add to either is a
 separate function of the reverse doubling report,
@@ -41,7 +48,7 @@ import numpy as np
 from .grids import DyadicCube, cube_to_json, rect_to_json, standard_rect
 from .operators import ExponentError, RectKernel, _check_pq, _neg_power, \
     _powers, check_mlinear_exponents, level_combos
-from .weights import Weight, _check_same_grid, _sum_blocks
+from .weights import Weight, _check_same_grid, _slice_sum
 
 
 @dataclass
@@ -161,13 +168,13 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
     For each rectangle and direction j, sums sigma(<R; Q, j>)**expo over
     every dyadic descendant Q of the j-th side down to the configured
     depth, including the side itself, and divides by sigma(R)**expo.
-    The mass tree is raised to ``expo`` once per scan.  Per direction,
-    the sums fill one heap: for each step s and level k of factor j,
-    one pass over the slab of factor j at level k adds S_s(P_{k+s}),
-    the ``_sum_blocks`` of the powers s levels deeper, so each sum is
-    0 + P_k + S_1(P_{k+1}) + ... in the order of the per-table sums.
-    The scan then reads the ratios in ``level_combos`` order, then
-    direction j.
+    The mass tree is raised to ``expo`` once per scan, giving P_k at
+    level k of factor j.  Per direction, the sums fill a copy of that
+    heap by the recursion D_k = P_k + S(D_{k+1}): for k from K - 1 down
+    to 0, the slab of factor j at level k adds the ``_slice_sum``
+    halving S of the slab one level deeper along factor j's cube axes,
+    the halving of the gather.  The scan then reads the ratios in
+    ``level_combos`` order, then direction j.
     """
     cfg = w.config
     K, n = cfg.depth, cfg.n_factors
@@ -176,22 +183,12 @@ def _descendant_power_scan(w: Weight, expo: float, name: str,
     divisor = np.where(pos, powered.heap, 1.0)
 
     def ratio(j):
-        last = j + cfg.dims[j] - 1
-        # numpy adds a table's blocks pairwise along its last nontrivial
-        # axis and in sequence along any other, so where every later
-        # factor is at level 0 (one entry) factor j's last axis is
-        # summed again, apart
-        corner = (slice(None),) * (last + 1) + (slice(0, 1),) * (n - 1 - j)
-        acc = powered.like(powered.heap.copy())  # 0 + P_k
-        for step in range(1, K + 1):
-            for k in range(K + 1 - step):
-                arr = powered.region(j, k + step)
-                for ax in range(j, last):
-                    arr = _sum_blocks(arr, ax, 1 << step)
-                sums = _sum_blocks(arr, last, 1 << step)
-                if j < n - 1:
-                    sums[corner] = _sum_blocks(arr[corner], last, 1 << step)
-                acc.region(j, k)[...] += sums
+        acc = powered.like(powered.heap.copy())  # D_K = P_K
+        for k in range(K - 1, -1, -1):
+            sums = acc.region(j, k + 1)
+            for ax in range(j, j + cfg.dims[j]):
+                sums = _slice_sum(sums, ax, 2)
+            acc.region(j, k)[...] += sums
         return acc.like(np.where(pos, acc.heap / divisor, -1.0))
 
     ratios = [ratio(j) for j in range(n)]
@@ -255,8 +252,7 @@ def fp_constant(kernel, weights, exponents) -> ConstantReport:
     products = kernel.tables.like(kernel.tables.heap.copy())
     for w, ce in zip(weights, conj_exps):
         products.heap *= _neg_power(w.mass_tree.heap, ce)
-    (best, levels, flat, shape), scanned = _scan(
-        ((lv, products[lv]) for lv in level_combos(cfg)), -1.0)
+    (best, levels, flat, shape), scanned = _scan(products.items(), -1.0)
     wit = None if levels is None else {"rect": rect_to_json(standard_rect(
         cfg, levels, np.unravel_index(flat, shape)))}
     return ConstantReport("fefferman_phong", max(best, 0.0), wit, scanned,

@@ -209,12 +209,11 @@ def level_combos(config: GridConfig):
 def _neg_power(masses: np.ndarray, expo: float) -> np.ndarray:
     """masses**expo where the mass is positive, 0 where it vanishes.
 
-    A positive exponent needs no mask, since 0.0**expo is 0 then.
+    One masked power into a zeroed array: besides the result, the only
+    temporary is the mask, one byte per entry.
     """
-    if expo > 0:
-        return masses ** expo
-    pos = masses > 0
-    return np.where(pos, np.where(pos, masses, 1.0) ** expo, 0.0)
+    return np.power(masses, expo, out=np.zeros_like(masses),
+                    where=masses > 0)
 
 
 def _powers(tree: LevelTree, expo: float) -> LevelTree:
@@ -298,7 +297,7 @@ class RectKernel:
 
     @classmethod
     def from_callable(cls, config: GridConfig, fn) -> "RectKernel":
-        tables = LevelTree(config, finest_first=False)
+        tables = LevelTree(config)
         for levels, arr in tables.items():
             for idx in np.ndindex(arr.shape):
                 val = float(fn(standard_rect(config, levels, idx)))
@@ -326,7 +325,7 @@ class RectKernel:
         refuses any other.
         """
         seed = check_kernel_seed(seed)
-        tables = LevelTree(config, finest_first=False)
+        tables = LevelTree(config)
         for levels, arr in tables.items():
             stream = np.random.SeedSequence(seed % 2 ** 64, spawn_key=levels)
             arr[...] = np.random.default_rng(stream).random(arr.shape)
@@ -361,8 +360,7 @@ def _level_sums(tree: LevelTree) -> float:
     Each table is summed as one contiguous array (``ravel`` copies a
     strided view), so a sum has the bits of a separate table's.
     """
-    return sum(float(tree[lv].ravel().sum())
-               for lv in level_combos(tree.config))
+    return sum(float(table.ravel().sum()) for table in tree.values())
 
 
 def _rect_sum(sigma: Weight, build, *steps) -> Callable:

@@ -125,31 +125,28 @@ class LevelTree(Mapping):
     third-cubes (``blocks`` 3) in row-major order, from offset
     ``blocks**d * sum_{l<k} 2**(l*d)``.  Every heap entry is a table
     entry, so one elementwise operation on heaps of one layout acts on
-    every table at once.  Keys are level tuples, finest first as the
-    gather builds them, or in ``level_combos`` order when not
-    ``finest_first``; without a ``heap`` the tree gets an empty one.
+    every table at once.  Keys are level tuples in ``level_combos``
+    order; without a ``heap`` the tree gets an empty one.
     """
 
     def __init__(self, config: GridConfig, blocks: int = 1,
-                 heap: np.ndarray | None = None, finest_first: bool = True):
+                 heap: np.ndarray | None = None):
         self.config, self.blocks = config, blocks
-        self.finest_first = finest_first
         every = ((0, config.depth + 1),) * config.n_factors
         self.heap = np.empty(_view(config, blocks, every)[1]) \
             if heap is None else heap
 
     def like(self, heap: np.ndarray) -> "LevelTree":
-        """The same layout and key order over another heap."""
-        return LevelTree(self.config, self.blocks, heap, self.finest_first)
+        """The same layout over another heap."""
+        return LevelTree(self.config, self.blocks, heap)
 
     def __getitem__(self, key) -> np.ndarray:
         index, shape = _view(self.config, self.blocks, tuple(key))
         return self.heap[index].reshape(shape)
 
     def __iter__(self):
-        K = self.config.depth
-        order = range(K, -1, -1) if self.finest_first else range(K + 1)
-        return itertools.product(order, repeat=self.config.n_factors)
+        return itertools.product(range(self.config.depth + 1),
+                                 repeat=self.config.n_factors)
 
     def __len__(self) -> int:
         return (self.config.depth + 1) ** self.config.n_factors

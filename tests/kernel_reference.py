@@ -21,7 +21,7 @@ from rectfrac.operators import kernel_matrix
 def _per_cell_random_uniform(cfg, seed):
     """One keyed blake2b digest per table entry, scaled into [0, 1)."""
     key = int(seed).to_bytes(8, "little", signed=True)
-    tables = LevelTree(cfg, finest_first=False)
+    tables = LevelTree(cfg)
     for levels, arr in tables.items():
         for idx in np.ndindex(arr.shape):
             token = repr((levels, idx)).encode()

@@ -9,8 +9,9 @@ from rectfrac import (DyadicCube, ExponentError, GridConfig, ProductRect,
                       condition_d_constant, doubling_constant, fp_constant,
                       gen_cascade, gen_power, gen_uniform,
                       reverse_doubling_constant, tail_bound)
-from rectfrac.grids import (cube_to_json, rect_from_json, rect_to_json,
-                            standard_rect)
+from rectfrac.bruteforce import _iter_family
+from rectfrac.grids import (children, cube_to_json, rect_from_json,
+                            rect_to_json, replace, standard_rect)
 from rectfrac import conditions
 from rectfrac.operators import _neg_power, level_combos
 from rectfrac.weights import _sum_blocks
@@ -23,7 +24,6 @@ def reproduce_halving_witness(w, report):
     child_doc = report.witness["child"]
     child = DyadicCube(child_doc["level"], tuple(child_doc["index"]),
                        tuple(child_doc["tau"]))
-    from rectfrac import replace
     num = w.mass(rect)
     den = w.mass(replace(rect, child, j))
     if den == 0:
@@ -144,26 +144,81 @@ class TestConditionD:
         assert shallow <= condition_d_constant(w, 0.5).value * (1 + 1e-12)
 
 
-def _per_level_power_scan(w, expo):
-    """The scan raising a level once per (levels, j, l): the reference."""
+def _halve(arr, axis):
+    """Adjacent pairs along one axis summed, by reshape and take."""
+    shape = arr.shape
+    pairs = arr.reshape(shape[:axis] + (shape[axis] // 2, 2) +
+                        shape[axis + 1:])
+    return pairs.take(0, axis=axis + 1) + pairs.take(1, axis=axis + 1)
+
+
+def _recursion_sums(w, expo):
+    """Descendant power sums per ``(levels, j)``, one table at a time.
+
+    D(levels, j) = sigma**expo at ``levels`` plus the halving of D one
+    level deeper on factor j, along factor j's cube axes in order: the
+    reference for the scan's recursion.
+    """
     cfg = w.config
-    K, n = cfg.depth, cfg.n_factors
-    best, best_at = -1.0, None
+    sums = {}
+    for j in range(cfg.n_factors):
+        for levels in sorted(level_combos(cfg), key=lambda lv: -lv[j]):
+            acc = w.mass_tree[levels] ** expo
+            if levels[j] < cfg.depth:
+                below = levels[:j] + (levels[j] + 1,) + levels[j + 1:]
+                deeper = sums[below, j]
+                for ax in cfg.factor_axes(j):
+                    deeper = _halve(deeper, ax)
+                acc = acc + deeper
+            sums[levels, j] = acc
+    return sums
+
+
+def _old_order_sums(w, expo):
+    """The same sums as 0 + P_k + S_1(P_{k+1}) + ..., level by level.
+
+    Each deeper level's powers are block-summed onto the rectangle's
+    levels, then added in turn: another order of the same positive terms.
+    """
+    cfg = w.config
+    sums = {}
     for levels in level_combos(cfg):
-        base = w.mass_tree[levels]
-        for j in range(n):
-            acc = np.zeros_like(base)
-            for l in range(levels[j], K + 1):
+        for j in range(cfg.n_factors):
+            acc = np.zeros_like(w.mass_tree[levels])
+            for l in range(levels[j], cfg.depth + 1):
                 arr = w.mass_tree[levels[:j] + (l,) + levels[j + 1:]] ** expo
                 for ax in cfg.factor_axes(j):
                     arr = _sum_blocks(arr, ax, 1 << (l - levels[j]))
                 acc = acc + arr
-            pos = base > 0
-            ratios = np.where(
-                pos, acc / np.where(pos, base, 1.0) ** expo, -1.0)
-            flat = int(np.argmax(ratios))
-            if ratios.flat[flat] > best:
-                best = float(ratios.flat[flat])
+            sums[levels, j] = acc
+    return sums
+
+
+def _term_count(cfg, levels, j):
+    """How many powers a descendant sum at ``levels`` in direction j adds."""
+    return sum(1 << ((l - levels[j]) * cfg.dims[j])
+               for l in range(levels[j], cfg.depth + 1))
+
+
+def _ratios(w, expo, sums):
+    """Each sum over its rectangle's power, -1 where the mass vanishes."""
+    out = {}
+    for (levels, j), acc in sums.items():
+        base = w.mass_tree[levels]
+        pos = base > 0
+        out[levels, j] = np.where(
+            pos, acc / np.where(pos, base, 1.0) ** expo, -1.0)
+    return out
+
+
+def _first_best(cfg, ratios):
+    """The first largest ratio in ``level_combos`` order, then j."""
+    best, best_at = -1.0, None
+    for levels in level_combos(cfg):
+        for j in range(cfg.n_factors):
+            flat = int(np.argmax(ratios[levels, j]))
+            if ratios[levels, j].flat[flat] > best:
+                best = float(ratios[levels, j].flat[flat])
                 best_at = (levels, j, flat)
     return best, best_at
 
@@ -172,23 +227,33 @@ class TestDescendantScan:
     @pytest.mark.parametrize("dims,depth", [((1, 1), 5), ((1, 1, 1), 3),
                                             ((2,), 3), ((1,), 8)])
     def test_equals_per_level_powers(self, dims, depth):
+        # value and witness are the per-table recursion's; the value is
+        # within the sum-of-positives bound of the level-by-level sums,
+        # plus one rounding of each division
         cfg = GridConfig(dims, depth)
         w = gen_cascade(cfg, 4.0, 17)
+        terms = max(_term_count(cfg, (0,) * cfg.n_factors, j)
+                    for j in range(cfg.n_factors))
         for rep, expo in ((condition_d_constant(w, 0.25), 1.25),
                           (condition_d_constant(w, 1.0), 2.0),
                           (carleson_testing_constant(w, 2.0, 5.0), 2.5)):
-            value, (levels, j, flat) = _per_level_power_scan(w, expo)
+            value, (levels, j, flat) = _first_best(
+                cfg, _ratios(w, expo, _recursion_sums(w, expo)))
             rect = standard_rect(cfg, levels, np.unravel_index(
                 flat, w.mass_tree[levels].shape))
             assert rep.value == value
             assert rep.witness == {"rect": rect_to_json(rect), "j": j}
+            old, _ = _first_best(cfg, _ratios(w, expo,
+                                              _old_order_sums(w, expo)))
+            assert abs(rep.value - old) <= 2 * terms * 2.0 ** -53 * old
 
     @pytest.mark.parametrize("dims,depth", [((1, 1), 5), ((1, 1, 1), 4),
                                             ((2, 1), 3), ((1, 2), 3)])
     def test_every_ratio_equals_per_level_sums(self, dims, depth,
                                                monkeypatch):
         # every array the scan reads, not only its extremum, has the
-        # bits of the sums taken one table at a time
+        # bits of the recursion taken one table at a time, whose sums
+        # are within 2(n-1) unit roundoffs of the level-by-level ones
         cfg = GridConfig(dims, depth)
         read = {}
 
@@ -204,22 +269,55 @@ class TestDescendantScan:
                             centers=(0.3,) * cfg.total_dim)):
             read.clear()
             condition_d_constant(w, 1.0)
-            want = {}
-            for levels in level_combos(cfg):
-                base = w.mass_tree[levels]
-                for j in range(cfg.n_factors):
-                    acc = np.zeros_like(base)
-                    for l in range(levels[j], depth + 1):
-                        arr = w.mass_tree[levels[:j] + (l,)
-                                          + levels[j + 1:]] ** 2.0
-                        for ax in cfg.factor_axes(j):
-                            arr = _sum_blocks(arr, ax, 1 << (l - levels[j]))
-                        acc = acc + arr
-                    pos = base > 0
-                    want[levels, j] = np.where(
-                        pos, acc / np.where(pos, base, 1.0) ** 2.0,
-                        -1.0).tobytes()
-            assert read == want
+            sums = _recursion_sums(w, 2.0)
+            assert read == {key: arr.tobytes() for key, arr
+                            in _ratios(w, 2.0, sums).items()}
+            for (levels, j), old in _old_order_sums(w, 2.0).items():
+                bound = 2 * (_term_count(cfg, levels, j) - 1) * 2.0 ** -53
+                assert np.all(np.abs(sums[levels, j] - old) <= bound * old)
+
+
+def _descendant_oracle(w, expo):
+    """The largest descendant power ratio, rectangle by rectangle.
+
+    For each rectangle of ``_iter_family`` and each direction j, adds
+    ``w.mass`` (a box sum) to the power ``expo`` over the rectangle with
+    side j swapped for each of that side's descendants, found by
+    repeated ``children``.
+    """
+    cfg = w.config
+    best = -1.0
+    for rect, _, _ in _iter_family(cfg):
+        base = w.mass(rect)
+        if base <= 0:
+            continue
+        for j, side in enumerate(rect.factors):
+            total, todo = 0.0, [side]
+            while todo:
+                cube = todo.pop()
+                total += w.mass(replace(rect, cube, j)) ** expo
+                if cube.level < cfg.depth:
+                    todo.extend(children(cfg, cube))
+            best = max(best, total / base ** expo)
+    return best
+
+
+class TestDescendantOracle:
+    @pytest.mark.parametrize("dims,depth", [
+        ((1,), 1), ((1,), 2), ((1,), 3), ((1,), 4),
+        ((1, 1), 1), ((1, 1), 2), ((1, 1), 3), ((2, 1), 1), ((2, 1), 2)])
+    def test_testing_constants_equal_oracle(self, dims, depth):
+        cfg = GridConfig(dims, depth)
+        for w in (gen_cascade(cfg, 4.0, 5),
+                  gen_power(cfg, (6.0,) * cfg.total_dim,
+                            centers=(0.3,) * cfg.total_dim)):
+            for rep, expo in ((condition_d_constant(w, 0.25), 1.25),
+                              (condition_d_constant(w, 1.0), 2.0),
+                              (carleson_testing_constant(w, 2.0, 5.0), 2.5),
+                              (carleson_testing_constant(w, 4 / 3, 4.0),
+                               3.0)):
+                assert rep.value == pytest.approx(
+                    _descendant_oracle(w, expo), rel=1e-12)
 
 
 class TestCarlesonTesting:

@@ -190,7 +190,10 @@ def _reshape_sum(arr, axis, block):
 
 
 def _reshape_sum_tree(cfg, base):
-    """The level tree halved by reshape sums: the reference."""
+    """The level tree halved by reshape sums: the reference.
+
+    Tables are halved finest first, then listed in ``level_combos`` order.
+    """
     K, n = cfg.depth, cfg.n_factors
     tree = {}
     for levels in itertools.product(range(K, -1, -1), repeat=n):
@@ -202,7 +205,7 @@ def _reshape_sum_tree(cfg, base):
         for ax in cfg.factor_axes(i):
             arr = _reshape_sum(arr, ax, 2)
         tree[levels] = arr
-    return tree
+    return {levels: tree[levels] for levels in sorted(tree)}
 
 
 def _assert_trees_equal(got, want):
@@ -481,6 +484,29 @@ class TestPowerWeightPrecision:
         x, y = (3071,), (3075,)
         assert pair_kernel(w, 0.5, x, y) == pytest.approx(
             mass_direct(w, min_rect(x, y)) ** -0.5, rel=1e-12)
+
+
+class TestNegPower:
+    @pytest.mark.parametrize("expo", [-0.75, -0.5, 0.5, 2.0, 2.5])
+    def test_power_where_positive_else_zero(self, expo):
+        masses = _zero_banded_weight((1, 1), 4, True).mass_tree.heap
+        pos = masses > 0
+        assert not pos.all()
+        want = np.where(pos, np.where(pos, masses, 1.0) ** expo, 0.0)
+        assert np.array_equal(operators._neg_power(masses, expo), want)
+
+    @pytest.mark.parametrize("expo", [-0.75, 2.5])
+    def test_holds_result_and_mask_only(self, expo):
+        # one masked power into a zeroed result: besides the result it
+        # allocates only the one-byte-per-entry mask and small objects
+        masses = gen_cascade(GridConfig((1, 1, 1), 5), 2.0, 1).mass_tree.heap
+        tracemalloc.start()
+        try:
+            out = operators._neg_power(masses, expo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + masses.size + (16 << 10)
 
 
 class TestAscentMaps:
