@@ -208,22 +208,24 @@ def tail_bound(reverse: ConstantReport, decay_exp: float) -> float | None:
     gamma**(-l * decay_exp) to any scanned ratio, so the dropped tail is
     bounded by r/(1-r) with r = gamma**(-decay_exp); None otherwise.
     The decay is eps for ``condition_d_constant`` and q/p - 1 for
-    ``carleson_testing_constant``.  gamma is always finite: the level-0
-    rectangle carries the positive total mass, and the tree builds each
-    parent as the sum of its ``2**d_j`` children in direction j, so the
-    largest child is positive and gives a ratio of at most ``2**d_j``;
-    gamma is the minimum over all ratios.
+    ``carleson_testing_constant``; one that is not positive is refused
+    like eps.  gamma is always finite: the level-0 rectangle carries
+    the positive total mass, and the tree builds each parent as the sum
+    of its ``2**d_j`` children in direction j, so the largest child is
+    positive and gives a ratio of at most ``2**d_j``; gamma is the
+    minimum over all ratios.
     """
+    decay_exp = _positive_eps(decay_exp, "decay_exp")
     if not reverse.value > 1.0:
         return None
     r = reverse.value ** (-decay_exp)
     return r / (1.0 - r)
 
 
-def _positive_eps(eps: float) -> float:
-    """A summability power as a float, refused unless positive."""
+def _positive_eps(eps: float, name: str = "eps") -> float:
+    """A summability power or decay as a float, refused unless positive."""
     if not eps > 0:
-        raise ExponentError(f"eps must be positive, got {eps}")
+        raise ExponentError(f"{name} must be positive, got {eps}")
     return float(eps)
 
 

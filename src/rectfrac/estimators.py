@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import carleson_testing_constant, fp_constant
-from .grids import rect_from_json
+from .grids import _integer, rect_from_json
 from .operators import (ExponentConfig, RectKernel, _level_sums, _powers,
                         _terms, check_mlinear_exponents, plan)
 from .weights import (GridFunction, Weight, _check_same_grid, _lp, _scatter,
@@ -371,7 +371,8 @@ def depth_sweep(task: str, depths, *, weight: Weight | None = None,
     files byte-reproducible by default.
     """
     _check_limits(tol, max_sweeps)
-    depths = sorted({int(k) for k in depths})
+    depths = sorted({_integer(k, "sweep depths must be integers")
+                     for k in depths})
     if not depths:
         raise ValueError("a depth sweep needs at least one depth")
     if task not in ("hls", "embed", "carleson"):

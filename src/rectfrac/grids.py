@@ -20,10 +20,12 @@ units, picks the cube's level with no pass per level.
 ``minimal_cube`` is its one-pair call, and ``product_minimal``,
 ``triple_depths`` and ``product_minimal_boxes`` read it too.  Their
 points are read by ``_points``, which refuses coordinates that are not
-integers instead of truncating them.  ``_shift_vector`` reads the
-shift vector of ``operators.plan``'s family.  This module enumerates no
-family: a family's rectangles, standard or shifted, are listed by the
-oracle ``bruteforce._iter_family``.
+integers instead of truncating them.  ``_integer`` is the same rule for
+one integer: a grid's dims and depth, a cube's level and indices, a
+kernel seed and a sweep depth.  ``_shift_vector`` reads every shift
+vector, a cube's and ``operators.plan``'s family's.  This module
+enumerates no family: a family's rectangles, standard or shifted, are
+listed by the oracle ``bruteforce._iter_family``.
 
 The combined per-axis index ``c = 3*m + s`` makes the split algebra
 uniform: the two halves of ``c`` along an axis are ``2*c`` and
@@ -80,14 +82,10 @@ class GridConfig:
     depth: int
 
     def __post_init__(self):
-        try:
-            dims = tuple(map(operator.index, self.dims))
-        except TypeError:
-            raise ValueError("factor dimensions must be integers") from None
-        try:
-            depth = operator.index(self.depth)
-        except TypeError:
-            raise DepthExceededError("depth must be an integer") from None
+        dims = tuple(_integer(d, "factor dimensions must be integers")
+                     for d in self.dims)
+        depth = _integer(self.depth, "depth must be an integer",
+                         DepthExceededError)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "depth", depth)
         if len(dims) < 1:
@@ -142,14 +140,13 @@ class DyadicCube:
     shift: tuple[int, ...] = ()
 
     def __post_init__(self):
-        index = tuple(int(m) for m in self.index)
-        shift = tuple(int(s) for s in self.shift) if self.shift else (0,) * len(index)
+        level = _integer(self.level, "cube level must be an integer")
+        index = tuple([_integer(m, "cube indices must be integers")
+                       for m in self.index])
+        object.__setattr__(self, "level", level)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "shift", shift)
-        if len(shift) != len(index):
-            raise ValueError("index and shift must have equal length")
-        if any(s not in (-1, 0, 1) for s in shift):
-            raise ValueError("shift entries must be -1, 0 or +1 (thirds)")
+        object.__setattr__(self, "shift",
+                           _shift_vector(self.shift or None, len(index)))
 
     @property
     def dim(self) -> int:
@@ -177,10 +174,6 @@ class ProductRect:
     @property
     def is_standard(self) -> bool:
         return all(q.is_standard for q in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return sum(q.dim for q in self.factors)
 
 
 @dataclass(frozen=True)
@@ -451,11 +444,25 @@ def _shift_covers(index) -> tuple[np.ndarray, np.ndarray]:
     return tau, q + (r == 7)
 
 
+def _integer(value, message: str, error=ValueError) -> int:
+    """``value`` as an int, refused with ``message`` unless it is one.
+
+    An integer is what ``operator.index`` takes: ints, bools and numpy
+    integers, never a float or a string, so nothing is truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{message}, got {value!r}") from None
+
+
 def _shift_vector(tau, n: int) -> tuple[int, ...]:
-    """A family's per-axis shifts over {-1, 0, +1}; None is the standard one."""
-    tau = (0,) * n if tau is None else tuple(int(t) for t in tau)
-    if len(tau) != n or any(t not in (-1, 0, 1) for t in tau):
-        raise ValueError("tau must assign -1, 0 or +1 per axis")
+    """Per-axis shifts over {-1, 0, +1}; None is the standard family's."""
+    message = "tau must assign -1, 0 or +1 per axis"
+    tau = (0,) * n if tau is None else tuple([_integer(t, message)
+                                              for t in tau])
+    if len(tau) != n or not {-1, 0, 1}.issuperset(tau):
+        raise ValueError(message)
     return tau
 
 
@@ -486,7 +493,6 @@ def rect_from_json(doc: dict) -> ProductRect:
     cubes, pos = [], 0
     for k, idx in zip(levels, indices):
         d = len(idx)
-        cubes.append(DyadicCube(int(k), tuple(int(m) for m in idx),
-                                tuple(int(t) for t in tau_flat[pos:pos + d])))
+        cubes.append(DyadicCube(k, tuple(idx), tuple(tau_flat[pos:pos + d])))
         pos += d
     return ProductRect(tuple(cubes))

@@ -90,19 +90,18 @@ reproducible bit for bit for a fixed input.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .grids import (GridConfig, ProductRect, _check_inside, _points,
-                    _shift_vector, min_rect, standard_rect, triple_depths)
+from .grids import (GridConfig, ProductRect, _check_inside, _integer,
+                    _points, _shift_vector, min_rect, standard_rect,
+                    triple_depths)
 from .weights import (GridFunction, LevelTree, Weight, _check_same_grid,
                       _scatter, _upsample, _weighted, build_mass_tree,
-                      build_pyramid)
+                      build_pyramid, level_combos)
 
 EXPONENT_TOL = 1e-12
 KERNEL_MATRIX_BUDGET = 1 << 30  # bytes a kernel matrix or factor may take
@@ -181,11 +180,7 @@ def _check_pq(p: float, q: float) -> None:
 
 def check_kernel_seed(seed) -> int:
     """A random kernel seed, refused unless an integer in [-2**63, 2**63)."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError(
-            f"kernel seed must be an integer, got {seed!r}") from None
+    seed = _integer(seed, "kernel seed must be an integer")
     if not -2 ** 63 <= seed < 2 ** 63:
         raise ValueError(
             f"kernel seed must lie in [-2**63, 2**63), got {seed}")
@@ -198,12 +193,6 @@ def _hls_exponent(alpha: float, total_dim: int) -> float:
         raise ExponentError(
             f"alpha must lie in (0, {total_dim}), got {alpha}")
     return float(alpha) / total_dim - 1.0
-
-
-def level_combos(config: GridConfig):
-    """Factor-level tuples in enumeration order."""
-    return itertools.product(range(config.depth + 1),
-                             repeat=config.n_factors)
 
 
 def _neg_power(masses: np.ndarray, expo: float) -> np.ndarray:
@@ -825,18 +814,16 @@ def shift_bound_ratio(mu: Weight, alpha: float, f: GridFunction) -> float:
     """Pointwise domination of the enlarged form by the shifted-grid sum.
 
     Returns the largest cellwise ratio of the enlarged-region form to
-    the sum of the dyadic forms over all 3**N shifted families (+inf if
-    the numerator is positive where the denominator vanishes; cells
-    where both vanish are skipped; 0 if every cell is skipped).
+    the sum of the dyadic forms over all 3**N shifted families.  Every
+    cell's sum holds the term of the level-0 standard cube,
+    ``mu([0,1)^N)**(alpha/N - 1) * int f dmu``, and no term is
+    negative, so the denominator is positive at every cell or zero at
+    every cell.  It is zero only where ``int f dmu`` is, and then every
+    integral of f in the numerator vanishes too: the ratio is then 0.
     """
     _check_same_grid(mu, f)
     num = _upsample(mu.config, plan(mu, alpha, "perez").forward(f.values))
     den = plan(mu, alpha, "shifted-sum").forward(f.values)
-    live = ~((num == 0) & (den == 0))
-    if not live.any():
+    if not den.any():
         return 0.0
-    if np.any(live & (den == 0)):
-        return math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(live, num / np.where(den > 0, den, 1.0), 0.0)
-    return float(ratios.max())
+    return float((num / den).max())

@@ -116,6 +116,12 @@ def _view(config: GridConfig, blocks: int, key: tuple) -> tuple:
     return tuple(index), shape
 
 
+def level_combos(config: GridConfig):
+    """Factor-level tuples in enumeration order."""
+    return itertools.product(range(config.depth + 1),
+                             repeat=config.n_factors)
+
+
 class LevelTree(Mapping):
     """Every level combination's table, each a view of one heap array.
 
@@ -145,8 +151,7 @@ class LevelTree(Mapping):
         return self.heap[index].reshape(shape)
 
     def __iter__(self):
-        return itertools.product(range(self.config.depth + 1),
-                                 repeat=self.config.n_factors)
+        return level_combos(self.config)
 
     def __len__(self) -> int:
         return (self.config.depth + 1) ** self.config.n_factors

@@ -138,6 +138,17 @@ class TestConditionD:
         flat = dataclasses.replace(reverse, value=1.0)
         assert tail_bound(flat, 0.5) is None
 
+    # used to raise ZeroDivisionError at 0, return the negative -2.98
+    # at -1 and nan at nan
+    @pytest.mark.parametrize("decay", [0.0, -1.0, math.nan])
+    def test_tail_bound_refuses_nonpositive_decay(self, cascade_square,
+                                                  decay):
+        reverse = reverse_doubling_constant(cascade_square)
+        for rep in (reverse, dataclasses.replace(reverse, value=1.0)):
+            with pytest.raises(ExponentError,
+                               match="^decay_exp must be positive"):
+                tail_bound(rep, decay)
+
     def test_monotone_in_depth(self):
         w = gen_cascade(GridConfig((1, 1), 4), 2.0, 13)
         shallow = condition_d_constant(w.coarsen(3), 0.5).value

@@ -14,7 +14,8 @@ from rectfrac import (Box, DegeneratePairError, DepthExceededError,
                       triple)
 from rectfrac.bruteforce import (_iter_family, minimal_cube_exhaustive,
                                  shift_cover_exhaustive)
-from rectfrac.grids import product_minimal_boxes, triple_depths
+from rectfrac.grids import (product_minimal_boxes, rect_from_json,
+                            triple_depths)
 
 CFG = GridConfig((1,), 4)
 CFG2 = GridConfig((2,), 4)
@@ -506,9 +507,20 @@ class TestExactness:
 # each call on a (1,1) K=3 grid, with its error class and message start
 REFUSALS = [
     (lambda cfg: DyadicCube(0, (0, 0), (0,)), ValueError,
-     "index and shift must have equal length"),
+     "tau must assign -1, 0 or +1 per axis"),
     (lambda cfg: DyadicCube(0, (0,), (2,)), ValueError,
-     "shift entries must be -1, 0 or +1 (thirds)"),
+     "tau must assign -1, 0 or +1 per axis"),
+    # the next four used to be accepted: as cube 0, at level 1.5, as the
+    # standard cube and at level 1
+    (lambda cfg: DyadicCube(1, (0.5,)), ValueError,
+     "cube indices must be integers, got 0.5"),
+    (lambda cfg: DyadicCube(1.5, (0,)), ValueError,
+     "cube level must be an integer, got 1.5"),
+    (lambda cfg: DyadicCube(1, (0,), (0.9,)), ValueError,
+     "tau must assign -1, 0 or +1 per axis, got 0.9"),
+    (lambda cfg: rect_from_json({"levels": [1.7], "indices": [[0]],
+                                 "tau": [0]}),
+     ValueError, "cube level must be an integer, got 1.7"),
     (lambda cfg: triple(cfg, 3), TypeError, "cannot triple int"),
     (lambda cfg: minimal_cube(cfg, (0,), (0, 1)), ValueError,
      "point dimensions differ"),

@@ -17,8 +17,8 @@ from rectfrac import (DegeneratePairError, DyadicCube, ExponentConfig,
                       ExponentError, GridConfig, GridFunction, ProductRect,
                       RectKernel, Weight, apply_frac_dyadic,
                       apply_frac_kernel, apply_perez, apply_positive,
-                      gen_cascade, gen_power, gen_uniform, integrate,
-                      kernel_sum, min_rect, mlinear_form,
+                      depth_sweep, gen_cascade, gen_power, gen_uniform,
+                      integrate, kernel_sum, min_rect, mlinear_form,
                       operator_norm_lower, pair_kernel, shift_bound_ratio)
 from rectfrac.bruteforce import (frac_dyadic_direct, mass_direct,
                                  mlinear_direct, perez_direct,
@@ -1095,7 +1095,46 @@ class TestKernelSum:
         assert math.isfinite(stats["minimal_mass_ratio_max"])
 
 
+def _shift_bound_ratio_masked(mu, alpha, f):
+    """The cellwise ratio with cells where both sides vanish skipped.
+
+    +inf where only the denominator vanishes; 0 if every cell is
+    skipped.
+    """
+    num = weights._upsample(mu.config, operators.plan(mu, alpha, "perez")
+                            .forward(f.values))
+    den = operators.plan(mu, alpha, "shifted-sum").forward(f.values)
+    live = ~((num == 0) & (den == 0))
+    if not live.any():
+        return 0.0
+    if np.any(live & (den == 0)):
+        return math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(live, num / np.where(den > 0, den, 1.0), 0.0)
+    return float(ratios.max())
+
+
 class TestShiftBoundRatio:
+    @pytest.mark.parametrize("dims,depth", [((1,), 3), ((2,), 2),
+                                            ((1, 1), 2), ((1, 1), 3)])
+    def test_masked_ratio_on_sparse_inputs(self, dims, depth):
+        # the denominator holds the level-0 term mu(Q0)**e * int f dmu at
+        # every cell, so skipping cells never decides the ratio
+        cfg = GridConfig(dims, depth)
+        rng = np.random.default_rng(depth * 10 + len(dims))
+        shape = (cfg.axis_cells,) * cfg.total_dim
+        zero_den = 0
+        for _ in range(8):
+            density = rng.random(shape) * (rng.random(shape) < 0.05)
+            density.flat[rng.integers(density.size)] += 1.0
+            mu = Weight(cfg, density)
+            f = GridFunction(cfg, rng.random(shape) *
+                             (rng.random(shape) < 0.1))
+            got = shift_bound_ratio(mu, 0.5, f)
+            assert got == _shift_bound_ratio_masked(mu, 0.5, f)
+            zero_den += got == 0.0
+        assert 0 < zero_den < 8
+
     def test_zero_function(self, cascade_square):
         cfg = cascade_square.config
         zero = GridFunction(cfg, np.zeros((cfg.axis_cells,) * 2))
@@ -1151,7 +1190,16 @@ REFUSALS = [
     (lambda w: RectKernel.hls(w, 0.5).value(SHIFTED), ValueError,
      "kernel tables cover the standard family only"),
     (lambda w: mlinear_form(RectKernel.hls(w, 0.5), (w,), ()), ValueError,
-     "need one function per weight")]
+     "need one function per weight"),
+    # the next three used to truncate: to the standard family, to the
+    # family (1, 0) and to a depth-2 sweep
+    (lambda w: operators.plan(w, 0.5, "dyadic", (0.5, 0)), ValueError,
+     "tau must assign -1, 0 or +1 per axis, got 0.5"),
+    (lambda w: apply_frac_dyadic(w, 0.5, GridFunction.ones(w.config),
+                                 tau=("1", "0")),
+     ValueError, "tau must assign -1, 0 or +1 per axis, got '1'"),
+    (lambda w: depth_sweep("hls", [2.5], weight=w, alpha=0.5, p=4 / 3),
+     ValueError, "sweep depths must be integers, got 2.5")]
 
 
 @pytest.mark.parametrize("call,exc,start", REFUSALS)
